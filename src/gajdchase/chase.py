@@ -9,6 +9,17 @@ produced cell comes from a selected row, so the variable universe is fixed,
 the pattern space is finite, the chase terminates, and the fixpoint is
 independent of application order.
 
+A rule's step is the classical chase step for a join dependency: the
+natural join of the rows' distinct projections onto the rule's edges.  The
+edges are joined in certificate order, so each one is looked up on its
+interaction set with the edges before it (Yannakakis's acyclic join), and
+the join is semi-naive: a new row is joined only where one of its edge
+projections is new.  Each pattern found this way is recorded with its least
+selection, the smallest row id carrying each edge projection.  Trying every
+selection of rows in lexicographic order would meet that selection first,
+and later rows only get larger ids, so steps, row ids and weight
+expressions are the same as under that exhaustive enumeration.
+
 The implication test builds the target's tableau and chases it under the
 constraint rules: the target is implied exactly when the all-distinguished
 row becomes derivable.  Two stop rules shape the output without affecting
@@ -21,15 +32,15 @@ the verdict:
   short, human-readable generating prefix, but it is *not* decision-complete:
   reaching the all-distinguished row can require intermediate rows that drop
   distinguished variables, so a negative verdict is only trusted after the
-  unrestricted fixpoint confirms it (`implies` always runs that closure).
+  unrestricted fixpoint confirms it (`implies` always runs that closure, by
+  continuing the prefix's run).
 """
 
 from __future__ import annotations
 
 import heapq
-import itertools
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import Enum
 from typing import Iterable, Sequence
 
@@ -43,7 +54,7 @@ from .symbolic import (
     eq5_expression,
     restrict_atom,
 )
-from .tableau import Row, Tableau, build_tr
+from .tableau import JoinPlan, Row, Tableau, build_tr, join
 
 DEFAULT_MAX_ROWS = 100_000
 
@@ -91,14 +102,20 @@ def _mix_pattern(
     return tuple(cells)  # type: ignore[arg-type]
 
 
-def _eq5_for(t: Tableau, rule: JRule, selection: Sequence[int], pattern: tuple[Variable, ...]) -> RationalExpression:
+def _eq5_for(
+    t: Tableau,
+    edges: Sequence[AttributeSet],
+    interactions: Sequence[AttributeSet],
+    selection: Sequence[int],
+    pattern: tuple[Variable, ...],
+) -> RationalExpression:
     scheme = t.scheme
     by_col = dict(zip(scheme, pattern))
     edge_patterns = []
-    for edge, k in zip(rule.edges_in_order, selection):
+    for edge, k in zip(edges, selection):
         row_cells = dict(zip(scheme, t.rows[k].cells))
         edge_patterns.append((edge, row_cells))
-    interaction_patterns = [(s, by_col) for s in rule.interactions]
+    interaction_patterns = [(s, by_col) for s in interactions]
     return eq5_expression(edge_patterns, interaction_patterns)
 
 
@@ -123,7 +140,7 @@ def joinable(t: Tableau, rule: JRule, selection: Sequence[int]) -> tuple[Joinabi
         return (Joinability.NOT_JOINABLE, None)
     if t.has_pattern(pattern):
         return (Joinability.ALREADY_PRESENT, None)
-    return (Joinability.NEW, Row(pattern, _eq5_for(t, rule, selection, pattern)))
+    return (Joinability.NEW, Row(pattern, _eq5_for(t, rule.edges_in_order, rule.interactions, selection, pattern)))
 
 
 @dataclass(frozen=True)
@@ -154,13 +171,20 @@ class ChaseStep:
 
 @dataclass
 class ChaseTrace:
-    """A replayable derivation log: initial tableau, steps, final tableau."""
+    """A replayable derivation log: initial tableau, steps, final tableau.
+
+    `duplicates` counts the join results, and the stale pending
+    applications, whose pattern was already a row when they came up,
+    including those met while indexing the initial rows.
+    """
 
     initial: Tableau
     steps: list[ChaseStep]
     final: Tableau
     stop_reason: str
     duplicates: int = 0
+    # The run that produced this trace, while it can still be continued.
+    _run: "_ChaseRun | None" = field(default=None, repr=False, compare=False)
 
     def render_steps(self) -> list[str]:
         return [step.render(i + 1) for i, step in enumerate(self.steps)]
@@ -188,8 +212,128 @@ def _as_rules(constraints: Iterable[Gajd | JRule]) -> tuple[JRule, ...]:
     return tuple(rules)
 
 
+class _CompiledRule:
+    """A rule's join data: edge columns in certificate order, their indexes, witnesses."""
+
+    def __init__(self, rule: JRule, scheme: AttributeSet):
+        self.rule = rule
+        self.edges = rule.edges_in_order
+        self.interactions = rule.interactions
+        self.cols = tuple(tuple(scheme.index(a) for a in edge) for edge in self.edges)
+        self.plan = JoinPlan(self.cols)
+        # Per position: edge projection -> smallest row id carrying it, and
+        # interaction-set key -> distinct projections.
+        self.first: list[dict[tuple[Variable, ...], int]] = [{} for _ in self.cols]
+        self.index: list[dict[tuple, list[tuple[Variable, ...]]]] = [{} for _ in self.cols]
+
+    def witness(self, pattern: tuple[Variable, ...]) -> tuple[int, ...]:
+        """The least selection producing `pattern`: the smallest row id per edge projection."""
+        return tuple(
+            first[tuple([pattern[c] for c in cols])] for first, cols in zip(self.first, self.cols)
+        )
+
+
+class _ChaseRun:
+    """The state of one chase: working tableau, indexes and pending applications.
+
+    Pending entries are `(-distinguished, rule_index, selection, pattern)`,
+    one per (rule, pattern) found while the pattern was not a row.
+    """
+
+    def __init__(self, t: Tableau, rules: tuple[JRule, ...], rng: random.Random | None):
+        self.rules = rules
+        self.rng = rng
+        self.work = t.copy()
+        self.compiled = [_CompiledRule(rule, t.scheme) for rule in rules]
+        self.steps: list[ChaseStep] = []
+        self.duplicates = 0
+        self.pending: list[tuple[int, int, tuple[int, ...], tuple[Variable, ...]]] = []
+        self.pushed: set[tuple[int, tuple[Variable, ...]]] = set()
+        self.max_dist = max((row.distinguished_count() for row in self.work.rows), default=0)
+        self.indexed = 0
+
+    def _index_row(self, rid: int) -> None:
+        """Index row `rid` and join each of its new edge projections with the rest."""
+        cells = self.work.rows[rid].cells
+        for rule_idx, cr in enumerate(self.compiled):
+            new = []
+            for pos, cols in enumerate(cr.cols):
+                proj = tuple([cells[c] for c in cols])
+                if proj not in cr.first[pos]:
+                    cr.first[pos][proj] = rid
+                    cr.index[pos].setdefault(cr.plan.key(pos, proj), []).append(proj)
+                    new.append((pos, proj))
+            if new:
+                emit = self._consider(rule_idx, cr)
+                for fixed in new:
+                    join(cr.plan, cr.index, emit, fixed)
+
+    def _consider(self, rule_idx: int, cr: _CompiledRule):
+        work, pushed, pending, rng = self.work, self.pushed, self.pending, self.rng
+
+        def emit(binding: list) -> None:
+            pattern = tuple(binding)
+            if work.has_pattern(pattern):
+                self.duplicates += 1
+                return
+            if (rule_idx, pattern) in pushed:
+                return
+            pushed.add((rule_idx, pattern))
+            dist = sum(1 for v in pattern if v.distinguished)
+            entry = (-dist, rule_idx, cr.witness(pattern), pattern)
+            if rng is None:
+                heapq.heappush(pending, entry)
+            else:
+                pending.append(entry)
+
+        return emit
+
+    def _next(self) -> int | None:
+        """Position in `pending` of the next application; stale entries are dropped."""
+        pending = self.pending
+        while pending:
+            i = 0 if self.rng is None else self.rng.randrange(len(pending))
+            if not self.work.has_pattern(pending[i][3]):
+                return i
+            self.duplicates += 1
+            self._drop(i)
+        return None
+
+    def _drop(self, i: int) -> None:
+        if self.rng is None:
+            heapq.heappop(self.pending)
+        else:
+            self.pending.pop(i)
+
+    def run(self, stop_at_distinguished: bool, stop_when_no_gain: bool, max_rows: int) -> str:
+        """Apply pending applications until a stop rule holds; returns the stop reason."""
+        work = self.work
+        while True:
+            for rid in range(self.indexed, len(work.rows)):
+                self._index_row(rid)
+            self.indexed = len(work.rows)
+            i = self._next()
+            if i is None:
+                return "fixpoint"
+            neg_dist, rule_idx, selection, pattern = self.pending[i]
+            if stop_when_no_gain and -neg_dist <= self.max_dist:
+                return "no_gain"
+            self._drop(i)
+            if len(work.rows) + 1 > max_rows:
+                raise ChaseRowLimitError(
+                    f"chase exceeded the {max_rows}-row cap before terminating", limit=max_rows
+                )
+            cr = self.compiled[rule_idx]
+            row = Row(pattern, _eq5_for(work, cr.edges, cr.interactions, selection, pattern))
+            rid = work.add_row(row)
+            self.steps.append(ChaseStep(cr.rule, selection, row, rid))
+            self.max_dist = max(self.max_dist, -neg_dist)
+            if stop_at_distinguished and all(v.distinguished for v in pattern):
+                return "distinguished"
+
+
 def chase(
-    t: Tableau,
+    t: Tableau | ChaseTrace,
     constraints: Iterable[Gajd | JRule],
     *,
     stop_at_distinguished: bool = False,
@@ -199,6 +343,15 @@ def chase(
 ) -> ChaseTrace:
     """Apply derivation rules to (a copy of) `t` until a stop condition holds.
 
+    Each rule is applied as a natural join of the rows' distinct projections
+    onto its edges, taken in certificate order with one index per
+    interaction set, and semi-naively: a new row is joined only where one of
+    its edge projections is new.  Each result that is not yet a row becomes
+    one pending application per rule, whose selection takes, at each edge,
+    the smallest row id with that projection.  That is the lexicographically
+    least selection producing the pattern, and a later row can never lower
+    it, so the order below is that of trying every selection of rows.
+
     With no stop options this runs to the fixpoint, which is unique whatever
     the application order.  The default order is deterministic best-first:
     among all applicable productive rule applications, prefer the candidate
@@ -206,108 +359,51 @@ def chase(
     order and then by selection.  Passing `rng` replaces that priority with a
     seeded random choice (used to exercise order independence).
 
+    Passing the trace of an earlier call instead of a tableau continues that
+    call's run where it stopped, with the same constraints and order: the
+    pending applications and indexes carry over, the earlier trace keeps its
+    final tableau, and the new trace starts from it and holds only the new
+    steps.  A trace can be continued once.
+
     Raises ChaseRowLimitError when the tableau would exceed `max_rows`.
     """
     rules = _as_rules(constraints)
-    for rule in rules:
-        if rule.gajd.scheme != t.scheme:
-            raise SchemeError(
-                f"constraint {rule.name} is over {rule.gajd.scheme.render()}, "
-                f"not the tableau scheme {t.scheme.render()}; schemes must match exactly"
-            )
+    if isinstance(t, ChaseTrace):
+        state = t._run
+        if state is None:
+            raise ValueError("this trace was already continued, or does not come from chase()")
+        if rules != state.rules:
+            raise ValueError("a chase continues under the constraints it started with")
+        if rng is not None:
+            raise ValueError("a continued chase keeps the order it started with")
+        rng = state.rng
+    else:
+        state = None
+        for rule in rules:
+            if rule.gajd.scheme != t.scheme:
+                raise SchemeError(
+                    f"constraint {rule.name} is over {rule.gajd.scheme.render()}, "
+                    f"not the tableau scheme {t.scheme.render()}; schemes must match exactly"
+                )
     if stop_when_no_gain and rng is not None:
         raise ValueError("the no-gain stop rule requires the deterministic order")
 
-    work = t.copy()
-    initial = t.copy()
-    steps: list[ChaseStep] = []
-    duplicates = 0
-    # pending candidate applications: (-distinguished_count, rule_index, selection)
-    pending: list[tuple[int, int, tuple[int, ...]]] = []
-
-    def consider(rule_idx: int, selection: tuple[int, ...]) -> None:
-        nonlocal duplicates
-        pattern = _mix_pattern(work, rules[rule_idx], selection)
-        if pattern is None:
-            return
-        if work.has_pattern(pattern):
-            duplicates += 1
-            return
-        dist = sum(1 for v in pattern if v.distinguished)
-        entry = (-dist, rule_idx, selection)
-        if rng is None:
-            heapq.heappush(pending, entry)
-        else:
-            pending.append(entry)
-
-    def generate(lo: int, hi: int) -> None:
-        """Consider every selection over rows [0, hi) that uses at least one row in [lo, hi).
-
-        Placing the first new-row position explicitly enumerates each
-        qualifying selection exactly once, so every application is classified
-        a single time over the whole run.
-        """
-        for rule_idx, rule in enumerate(rules):
-            q = rule.arity
-            for new_pos in range(q):
-                spans = [range(lo)] * new_pos + [range(lo, hi)] + [range(hi)] * (q - new_pos - 1)
-                for selection in itertools.product(*spans):
-                    consider(rule_idx, selection)
-
-    def pop_valid() -> tuple[int, int, tuple[int, ...]] | None:
-        # Entries are pushed only when consistent and new; they can only go
-        # stale by their pattern having been produced since.
-        nonlocal duplicates
-        while pending:
-            if rng is None:
-                entry = pending[0]
-            else:
-                entry = pending[rng.randrange(len(pending))]
-            pattern = _mix_pattern(work, rules[entry[1]], entry[2])
-            assert pattern is not None
-            if work.has_pattern(pattern):
-                duplicates += 1
-                _discard(entry)
-                continue
-            return entry
-        return None
-
-    def _discard(entry) -> None:
-        if rng is None:
-            heapq.heappop(pending)
-        else:
-            pending.remove(entry)
-
-    generate(0, len(work.rows))
-    stop_reason = "fixpoint"
-    max_dist = max((row.distinguished_count() for row in work.rows), default=0)
-
-    while True:
-        entry = pop_valid()
-        if entry is None:
-            break
-        neg_dist, rule_idx, selection = entry
-        if stop_when_no_gain and -neg_dist <= max_dist:
-            stop_reason = "no_gain"
-            break
-        _discard(entry)
-        rule = rules[rule_idx]
-        pattern = _mix_pattern(work, rule, selection)
-        assert pattern is not None
-        if len(work.rows) + 1 > max_rows:
-            raise ChaseRowLimitError(
-                f"chase exceeded the {max_rows}-row cap before terminating", limit=max_rows
-            )
-        row = Row(pattern, _eq5_for(work, rule, selection, pattern))
-        rid = work.add_row(row)
-        steps.append(ChaseStep(rule, tuple(selection), row, rid))
-        max_dist = max(max_dist, row.distinguished_count())
-        if stop_at_distinguished and all(v.distinguished for v in pattern):
-            stop_reason = "distinguished"
-            break
-        generate(rid, rid + 1)
-
-    return ChaseTrace(initial=initial, steps=steps, final=work, stop_reason=stop_reason, duplicates=duplicates)
+    if state is None:
+        initial = t.copy()
+        state = _ChaseRun(t, rules, rng)
+    else:
+        t._run = None
+        initial, state.work = state.work, state.work.copy()
+    first_step, duplicates = len(state.steps), state.duplicates
+    stop_reason = state.run(stop_at_distinguished, stop_when_no_gain, max_rows)
+    return ChaseTrace(
+        initial=initial,
+        steps=state.steps[first_step:],
+        final=state.work,
+        stop_reason=stop_reason,
+        duplicates=state.duplicates - duplicates,
+        _run=state,
+    )
 
 
 @dataclass(frozen=True)
@@ -436,7 +532,11 @@ def implies(
     the chase of the target's tableau under the constraint rules.  The
     presentation trace is the hill-climbing prefix; when it does not reach
     the all-distinguished row, the unrestricted closure decides the verdict
-    and is attached as `closure_trace`.
+    and is attached as `closure_trace`.  The closure continues the prefix's
+    run rather than chasing the prefix's final tableau afresh: the prefix
+    trace is kept as it stopped, and the run goes on without the no-gain
+    stop.  Its pending applications are the ones a fresh chase would find,
+    with the same least selections, so the closure's steps are the same.
     """
     rules = _as_rules(constraints)
     for rule in rules:
@@ -457,7 +557,7 @@ def implies(
         expression, rewrites = factorization_for(prefix)
         return Verdict(True, expression, prefix, None, rewrites)
 
-    closure = chase(prefix.final, rules, stop_at_distinguished=True, max_rows=max_rows)
+    closure = chase(prefix, rules, stop_at_distinguished=True, max_rows=max_rows)
     if closure.final.contains_distinguished_row():
         merged = ChaseTrace(
             initial=prefix.initial,

@@ -15,8 +15,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Sequence
 
-import numpy as np
-
+# numpy is imported inside the functions that use it, so that importing the
+# package for the chase alone does not load it.
 from .errors import DomainTooLargeError
 from .prelation import (
     DomainSpec,
@@ -52,6 +52,8 @@ class OracleConfig:
             raise ValueError("sat_tol must be strictly below check_tol")
 
     def trial_seeds(self) -> list[int]:
+        import numpy as np
+
         state = np.random.SeedSequence(self.seed).generate_state(self.trials, dtype=np.uint64)
         return [int(s) for s in state]
 
@@ -66,6 +68,8 @@ def random_positive(domains: DomainSpec, seed: int) -> WeightedRelation:
     n = domains.table_size()
     if n > MAX_TABLE_CELLS:
         raise DomainTooLargeError(f"joint table has {n} cells, above the {MAX_TABLE_CELLS}-cell cap")
+    import numpy as np
+
     rng = np.random.default_rng(seed)
     raw = rng.uniform(size=n)
     raw /= raw.sum()

@@ -20,6 +20,7 @@ distinguished tuple agree and raises otherwise.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Callable, Mapping, Sequence
 
 from .errors import SchemeError, TableauInconsistencyError
 from .hypergraph import AttributeSet
@@ -145,14 +146,104 @@ def identity_tableau(scheme: AttributeSet) -> Tableau:
     return t
 
 
+class JoinPlan:
+    """Positions joined in a fixed order, each binding one projection to slots.
+
+    A projection at position i is a tuple with one component per entry of
+    `slots[i]`, which names the slot (a column, a variable) that component
+    binds; one position never names a slot twice.  `keys[i]` lists the
+    components whose slots an earlier position binds, so that position's
+    index maps the values at `keys[i]` to the projections carrying them.
+    For the edges of a hypertree in certificate order the keys are the
+    interaction sets, which makes the join Yannakakis's acyclic join.
+    """
+
+    __slots__ = ("slots", "keys", "key_slots", "width")
+
+    def __init__(self, slots: Sequence[Sequence[int]]):
+        self.slots = tuple(tuple(comp) for comp in slots)
+        keys = []
+        seen: set[int] = set()
+        for comp in self.slots:
+            keys.append(tuple(c for c, slot in enumerate(comp) if slot in seen))
+            seen.update(comp)
+        self.keys = tuple(keys)
+        self.key_slots = tuple(tuple(comp[c] for c in k) for comp, k in zip(self.slots, self.keys))
+        self.width = max(seen, default=-1) + 1
+
+    def key(self, i: int, proj: Sequence) -> tuple:
+        """The index key of projection `proj` at position `i`."""
+        return tuple([proj[c] for c in self.keys[i]])
+
+
+def join(
+    plan: JoinPlan,
+    indexes: Sequence[Mapping[tuple, Sequence[tuple]]],
+    emit: Callable[[list], None],
+    fixed: tuple[int, tuple] | None = None,
+) -> None:
+    """Call `emit(binding)` once per consistent choice of one projection per position.
+
+    `indexes[i]` maps a key of position i (see `JoinPlan`) to its projections;
+    choices are made position by position, in index order, so results come
+    out in the lexicographic order of the choices.  `binding` is a list
+    indexed by slot and is reused between calls.  With `fixed=(p, proj)`
+    position p takes only `proj`, which is bound first; positions before p
+    then also check the slots p shares with them.
+    """
+    binding: list = [None] * plan.width
+    skip = -1
+    if fixed is not None:
+        skip, proj = fixed
+        for slot, v in zip(plan.slots[skip], proj):
+            binding[slot] = v
+    last = len(plan.slots)
+    slots_at, key_slots_at = plan.slots, plan.key_slots
+
+    def extend(i: int) -> None:
+        if i == skip:
+            i += 1
+        if i == last:
+            emit(binding)
+            return
+        bucket = indexes[i].get(tuple([binding[s] for s in key_slots_at[i]]))
+        if not bucket:
+            return
+        slots = slots_at[i]
+        for proj in bucket:
+            bound = []
+            for slot, v in zip(slots, proj):
+                prev = binding[slot]
+                if prev is None:
+                    binding[slot] = v
+                    bound.append(slot)
+                elif prev != v:
+                    break
+            else:
+                extend(i + 1)
+            for slot in bound:
+                binding[slot] = None
+
+    try:
+        extend(0)
+    finally:
+        # `extend` refers to itself.  Emptying its cell breaks that cycle, so
+        # `emit` and the state it holds are freed now, not by the cyclic
+        # garbage collector.
+        del extend
+
+
 def run(t: Tableau, rel: WeightedRelation, weight_tol: float = 1e-12) -> WeightedRelation:
     """Execute a tableau against a relation.
 
-    Valuations are materialized by a backtracking join over the relation's
-    positive-weight tuples (zero-weight tuples count as absent).  The output
-    deduplicates distinguished tuples; if two valuations of one distinguished
-    tuple ever disagree on the emitted weight beyond `weight_tol`, the input
-    violates the marginal-consistency contract and an error is raised.
+    Valuations are materialized by an indexed join of the rows over the
+    relation's positive-weight tuples (zero-weight tuples count as absent):
+    each row's tuples are indexed on the columns whose variables an earlier
+    row already binds, in support order, so valuations come out in the order
+    of a nested loop over the support.  The output deduplicates
+    distinguished tuples; if two valuations of one distinguished tuple ever
+    disagree on the emitted weight beyond `weight_tol`, the input violates
+    the marginal-consistency contract and an error is raised.
     """
     if rel.scheme != t.scheme:
         raise SchemeError(
@@ -160,27 +251,39 @@ def run(t: Tableau, rel: WeightedRelation, weight_tol: float = 1e-12) -> Weighte
         )
     support = [key for key, w in rel.items() if w > 0.0]
     rows = t.rows
-    row_vars = {v for row in rows for v in row.cells}
+    slot_of: dict[Variable, int] = {}
+    for row in rows:
+        for v in row.cells:
+            slot_of.setdefault(v, len(slot_of))
     for v in t.distinguished_row():
-        if v not in row_vars:
+        if v not in slot_of:
             raise ValueError(f"distinguished variable {v.render()} appears in no row")
     psi_vars = t.psi.variables()
     for v in psi_vars:
-        if v not in row_vars:
+        if v not in slot_of:
             raise ValueError(f"emission variable {v.render()} appears in no row")
+    plan = JoinPlan([tuple(slot_of[v] for v in row.cells) for row in rows])
+    by_keys: dict[tuple[int, ...], dict[tuple, list[tuple[str, ...]]]] = {}
+    for i, keys in enumerate(plan.keys):
+        if keys not in by_keys:
+            index: dict[tuple, list[tuple[str, ...]]] = {}
+            for tup in support:
+                index.setdefault(plan.key(i, tup), []).append(tup)
+            by_keys[keys] = index
+    indexes = [by_keys[keys] for keys in plan.keys]
+    psi_slots = [slot_of[v] for v in psi_vars]
+    dist_slots = [slot_of[v] for v in t.distinguished_row()]
     marginal_cache: dict[AttributeSet, WeightedRelation] = {}
     value_cache: dict[tuple[str, ...], float] = {}
     results: dict[tuple[str, ...], float] = {}
-    dist_vars = t.distinguished_row()
-    binding: dict[Variable, str] = {}
 
-    def emit() -> None:
-        key = tuple(binding[v] for v in psi_vars)
+    def emit(binding: list) -> None:
+        key = tuple([binding[s] for s in psi_slots])
         value = value_cache.get(key)
         if value is None:
-            value = evaluate(t.psi, rel, binding, marginal_cache)
+            value = evaluate(t.psi, rel, dict(zip(psi_vars, key)), marginal_cache)
             value_cache[key] = value
-        dist = tuple(binding[v] for v in dist_vars)
+        dist = tuple([binding[s] for s in dist_slots])
         seen = results.get(dist)
         if seen is None:
             results[dist] = value
@@ -189,26 +292,5 @@ def run(t: Tableau, rel: WeightedRelation, weight_tol: float = 1e-12) -> Weighte
                 f"distinguished tuple {dist} received weights {seen} and {value}"
             )
 
-    def extend(i: int) -> None:
-        if i == len(rows):
-            emit()
-            return
-        cells = rows[i].cells
-        for tup in support:
-            bound: list[Variable] = []
-            ok = True
-            for var, value in zip(cells, tup):
-                prev = binding.get(var)
-                if prev is None:
-                    binding[var] = value
-                    bound.append(var)
-                elif prev != value:
-                    ok = False
-                    break
-            if ok:
-                extend(i + 1)
-            for var in bound:
-                del binding[var]
-
-    extend(0)
+    join(plan, indexes, emit)
     return WeightedRelation(t.scheme, results)

@@ -1,0 +1,61 @@
+"""Byte-for-byte pin of the chase's traces over a seeded random census.
+
+Each case is a random target and two random constraints over five or six
+attributes.  The golden records the problem, the `implies --trace
+--factorize` output and the closure's steps, so any change to the order in
+which rules fire, to row ids, to weight expressions or to factorizations
+shows up as a diff.
+
+Regenerate (only when a change to the traces is intended) with
+
+    PYTHONPATH=src python tests/test_census_golden.py
+"""
+
+import random
+
+from gajdchase import implies
+from gajdchase.cli import ProblemFile, Query, cmd_implies
+from gajdchase.hypergraph import AttributeSet
+from conftest import GOLDEN_DIR, random_hypertree
+
+GOLDEN = GOLDEN_DIR / "census_traces.txt"
+SEED = 5
+CASES_PER_WIDTH = 30
+WIDTHS = (5, 6)
+MAX_EDGES = 4
+
+
+def census_problems() -> list[ProblemFile]:
+    rng = random.Random(SEED)
+    problems = []
+    for n in WIDTHS:
+        attrs = [f"A{i}" for i in range(1, n + 1)]
+        for _ in range(CASES_PER_WIDTH):
+            target = random_hypertree(attrs, MAX_EDGES, rng)
+            constraints = {f"C{k}": random_hypertree(attrs, MAX_EDGES, rng) for k in (1, 2)}
+            query = Query(target, tuple(constraints))
+            problems.append(ProblemFile(AttributeSet(attrs), {}, constraints, (query,)))
+    return problems
+
+
+def render_census() -> str:
+    out = []
+    for number, problem in enumerate(census_problems(), start=1):
+        out.append(f"## case {number}")
+        out.append(problem.render().rstrip("\n"))
+        _, text = cmd_implies(problem, trace=True, factorize=True)
+        out.append(text.rstrip("\n"))
+        query = problem.queries[0]
+        verdict = implies(problem.rules_for(query), query.target)
+        if verdict.closure_trace is not None:
+            out.append(f"closure stop: {verdict.closure_trace.stop_reason}")
+            out.extend(verdict.closure_trace.render_steps())
+    return "\n".join(out) + "\n"
+
+
+def test_census_traces_golden():
+    assert render_census() == GOLDEN.read_text()
+
+
+if __name__ == "__main__":
+    GOLDEN.write_text(render_census())

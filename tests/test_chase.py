@@ -1,3 +1,4 @@
+import itertools
 import random
 
 import pytest
@@ -23,7 +24,12 @@ from gajdchase import (
     satisfies,
 )
 from gajdchase.symbolic import distinguished_for
-from conftest import covering_hypertrees
+from conftest import covering_hypertrees, random_hypertree
+
+
+def _produces(t, rule, selection, cells):
+    status, row = joinable(t, rule, selection)
+    return status is Joinability.NEW and row.cells == cells
 
 
 def rules_for(chain4):
@@ -158,6 +164,54 @@ class TestChase:
         trace = chase(build_tr(target), constraints)
         assert trace.stop_reason == "fixpoint"
 
+    def test_witness_is_least_selection(self):
+        # Each step's selection is the lexicographically least selection of
+        # earlier rows that produces its row, as trying every selection in
+        # order would find it, and the trace still replays.
+        rng = random.Random(17)
+        checked = 0
+        for attrs in (["A", "B", "C"], ["A", "B", "C", "D"]) * 6:
+            target = random_hypertree(attrs, 3, rng)
+            rules = [JRule(f"R{k}", random_hypertree(attrs, 3, rng)) for k in range(2)]
+            verdict = implies(rules, target)
+            traces = [chase(build_tr(target), rules), verdict.trace, verdict.closure_trace]
+            for trace in filter(None, traces):
+                t = trace.initial.copy()
+                for step in trace.steps:
+                    assert step.produced_id == len(t)
+                    least = next(
+                        selection
+                        for selection in itertools.product(range(len(t)), repeat=step.rule.arity)
+                        if _produces(t, step.rule, selection, step.produced.cells)
+                    )
+                    assert least == step.selection
+                    t.add_row(step.produced)
+                    checked += 1
+                replayed = trace.replay()
+                assert [r.cells for r in replayed.rows] == [r.cells for r in trace.final.rows]
+        assert checked > 50
+
+    def test_continue_matches_fresh_chase(self, chain4):
+        target, left, _ = chain4
+        rules = [JRule("C1", left)]
+        prefix = chase(build_tr(target), rules, stop_when_no_gain=True)
+        assert prefix.stop_reason == "no_gain"
+        kept = [r.cells for r in prefix.final.rows]
+        fresh = chase(prefix.final, rules)
+        continued = chase(prefix, rules)
+        assert continued.render_steps() == fresh.render_steps()
+        assert [r.cells for r in continued.final.rows] == [r.cells for r in fresh.final.rows]
+        assert continued.initial is prefix.final
+        assert [r.cells for r in prefix.final.rows] == kept
+        with pytest.raises(ValueError):
+            chase(prefix, rules)
+
+    def test_continue_requires_same_constraints(self, chain4):
+        target, left, right = chain4
+        prefix = chase(build_tr(target), [JRule("C1", left)], stop_when_no_gain=True)
+        with pytest.raises(ValueError):
+            chase(prefix, [JRule("C2", right)])
+
 
 class TestImplies:
     def test_positive_golden(self, chain4):
@@ -242,6 +296,35 @@ class TestImplies:
         target, _, _ = chain4
         with pytest.raises(SchemeError, match="padding"):
             implies([Gajd.from_edges([["A1", "A2"]])], target)
+
+    @pytest.mark.parametrize(
+        "target, given, fixpoint_rows",
+        [
+            # The worst census case before the chase joined projections.
+            (
+                [["A2", "A3", "A5", "A6"], ["A1", "A2"], ["A1"], ["A2", "A4"]],
+                [
+                    [["A1", "A2", "A4"], ["A1", "A3", "A4", "A6"], ["A1", "A3", "A4", "A5"], ["A2", "A4"]],
+                    [["A4"], ["A2", "A6"], ["A1", "A3", "A5"], ["A3", "A4"]],
+                ],
+                32,
+            ),
+            # census/n7/q35 of the benchmark: 66 s when every row selection was tried.
+            (
+                [["A1", "A4", "A6"], ["A1", "A3", "A4", "A5", "A6"], ["A2", "A4", "A5", "A7"], ["A4", "A7"]],
+                [
+                    [["A5"], ["A1", "A2", "A3", "A4"], ["A3"], ["A5", "A6", "A7"]],
+                    [["A1", "A3", "A4", "A5", "A6", "A7"], ["A2", "A4", "A6"]],
+                ],
+                64,
+            ),
+        ],
+    )
+    def test_former_pathological_queries(self, target, given, fixpoint_rows):
+        verdict = implies([Gajd.from_edges(e) for e in given], Gajd.from_edges(target))
+        assert not verdict.holds
+        assert verdict.closure_trace.stop_reason == "fixpoint"
+        assert len(verdict.closure_trace.final) == fixpoint_rows
 
     def test_row_cap_propagates(self, chain4):
         target, left, _ = chain4
