@@ -3,20 +3,13 @@
 The symbolic side decides whether a set of dependencies implies a target by
 chasing the target's tableau; the numeric side cross-validates verdicts on
 small, strictly positive probability distributions.
+
+The top level holds the implication test and the exception classes; every
+other name is imported from its layer module (`hypergraph`, `prelation`,
+`symbolic`, `tableau`, `chase`, `oracle`, `cli`).
 """
 
-from .chase import (
-    ChaseStep,
-    ChaseTrace,
-    DEFAULT_MAX_ROWS,
-    JRule,
-    Joinability,
-    Verdict,
-    chase,
-    factorization_for,
-    implies,
-    joinable,
-)
+from .chase import JRule, Verdict, implies
 from .errors import (
     ChaseRowLimitError,
     DomainTooLargeError,
@@ -28,113 +21,22 @@ from .errors import (
     TableauInconsistencyError,
     ZeroDenominatorWarning,
 )
-from .hypergraph import (
-    AttributeSet,
-    Hypergraph,
-    HypertreeCertificate,
-    InteractionSet,
-    NotHypertree,
-    find_certificate,
-    interaction_set,
-    is_twig,
-    validate_certificate,
-)
-from .oracle import (
-    CounterexampleReport,
-    DecompositionReport,
-    NotFound,
-    OracleConfig,
-    SoundnessReport,
-    check_decomposition,
-    check_soundness,
-    project_onto,
-    random_positive,
-    search_counterexample,
-)
-from .prelation import (
-    DomainSpec,
-    Gajd,
-    WeightedRelation,
-    ci_residual,
-    inverse,
-    marginalize,
-    monotone_join,
-    mpj_map,
-    product_join,
-    relation_from_domains,
-    satisfies,
-)
-from .symbolic import (
-    MarginalAtom,
-    RationalExpression,
-    Variable,
-    evaluate,
-    multiply,
-    restrict_atom,
-)
-from .tableau import Row, Tableau, build_tr, identity_tableau, run
+from .prelation import Gajd
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "AttributeSet",
     "ChaseRowLimitError",
-    "ChaseStep",
-    "ChaseTrace",
-    "CounterexampleReport",
-    "DEFAULT_MAX_ROWS",
-    "DecompositionReport",
-    "DomainSpec",
     "DomainTooLargeError",
     "Gajd",
     "GajdChaseError",
-    "Hypergraph",
-    "HypertreeCertificate",
-    "InteractionSet",
     "InvalidCertificateError",
     "JRule",
-    "Joinability",
-    "MarginalAtom",
-    "NotFound",
-    "NotHypertree",
     "NotHypertreeError",
-    "OracleConfig",
     "ProblemParseError",
-    "RationalExpression",
-    "Row",
     "SchemeError",
-    "SoundnessReport",
-    "Tableau",
     "TableauInconsistencyError",
-    "Variable",
     "Verdict",
-    "WeightedRelation",
     "ZeroDenominatorWarning",
-    "build_tr",
-    "chase",
-    "check_decomposition",
-    "check_soundness",
-    "ci_residual",
-    "evaluate",
-    "factorization_for",
-    "find_certificate",
-    "identity_tableau",
     "implies",
-    "interaction_set",
-    "inverse",
-    "is_twig",
-    "joinable",
-    "marginalize",
-    "monotone_join",
-    "mpj_map",
-    "multiply",
-    "product_join",
-    "project_onto",
-    "random_positive",
-    "relation_from_domains",
-    "restrict_atom",
-    "run",
-    "satisfies",
-    "search_counterexample",
-    "validate_certificate",
 ]

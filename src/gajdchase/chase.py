@@ -1,13 +1,13 @@
 """Derivation rules, the chase fixpoint, and the implication test.
 
 Each dependency over the full scheme induces a derivation rule: rows
-k_1..k_q (repetition allowed) are joinable when a row pattern exists that
-agrees with row k_i on the i-th hypertree edge; the produced row's weight is
-the quotient of the selected edge atoms by the interaction atoms at the new
-row's cells.  The chase applies rules until no new pattern appears.  Every
-produced cell comes from a selected row, so the variable universe is fixed,
-the pattern space is finite, the chase terminates, and the fixpoint is
-independent of application order.
+k_1..k_q (repetition allowed) that agree where the hypertree's edges overlap
+produce the row pattern that agrees with row k_i on the i-th edge; the
+produced row's weight is the quotient of the selected edge atoms by the
+interaction atoms at the new row's cells.  The chase applies rules until no
+new pattern appears.  Every produced cell comes from a selected row, so the
+variable universe is fixed, the pattern space is finite, the chase
+terminates, and the fixpoint is independent of application order.
 
 A rule's step is the classical chase step for a join dependency: the
 natural join of the rows' distinct projections onto the rule's edges.  The
@@ -41,7 +41,6 @@ from __future__ import annotations
 import heapq
 import random
 from dataclasses import dataclass, field
-from enum import Enum
 from typing import Iterable, Sequence
 
 from .errors import ChaseRowLimitError, SchemeError
@@ -65,82 +64,6 @@ class JRule:
 
     name: str
     gajd: Gajd
-
-    @property
-    def arity(self) -> int:
-        return len(self.gajd.hypergraph.edges)
-
-    @property
-    def edges_in_order(self) -> tuple[AttributeSet, ...]:
-        return self.gajd.edges_in_order
-
-    @property
-    def interactions(self) -> tuple[AttributeSet, ...]:
-        return tuple(self.gajd.interactions)
-
-
-class Joinability(Enum):
-    NEW = "new"
-    ALREADY_PRESENT = "already_present"
-    NOT_JOINABLE = "not_joinable"
-
-
-def _mix_pattern(
-    t: Tableau, rule: JRule, selection: Sequence[int]
-) -> tuple[Variable, ...] | None:
-    """Blockwise mix of the selected rows along the rule's edges; None when inconsistent."""
-    cells: list[Variable | None] = [None] * len(t.scheme)
-    for edge, k in zip(rule.edges_in_order, selection):
-        row_cells = t.rows[k].cells
-        for a in edge:
-            ci = t.scheme.index(a)
-            v = row_cells[ci]
-            if cells[ci] is None:
-                cells[ci] = v
-            elif cells[ci] != v:
-                return None
-    return tuple(cells)  # type: ignore[arg-type]
-
-
-def _eq5_for(
-    t: Tableau,
-    edges: Sequence[AttributeSet],
-    interactions: Sequence[AttributeSet],
-    selection: Sequence[int],
-    pattern: tuple[Variable, ...],
-) -> RationalExpression:
-    scheme = t.scheme
-    by_col = dict(zip(scheme, pattern))
-    edge_patterns = []
-    for edge, k in zip(edges, selection):
-        row_cells = dict(zip(scheme, t.rows[k].cells))
-        edge_patterns.append((edge, row_cells))
-    interaction_patterns = [(s, by_col) for s in interactions]
-    return eq5_expression(edge_patterns, interaction_patterns)
-
-
-def joinable(t: Tableau, rule: JRule, selection: Sequence[int]) -> tuple[Joinability, Row | None]:
-    """Evaluate one rule application.
-
-    Returns NEW with the candidate row (weight expression attached), or
-    ALREADY_PRESENT when the mixed pattern is already a row of `t`, or
-    NOT_JOINABLE when the selected rows disagree on an edge overlap.
-    """
-    if len(selection) != rule.arity:
-        raise ValueError(f"rule {rule.name} needs {rule.arity} selected rows, got {len(selection)}")
-    for k in selection:
-        if not 0 <= k < len(t.rows):
-            raise ValueError(f"row id {k} out of range")
-    if rule.gajd.scheme != t.scheme:
-        raise SchemeError(
-            f"rule scheme {rule.gajd.scheme.render()} does not match tableau scheme {t.scheme.render()}"
-        )
-    pattern = _mix_pattern(t, rule, selection)
-    if pattern is None:
-        return (Joinability.NOT_JOINABLE, None)
-    if t.has_pattern(pattern):
-        return (Joinability.ALREADY_PRESENT, None)
-    return (Joinability.NEW, Row(pattern, _eq5_for(t, rule.edges_in_order, rule.interactions, selection, pattern)))
 
 
 @dataclass(frozen=True)
@@ -193,15 +116,48 @@ class ChaseTrace:
         return [step.record(i + 1) for i, step in enumerate(self.steps)]
 
     def replay(self) -> Tableau:
-        """Re-derive the final tableau from the initial one; raises if any step disagrees."""
+        """Re-derive the final tableau from the initial one, step by step.
+
+        Each step's selected rows are mixed along its rule's edges; the mix
+        must be consistent and new, and must produce the step's row at the
+        step's row id.  Raises ValueError when a step disagrees and
+        SchemeError for a rule over another scheme.
+        """
         t = self.initial.copy()
-        for step in self.steps:
-            status, row = joinable(t, step.rule, step.selection)
-            if status is not Joinability.NEW or row != step.produced:
-                raise ValueError(f"step {step} does not replay")
+        compiled: dict[JRule, _CompiledRule] = {}
+        for number, step in enumerate(self.steps, start=1):
+            rule, selection = step.rule, step.selection
+            cr = compiled.get(rule)
+            if cr is None:
+                if rule.gajd.scheme != t.scheme:
+                    raise SchemeError(
+                        f"rule {rule.name} is over {rule.gajd.scheme.render()}, "
+                        f"not the tableau scheme {t.scheme.render()}"
+                    )
+                cr = compiled[rule] = _CompiledRule(rule, t.scheme)
+            if len(selection) != len(cr.cols):
+                raise ValueError(
+                    f"step {number}: rule {rule.name} needs {len(cr.cols)} selected rows, got {len(selection)}"
+                )
+            cells: list[Variable | None] = [None] * len(t.scheme)
+            for cols, k in zip(cr.cols, selection):
+                if not 0 <= k < len(t.rows):
+                    raise ValueError(f"step {number}: row id {k} out of range")
+                row_cells = t.rows[k].cells
+                for c in cols:
+                    if cells[c] is None:
+                        cells[c] = row_cells[c]
+                    elif cells[c] != row_cells[c]:
+                        raise ValueError(f"step {number}: the selected rows disagree where edges overlap")
+            pattern = tuple(cells)
+            if t.has_pattern(pattern):
+                raise ValueError(f"step {number}: the produced pattern is already a row")
+            row = cr.produce(t, selection, pattern)
+            if row != step.produced:
+                raise ValueError(f"step {number} produces {row.render_pattern()}, not the recorded row")
             rid = t.add_row(row)
             if rid != step.produced_id:
-                raise ValueError(f"step {step} replayed to row id {rid}")
+                raise ValueError(f"step {number} replayed to row id {rid}, not {step.produced_id}")
         return t
 
 
@@ -213,18 +169,30 @@ def _as_rules(constraints: Iterable[Gajd | JRule]) -> tuple[JRule, ...]:
 
 
 class _CompiledRule:
-    """A rule's join data: edge columns in certificate order, their indexes, witnesses."""
+    """A rule over one scheme: edge columns in certificate order, their indexes, witnesses.
+
+    `produce` builds the rule's row for a selection; the chase and
+    `ChaseTrace.replay` both use it.
+    """
 
     def __init__(self, rule: JRule, scheme: AttributeSet):
         self.rule = rule
-        self.edges = rule.edges_in_order
-        self.interactions = rule.interactions
-        self.cols = tuple(tuple(scheme.index(a) for a in edge) for edge in self.edges)
+        self.cols = tuple(tuple(scheme.index(a) for a in edge) for edge in rule.gajd.edges_in_order)
         self.plan = JoinPlan(self.cols)
         # Per position: edge projection -> smallest row id carrying it, and
         # interaction-set key -> distinct projections.
         self.first: list[dict[tuple[Variable, ...], int]] = [{} for _ in self.cols]
         self.index: list[dict[tuple, list[tuple[Variable, ...]]]] = [{} for _ in self.cols]
+
+    def produce(self, t: Tableau, selection: Sequence[int], pattern: tuple[Variable, ...]) -> Row:
+        """The row at `pattern` produced from the selected rows of `t`, its weight expression attached."""
+        scheme, gajd = t.scheme, self.rule.gajd
+        by_col = dict(zip(scheme, pattern))
+        edge_patterns = [
+            (edge, dict(zip(scheme, t.rows[k].cells))) for edge, k in zip(gajd.edges_in_order, selection)
+        ]
+        interaction_patterns = [(s, by_col) for s in gajd.interactions]
+        return Row(pattern, eq5_expression(edge_patterns, interaction_patterns))
 
     def witness(self, pattern: tuple[Variable, ...]) -> tuple[int, ...]:
         """The least selection producing `pattern`: the smallest row id per edge projection."""
@@ -324,7 +292,7 @@ class _ChaseRun:
                     f"chase exceeded the {max_rows}-row cap before terminating", limit=max_rows
                 )
             cr = self.compiled[rule_idx]
-            row = Row(pattern, _eq5_for(work, cr.edges, cr.interactions, selection, pattern))
+            row = cr.produce(work, selection, pattern)
             rid = work.add_row(row)
             self.steps.append(ChaseStep(cr.rule, selection, row, rid))
             self.max_dist = max(self.max_dist, -neg_dist)
@@ -503,9 +471,9 @@ def factorization_for(trace: ChaseTrace) -> tuple[RationalExpression, tuple[Atom
             result = RationalExpression.atom(_atom_at(scheme, row, onto))
         else:
             e = RationalExpression.of()
-            for edge, k in zip(step.rule.edges_in_order, step.selection):
+            for edge, k in zip(step.rule.gajd.edges_in_order, step.selection):
                 e = e * expr_for(k, edge)
-            e = e * RationalExpression.of((), [_atom_at(scheme, row, s) for s in step.rule.interactions])
+            e = e * RationalExpression.of((), [_atom_at(scheme, row, s) for s in step.rule.gajd.interactions])
             if onto == scheme:
                 result = e
             else:

@@ -71,9 +71,6 @@ class AttributeSet:
     def __le__(self, other: "AttributeSet") -> bool:
         return all(n in other for n in self._members)
 
-    def issubset(self, other: "AttributeSet") -> bool:
-        return self <= other
-
     def index(self, name: str) -> int:
         return self._members.index(name)
 

@@ -230,20 +230,6 @@ class DecompositionReport:
         )
 
 
-def decomposition_formula_value(rel: WeightedRelation, g: Gajd, key: tuple[str, ...]) -> float:
-    """Product of edge marginals over product of interaction marginals, at one tuple."""
-    scheme = rel.scheme
-    idx = {a: scheme.index(a) for a in scheme}
-    value = 1.0
-    for edge in g.edges_in_order:
-        marg = marginalize(rel, edge)
-        value *= marg.weight(tuple(key[idx[a]] for a in edge))
-    for inter in g.interactions:
-        marg = marginalize(rel, inter)
-        value /= marg.weight(tuple(key[idx[a]] for a in inter))
-    return value
-
-
 def check_decomposition(g: Gajd, cfg: OracleConfig) -> DecompositionReport:
     """Desk-scale check of the decomposable-distribution equivalence.
 

@@ -20,7 +20,7 @@ regime.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from itertools import product as iterproduct
 from typing import Iterable, Iterator, Mapping, NamedTuple
 
@@ -33,7 +33,6 @@ from .hypergraph import (
     NotHypertree,
     find_certificate,
     interaction_set,
-    validate_certificate,
 )
 
 ValueTuple = tuple[str, ...]
@@ -127,9 +126,6 @@ class WeightedRelation:
     def min_weight(self) -> float:
         return min(self._rows.values(), default=0.0)
 
-    def scaled(self, factor: float) -> "WeightedRelation":
-        return WeightedRelation(self.scheme, {k: w * factor for k, w in self._rows.items()})
-
     def max_abs_diff(self, other: "WeightedRelation") -> float:
         """Largest pointwise weight difference; missing tuples count as 0."""
         if self.scheme != other.scheme:
@@ -167,7 +163,10 @@ class WeightedRelation:
             parts = ln.split()
             if len(parts) != len(header):
                 raise ValueError(f"row {ln!r} does not match the header width")
-            rows[tuple(parts[:-1])] = float(parts[-1])
+            key = tuple(parts[:-1])
+            if key in rows:
+                raise ValueError(f"duplicate tuple {key!r} in row {ln!r}")
+            rows[key] = float(parts[-1])
         return cls(scheme, rows)
 
 
@@ -242,11 +241,15 @@ class Gajd:
     """A generalized acyclic join dependency: a hypertree over the full scheme.
 
     The certificate is validated at construction, so downstream code can rely
-    on the ordering and branching without re-checking.
+    on the ordering and branching without re-checking.  The edges in
+    certificate order and the interaction set depend only on the certificate,
+    so they are computed there too, once.
     """
 
     hypergraph: Hypergraph
     certificate: HypertreeCertificate | None = None
+    edges_in_order: tuple[AttributeSet, ...] = field(init=False, compare=False, repr=False)
+    interactions: InteractionSet = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
         cert = self.certificate
@@ -260,8 +263,9 @@ class Gajd:
                 )
             cert = found
             object.__setattr__(self, "certificate", cert)
-        else:
-            validate_certificate(self.hypergraph, cert)
+        # interaction_set validates the certificate.
+        object.__setattr__(self, "interactions", interaction_set(cert, self.hypergraph))
+        object.__setattr__(self, "edges_in_order", tuple(self.hypergraph.edges[i] for i in cert.ordering))
 
     @classmethod
     def from_edges(cls, edges: Iterable[Iterable[str]], certificate: HypertreeCertificate | None = None) -> "Gajd":
@@ -270,14 +274,6 @@ class Gajd:
     @property
     def scheme(self) -> AttributeSet:
         return self.hypergraph.nodes
-
-    @property
-    def edges_in_order(self) -> tuple[AttributeSet, ...]:
-        return tuple(self.hypergraph.edges[i] for i in self.certificate.ordering)
-
-    @property
-    def interactions(self) -> InteractionSet:
-        return interaction_set(self.certificate, self.hypergraph)
 
     def render(self) -> str:
         return "(x)" + self.hypergraph.render()

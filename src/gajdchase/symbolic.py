@@ -124,13 +124,10 @@ class RationalExpression:
     def is_unit(self) -> bool:
         return not self.numerator and not self.denominator
 
-    def multiply(self, other: "RationalExpression") -> "RationalExpression":
+    def __mul__(self, other: "RationalExpression") -> "RationalExpression":
         return RationalExpression.of(
             self.numerator + other.numerator, self.denominator + other.denominator
         )
-
-    def __mul__(self, other: "RationalExpression") -> "RationalExpression":
-        return self.multiply(other)
 
     def variables(self) -> tuple[Variable, ...]:
         seen: dict[Variable, None] = {}
@@ -152,13 +149,6 @@ class RationalExpression:
 
     def __repr__(self) -> str:
         return f"RationalExpression({self.render()})"
-
-
-ONE = RationalExpression.of()
-
-
-def multiply(a: RationalExpression, b: RationalExpression) -> RationalExpression:
-    return a.multiply(b)
 
 
 def eq5_expression(

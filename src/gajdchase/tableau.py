@@ -35,10 +35,6 @@ class Row:
     cells: tuple[Variable, ...]
     weight_expr: RationalExpression
 
-    @property
-    def pattern(self) -> tuple[Variable, ...]:
-        return self.cells
-
     def distinguished_count(self) -> int:
         return sum(1 for v in self.cells if v.distinguished)
 

@@ -4,15 +4,9 @@ from pathlib import Path
 
 import pytest
 
-from gajdchase import (
-    AttributeSet,
-    Gajd,
-    HypertreeCertificate,
-    NotHypertreeError,
-    WeightedRelation,
-    is_twig,
-    validate_certificate,
-)
+from gajdchase.errors import NotHypertreeError
+from gajdchase.hypergraph import AttributeSet, HypertreeCertificate, is_twig, validate_certificate
+from gajdchase.prelation import Gajd, WeightedRelation
 
 GOLDEN_DIR = Path(__file__).parent / "golden"
 
@@ -55,6 +49,17 @@ def random_hypertree(attrs, max_edges, rng):
             return Gajd.from_edges(combo)
         except NotHypertreeError:
             continue
+
+
+def hypertree_census(rng):
+    """Every covering hypertree over 2-4 attributes with up to 5 edges, plus random ones over 5-7."""
+    census = []
+    for attrs in (["A", "B"], ["A", "B", "C"], ["A", "B", "C", "D"]):
+        census.extend(covering_hypertrees(attrs, 5))
+    for n, samples in [(5, 40), (6, 30), (7, 20)]:
+        attrs = [f"A{i+1}" for i in range(n)]
+        census.extend(random_hypertree(attrs, 5, rng) for _ in range(samples))
+    return census
 
 
 def random_certificate(g: Gajd, rng: random.Random) -> HypertreeCertificate:

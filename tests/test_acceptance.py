@@ -10,28 +10,24 @@ from contextlib import contextmanager
 
 import pytest
 
-from gajdchase import (
+from gajdchase.chase import JRule, chase, implies
+from gajdchase.cli import cmd_implies, cmd_tableau, parse
+from gajdchase.hypergraph import interaction_set
+from gajdchase.oracle import (
     CounterexampleReport,
-    DomainSpec,
-    Gajd,
-    JRule,
     OracleConfig,
-    build_tr,
-    chase,
     check_decomposition,
     check_soundness,
-    implies,
-    interaction_set,
-    mpj_map,
     random_positive,
-    run,
     search_counterexample,
 )
-from gajdchase.cli import cmd_implies, cmd_tableau, parse
+from gajdchase.prelation import DomainSpec, Gajd, mpj_map
+from gajdchase.tableau import build_tr, run
 from conftest import (
     CHAIN4_NEGATIVE_PROBLEM,
     CHAIN4_PROBLEM,
     covering_hypertrees,
+    hypertree_census,
     random_certificate,
     random_hypertree,
     reverse_greedy_certificate,
@@ -249,12 +245,7 @@ def test_criterion_9_counterexample_search():
 def test_criterion_10_interaction_set_census():
     with criterion(10, "interaction set is ordering independent", 60.0):
         rng = random.Random(13)
-        census = []
-        for attrs in (["A", "B"], ["A", "B", "C"], ["A", "B", "C", "D"]):
-            census.extend(covering_hypertrees(attrs, 5))
-        for n, samples in [(5, 40), (6, 30), (7, 20)]:
-            attrs = [f"A{i+1}" for i in range(n)]
-            census.extend(random_hypertree(attrs, 5, rng) for _ in range(samples))
+        census = hypertree_census(rng)
         assert len(census) > 2000
         for g in census:
             base = interaction_set(g.certificate, g.hypergraph)

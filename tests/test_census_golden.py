@@ -13,7 +13,7 @@ Regenerate (only when a change to the traces is intended) with
 
 import random
 
-from gajdchase import implies
+from gajdchase.chase import implies
 from gajdchase.cli import ProblemFile, Query, cmd_implies
 from gajdchase.hypergraph import AttributeSet
 from conftest import GOLDEN_DIR, random_hypertree

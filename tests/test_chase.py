@@ -3,33 +3,14 @@ import random
 
 import pytest
 
-from gajdchase import (
-    AttributeSet,
-    ChaseRowLimitError,
-    DomainSpec,
-    Gajd,
-    JRule,
-    Joinability,
-    SchemeError,
-    build_tr,
-    chase,
-    evaluate,
-    factorization_for,
-    implies,
-    joinable,
-    mpj_map,
-    project_onto,
-    random_positive,
-    run,
-    satisfies,
-)
-from gajdchase.symbolic import distinguished_for
+from gajdchase.chase import ChaseStep, ChaseTrace, JRule, chase, implies
+from gajdchase.errors import ChaseRowLimitError, SchemeError
+from gajdchase.hypergraph import AttributeSet
+from gajdchase.oracle import project_onto, random_positive
+from gajdchase.prelation import DomainSpec, Gajd, satisfies
+from gajdchase.symbolic import MarginalAtom, RationalExpression, distinguished_for, evaluate
+from gajdchase.tableau import Row, build_tr, run
 from conftest import covering_hypertrees, random_hypertree
-
-
-def _produces(t, rule, selection, cells):
-    status, row = joinable(t, rule, selection)
-    return status is Joinability.NEW and row.cells == cells
 
 
 def rules_for(chain4):
@@ -44,49 +25,77 @@ STUBBORN_TARGET = [["A"], ["B", "C"]]
 STUBBORN_CONSTRAINTS = [[["B"], ["A", "C"]], [["C"], ["A", "B"], ["B", "C"]]]
 
 
-class TestJoinable:
-    def test_two_row_application(self, chain4):
+def _step(t, rule, selection, produced_id, pattern, num, den=()):
+    """A hand-built step; variables and atoms are named as they render, e.g. "a2,a3,b4"."""
+    var = {v.render(): v for row in t.rows for v in row.cells}
+
+    def atom(names):
+        vs = tuple(var[n] for n in names.split(","))
+        return MarginalAtom(AttributeSet(v.column for v in vs), vs)
+
+    cells = tuple(var[n] for n in pattern.split(","))
+    expr = RationalExpression.of([atom(a) for a in num], [atom(a) for a in den])
+    return ChaseStep(rule, selection, Row(cells, expr), produced_id)
+
+
+class TestReplay:
+    def _replay(self, t, steps):
+        return ChaseTrace(initial=t, steps=steps, final=t, stop_reason="fixpoint").replay()
+
+    def _c1_step(self, chain4, selection=(0, 1)):
         target, left, _ = chain4
         t = build_tr(target)
-        status, row = joinable(t, JRule("C1", left), (0, 1))
-        assert status is Joinability.NEW
+        return t, _step(t, JRule("C1", left), selection, 3, "a1,a2,a3,b4", ["a1,a2", "a2,a3,b4"], ["a2"])
+
+    def test_two_row_application(self, chain4):
+        t, step = self._c1_step(chain4)
+        replayed = self._replay(t, [step])
+        row = replayed.rows[3]
         assert row.render_pattern() == "(a1,a2,a3,b4)"
         assert row.weight_expr.render() == "phi(a1,a2)*phi(a2,a3,b4)/phi(a2)"
+        assert len(t) == 3
 
     def test_follow_up_application_reaches_distinguished(self, chain4):
-        target, left, right = chain4
-        t = build_tr(target)
-        _, row = joinable(t, JRule("C1", left), (0, 1))
-        t.add_row(row)
-        status, final = joinable(t, JRule("C2", right), (3, 2))
-        assert status is Joinability.NEW
-        assert final.render_pattern() == "(a1,a2,a3,a4)"
-        assert final.weight_expr.render() == "phi(a1,a2,a3)*phi(a3,a4)/phi(a3)"
+        _, _, right = chain4
+        t, first = self._c1_step(chain4)
+        second = _step(t, JRule("C2", right), (3, 2), 4, "a1,a2,a3,a4", ["a1,a2,a3", "a3,a4"], ["a3"])
+        replayed = self._replay(t, [first, second])
+        assert [r.render_pattern() for r in replayed.rows[3:]] == ["(a1,a2,a3,b4)", "(a1,a2,a3,a4)"]
+        assert replayed.rows[4].weight_expr.render() == "phi(a1,a2,a3)*phi(a3,a4)/phi(a3)"
+        assert replayed.contains_distinguished_row()
 
     def test_self_selection_already_present(self, chain4):
-        target, left, _ = chain4
-        t = build_tr(target)
-        status, row = joinable(t, JRule("C1", left), (0, 0))
-        assert status is Joinability.ALREADY_PRESENT
-        assert row is None
+        t, step = self._c1_step(chain4, (0, 0))
+        with pytest.raises(ValueError, match="already a row"):
+            self._replay(t, [step])
 
     def test_disagreeing_overlap_not_joinable(self, chain4):
-        target, left, _ = chain4
-        t = build_tr(target)
-        status, _ = joinable(t, JRule("C1", left), (0, 2))
-        assert status is Joinability.NOT_JOINABLE
+        t, step = self._c1_step(chain4, (0, 2))
+        with pytest.raises(ValueError, match="disagree"):
+            self._replay(t, [step])
 
     def test_arity_checked(self, chain4):
-        target, left, _ = chain4
-        t = build_tr(target)
-        with pytest.raises(ValueError):
-            joinable(t, JRule("C1", left), (0,))
+        t, step = self._c1_step(chain4, (0,))
+        with pytest.raises(ValueError, match="needs 2 selected rows"):
+            self._replay(t, [step])
 
     def test_row_ids_checked(self, chain4):
-        target, left, _ = chain4
-        t = build_tr(target)
-        with pytest.raises(ValueError):
-            joinable(t, JRule("C1", left), (0, 9))
+        t, step = self._c1_step(chain4, (0, 9))
+        with pytest.raises(ValueError, match="out of range"):
+            self._replay(t, [step])
+
+    def test_recorded_row_checked(self, chain4):
+        t, step = self._c1_step(chain4)
+        with pytest.raises(ValueError, match="not the recorded row"):
+            self._replay(t, [ChaseStep(step.rule, step.selection, t.rows[0], 3)])
+        with pytest.raises(ValueError, match="row id"):
+            self._replay(t, [ChaseStep(step.rule, step.selection, step.produced, 4)])
+
+    def test_rule_over_another_scheme(self, chain4):
+        t, step = self._c1_step(chain4)
+        narrow = JRule("N", Gajd.from_edges([["A1", "A2"], ["A2", "A3"]]))
+        with pytest.raises(SchemeError):
+            self._replay(t, [ChaseStep(narrow, (0, 1), step.produced, 3)])
 
 
 class TestChase:
@@ -168,6 +177,16 @@ class TestChase:
         # Each step's selection is the lexicographically least selection of
         # earlier rows that produces its row, as trying every selection in
         # order would find it, and the trace still replays.
+        def mixes_to(t, edges, selection, cells):
+            # Reference mix: row k_i's cells on the i-th edge, which must agree where edges overlap.
+            mixed = {}
+            for edge, k in zip(edges, selection):
+                for a in edge:
+                    v = t.rows[k].cells[t.scheme.index(a)]
+                    if mixed.setdefault(a, v) != v:
+                        return False
+            return tuple(mixed[a] for a in t.scheme) == cells
+
         rng = random.Random(17)
         checked = 0
         for attrs in (["A", "B", "C"], ["A", "B", "C", "D"]) * 6:
@@ -179,10 +198,11 @@ class TestChase:
                 t = trace.initial.copy()
                 for step in trace.steps:
                     assert step.produced_id == len(t)
+                    edges = step.rule.gajd.edges_in_order
                     least = next(
                         selection
-                        for selection in itertools.product(range(len(t)), repeat=step.rule.arity)
-                        if _produces(t, step.rule, selection, step.produced.cells)
+                        for selection in itertools.product(range(len(t)), repeat=len(edges))
+                        if mixes_to(t, edges, selection, step.produced.cells)
                     )
                     assert least == step.selection
                     t.add_row(step.produced)

@@ -4,8 +4,9 @@ import sys
 
 import pytest
 
-from gajdchase import ProblemParseError, WeightedRelation
 from gajdchase.cli import cmd_implies, cmd_tableau, cmd_verify, main, parse
+from gajdchase.errors import ProblemParseError
+from gajdchase.prelation import WeightedRelation
 from conftest import CHAIN4_NEGATIVE_PROBLEM, CHAIN4_PROBLEM, random_hypertree
 
 
@@ -144,7 +145,7 @@ class TestCmdImplies:
         assert first == second
 
     def test_row_cap(self):
-        from gajdchase import ChaseRowLimitError
+        from gajdchase.errors import ChaseRowLimitError
 
         problem = parse(CHAIN4_NEGATIVE_PROBLEM)
         with pytest.raises(ChaseRowLimitError):
@@ -169,7 +170,7 @@ class TestCmdVerify:
         assert rel.is_normalized(tol=1e-9)
 
     def test_zero_trials_rejected(self):
-        from gajdchase import GajdChaseError
+        from gajdchase.errors import GajdChaseError
 
         problem = parse(CHAIN4_PROBLEM)
         with pytest.raises(GajdChaseError):
@@ -239,7 +240,7 @@ class TestCmdTableau:
         assert [r[:4] for r in rows] == [["a1", "a2", "b1", "b2"], ["b3", "a2", "a3", "a4"]]
 
     def test_index_out_of_range(self):
-        from gajdchase import GajdChaseError
+        from gajdchase.errors import GajdChaseError
 
         problem = parse(CHAIN4_PROBLEM)
         with pytest.raises(GajdChaseError, match="out of range"):

@@ -4,21 +4,22 @@ from collections import Counter
 
 import pytest
 
-from gajdchase import (
+from gajdchase.errors import InvalidCertificateError
+from gajdchase.hypergraph import (
     AttributeSet,
-    Gajd,
     Hypergraph,
     HypertreeCertificate,
     InteractionSet,
-    InvalidCertificateError,
     NotHypertree,
     find_certificate,
     interaction_set,
     is_twig,
     validate_certificate,
 )
+from gajdchase.prelation import Gajd
 from conftest import (
     covering_hypertrees,
+    hypertree_census,
     random_certificate,
     random_hypertree,
     reverse_greedy_certificate,
@@ -247,7 +248,7 @@ class TestInteractionSet:
 
 class TestGajd:
     def test_rejects_triangle_with_witness(self):
-        from gajdchase import NotHypertreeError
+        from gajdchase.errors import NotHypertreeError
 
         with pytest.raises(NotHypertreeError) as excinfo:
             Gajd.from_edges([["A", "B"], ["B", "C"], ["C", "A"]])
@@ -264,3 +265,21 @@ class TestGajd:
                 [["A", "B"], ["C", "D"], ["B", "C"]],
                 certificate=HypertreeCertificate((0, 1, 2), (None, 0, 0)),
             )
+
+    def test_certificate_data_computed_once(self):
+        # The edges in certificate order and the interaction set are fields
+        # fixed at construction, equal to what the certificate gives.
+        census = hypertree_census(random.Random(13))
+        assert len(census) > 2000
+        for g in census:
+            assert g.interactions is g.interactions
+            assert g.interactions == interaction_set(g.certificate, g.hypergraph)
+            assert g.edges_in_order == tuple(g.hypergraph.edges[i] for i in g.certificate.ordering)
+            again = Gajd(g.hypergraph, g.certificate)
+            assert again == g and hash(again) == hash(g) and repr(again) == repr(g)
+            assert "interactions" not in repr(g)
+            n = len(g.hypergraph.edges)
+            if n > 1:
+                bad = HypertreeCertificate((g.certificate.ordering[0],) * n, (None,) + (0,) * (n - 1))
+                with pytest.raises(InvalidCertificateError):
+                    Gajd(g.hypergraph, bad)

@@ -1,19 +1,17 @@
 import pytest
 
-from gajdchase import (
+from gajdchase.errors import DomainTooLargeError
+from gajdchase.oracle import (
     CounterexampleReport,
-    DomainSpec,
-    DomainTooLargeError,
-    Gajd,
     NotFound,
     OracleConfig,
     check_decomposition,
     check_soundness,
     project_onto,
     random_positive,
-    satisfies,
     search_counterexample,
 )
+from gajdchase.prelation import DomainSpec, Gajd, satisfies
 from conftest import brute_marginal
 
 DOM3 = DomainSpec.uniform(["A", "B", "C"])
@@ -146,7 +144,7 @@ class TestCheckDecomposition:
         assert report.worst_fixpoint_residual <= 1e-12
 
     def test_two_edge_against_independent_formula(self):
-        from gajdchase import mpj_map
+        from gajdchase.prelation import mpj_map
 
         g = Gajd.from_edges([["A", "B"], ["B", "C"]])
         rel = mpj_map(random_positive(DOM3, seed=13), g)
@@ -178,7 +176,7 @@ class TestSymbolicNumericAgreement:
         # counterexample may exist for it.
         import random
 
-        from gajdchase import implies
+        from gajdchase.chase import implies
         from conftest import random_hypertree
 
         rng = random.Random(2718)

@@ -5,11 +5,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gajdchase import (
-    AttributeSet,
+from gajdchase.errors import SchemeError
+from gajdchase.hypergraph import AttributeSet
+from gajdchase.oracle import random_positive
+from gajdchase.prelation import (
     DomainSpec,
     Gajd,
-    SchemeError,
     WeightedRelation,
     ci_residual,
     inverse,
@@ -17,7 +18,6 @@ from gajdchase import (
     monotone_join,
     mpj_map,
     product_join,
-    random_positive,
     satisfies,
 )
 from conftest import brute_marginal, random_certificate
@@ -63,6 +63,11 @@ class TestWeightedRelation:
             WeightedRelation.from_text("A B\n a0 b0 1.0\n")
         with pytest.raises(ValueError):
             WeightedRelation.from_text("B A f\nb0 a0 1.0\n")
+
+    def test_from_text_rejects_duplicate_tuple(self):
+        text = "A B f\n0 0 0.25\n0 0 0.5\n1 1 0.25\n"
+        with pytest.raises(ValueError, match=r"duplicate tuple \('0', '0'\) in row '0 0 0.5'"):
+            WeightedRelation.from_text(text)
 
 
 class TestMarginalize:

@@ -2,20 +2,19 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gajdchase import (
-    AttributeSet,
-    DomainSpec,
+from gajdchase.errors import SchemeError, ZeroDenominatorWarning
+from gajdchase.hypergraph import AttributeSet
+from gajdchase.oracle import random_positive
+from gajdchase.prelation import DomainSpec
+from gajdchase.symbolic import (
     MarginalAtom,
     RationalExpression,
-    SchemeError,
     Variable,
-    ZeroDenominatorWarning,
+    distinguished_for,
+    eq5_expression,
     evaluate,
-    multiply,
-    random_positive,
     restrict_atom,
 )
-from gajdchase.symbolic import distinguished_for, eq5_expression
 
 SCHEME = AttributeSet(["A1", "A2", "A3", "A4"])
 A1, A2, A3, A4 = (distinguished_for(SCHEME, a) for a in SCHEME)
@@ -84,20 +83,20 @@ class TestRestrictAtom:
 class TestRationalExpression:
     def test_unit_is_multiplicative_identity(self):
         x = RationalExpression.of([PHI_A1A2], [PHI_A2])
-        assert multiply(x, RationalExpression.of()) == x
+        assert x * RationalExpression.of() == x
 
     def test_union_without_cancellation(self):
         left = RationalExpression.of([PHI_A1A2], [PHI_A2])
         right = RationalExpression.of([PHI_A2A3])
-        got = multiply(left, right)
+        got = left * right
         assert got == RationalExpression.of([PHI_A1A2, PHI_A2A3], [PHI_A2])
         assert got.render() == "phi(a1,a2)*phi(a2,a3)/phi(a2)"
 
     def test_full_cancellation(self):
         left = RationalExpression.of([PHI_A2])
         right = RationalExpression.of([], [PHI_A2])
-        assert multiply(left, right).is_unit()
-        assert multiply(left, right).render() == "1"
+        assert (left * right).is_unit()
+        assert (left * right).render() == "1"
 
     def test_multiset_multiplicity(self):
         squared = RationalExpression.of([PHI_A2, PHI_A2], [PHI_A2])
@@ -132,13 +131,13 @@ class TestRationalExpression:
     def test_multiply_commutative(self, num, den):
         x = RationalExpression.of(num, den)
         y = RationalExpression.of(den, num)
-        assert multiply(x, y) == multiply(y, x)
+        assert x * y == y * x
 
     def test_multiply_associative(self):
         x = RationalExpression.of([PHI_A1A2])
         y = RationalExpression.of([PHI_A2A3], [PHI_A2])
         z = RationalExpression.of([], [PHI_A3])
-        assert multiply(multiply(x, y), z) == multiply(x, multiply(y, z))
+        assert (x * y) * z == x * (y * z)
 
 
 class TestEq5Expression:
@@ -169,7 +168,7 @@ class TestEvaluate:
         }
 
     def test_single_atom_on_uniform(self):
-        from gajdchase import WeightedRelation
+        from gajdchase.prelation import WeightedRelation
 
         scheme = AttributeSet(["A1"])
         uniform = WeightedRelation(scheme, {("0",): 0.5, ("1",): 0.5})
@@ -188,15 +187,12 @@ class TestEvaluate:
             "A2": distinguished_for(s, "A2")})])
         vx = evaluate(x, self.joint, self.binding)
         vy = evaluate(y, self.joint, self.binding)
-        assert evaluate(multiply(x, y), self.joint, self.binding) == pytest.approx(vx * vy, rel=1e-12)
+        assert evaluate(x * y, self.joint, self.binding) == pytest.approx(vx * vy, rel=1e-12)
 
     def test_cancellation_preserves_value(self):
         s = self.scheme
         a2_atom = MarginalAtom.from_cells(AttributeSet(["A2"]), {"A2": distinguished_for(s, "A2")})
-        with_pair = multiply(
-            RationalExpression.of([a2_atom, a2_atom], [a2_atom]),
-            RationalExpression.of(),
-        )
+        with_pair = RationalExpression.of([a2_atom, a2_atom], [a2_atom]) * RationalExpression.of()
         assert with_pair == RationalExpression.of([a2_atom])
         assert evaluate(with_pair, self.joint, self.binding) == pytest.approx(
             evaluate(RationalExpression.of([a2_atom]), self.joint, self.binding)
@@ -216,7 +212,7 @@ class TestEvaluate:
             evaluate(expr, self.joint, {distinguished_for(other, "Z"): "0"})
 
     def test_zero_denominator_warns_and_returns_zero(self):
-        from gajdchase import WeightedRelation
+        from gajdchase.prelation import WeightedRelation
 
         scheme = AttributeSet(["A1"])
         joint = WeightedRelation(scheme, {("0",): 1.0, ("1",): 0.0})

@@ -2,25 +2,18 @@ import itertools
 
 import pytest
 
-from gajdchase import (
-    AttributeSet,
-    DomainSpec,
-    Gajd,
+from gajdchase.errors import SchemeError, TableauInconsistencyError
+from gajdchase.hypergraph import AttributeSet
+from gajdchase.oracle import random_positive
+from gajdchase.prelation import DomainSpec, Gajd, WeightedRelation, mpj_map
+from gajdchase.symbolic import (
     MarginalAtom,
     RationalExpression,
-    Row,
-    SchemeError,
-    Tableau,
-    TableauInconsistencyError,
-    WeightedRelation,
-    build_tr,
+    Variable,
+    distinguished_for,
     evaluate,
-    identity_tableau,
-    mpj_map,
-    random_positive,
-    run,
 )
-from gajdchase.symbolic import Variable, distinguished_for
+from gajdchase.tableau import Row, Tableau, build_tr, identity_tableau, run
 from conftest import covering_hypertrees
 
 
