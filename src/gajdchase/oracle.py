@@ -8,28 +8,35 @@ when every projected distribution that satisfies the constraints also
 satisfies the target; a negative verdict is corroborated by exhibiting one
 that does not.  Absence of a counterexample after finitely many seeds proves
 nothing and is reported as inconclusive.
+
+Joints are dense `numpy` arrays with one axis per attribute of the domain
+scheme, in canonical order, so C order matches `DomainSpec.tuples()`.  A
+marginal is a sum over the other axes, kept as size-1 axes, and the monotone
+join is a broadcast product.  `fold_axes` turns a dependency into those axes
+once per call of the oracle, not once per sweep.  Only a reported
+counterexample becomes a `WeightedRelation`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
+from typing import TYPE_CHECKING, Sequence
 
 # numpy is imported inside the functions that use it, so that importing the
 # package for the chase alone does not load it.
-from .errors import DomainTooLargeError
-from .prelation import (
-    DomainSpec,
-    Gajd,
-    WeightedRelation,
-    marginalize,
-    mpj_map,
-    relation_from_domains,
-    satisfies,
-)
+from .errors import DomainTooLargeError, SchemeError
+from .hypergraph import AttributeSet
+from .prelation import DomainSpec, Gajd, WeightedRelation, relation_from_domains
+
+if TYPE_CHECKING:
+    from numpy import ndarray
 
 MAX_TABLE_CELLS = 4096
 POSITIVITY_FLOOR = 1e-4
+
+# Per edge in certificate order: the axes its marginal sums out, and the axes
+# of that marginal outside the earlier edges, which the separator sums out.
+Fold = tuple[tuple[tuple[int, ...], tuple[int, ...]], ...]
 
 
 @dataclass(frozen=True)
@@ -58,7 +65,7 @@ class OracleConfig:
         return [int(s) for s in state]
 
 
-def random_positive(domains: DomainSpec, seed: int) -> WeightedRelation:
+def random_positive(domains: DomainSpec, seed: int) -> ndarray:
     """A seeded, normalized, strictly positive joint over the full domain product.
 
     Uniform weights are mixed with the flat distribution at ratio 1e-4, so
@@ -74,34 +81,71 @@ def random_positive(domains: DomainSpec, seed: int) -> WeightedRelation:
     raw = rng.uniform(size=n)
     raw /= raw.sum()
     mixed = (1.0 - POSITIVITY_FLOOR) * raw + POSITIVITY_FLOOR / n
-    return relation_from_domains(domains, mixed.tolist())
+    return mixed.reshape(tuple(len(domains.domains[a]) for a in domains.scheme))
+
+
+def _outside(scheme: AttributeSet, attrs: AttributeSet) -> tuple[int, ...]:
+    """The axes of the attributes of `scheme` not in `attrs`."""
+    return tuple(i for i, a in enumerate(scheme) if a not in attrs)
+
+
+def fold_axes(scheme: AttributeSet, g: Gajd) -> Fold:
+    """The axes `mpj_map` sums over for `g`, on joints with one axis per attribute of `scheme`."""
+    if g.scheme != scheme:
+        raise SchemeError(
+            f"joint scheme {scheme.render()} does not match constraint scheme {g.scheme.render()}"
+        )
+    seen: set[str] = set()
+    fold = []
+    for edge in g.edges_in_order:
+        new = tuple(i for i, a in enumerate(scheme) if a in edge and a not in seen)
+        fold.append((_outside(scheme, edge), new))
+        seen.update(edge)
+    return tuple(fold)
+
+
+def mpj_map(p: ndarray, fold: Fold) -> ndarray:
+    """Left fold of the monotone join over the marginals of `p`, in certificate order.
+
+    Each step multiplies by the next edge's marginal and divides by that
+    marginal's sum onto the attributes the edge shares with the earlier ones.
+    """
+    (outside, _), *rest = fold
+    acc = p.sum(axis=outside, keepdims=True)
+    for outside, new in rest:
+        m = p.sum(axis=outside, keepdims=True)
+        acc = acc * m * (1.0 / m.sum(axis=new, keepdims=True))
+    return acc
+
+
+def satisfies(p: ndarray, fold: Fold) -> float:
+    """Residual of `p` against its own marginalize/product-join map: the largest pointwise difference."""
+    return float(abs(p - mpj_map(p, fold)).max())
 
 
 def project_onto(
-    rel: WeightedRelation,
-    constraints: Sequence[Gajd],
+    p: ndarray,
+    folds: Sequence[Fold],
     sweeps: int,
     stop_tol: float | None = None,
-) -> tuple[WeightedRelation, tuple[float, ...]]:
+) -> tuple[ndarray, tuple[float, ...]]:
     """Cyclic application of each constraint's map, up to `sweeps` full passes.
 
-    Returns the final relation and each constraint's residual.  Convergence
+    Returns the final joint and each constraint's residual.  Convergence
     is not guaranteed; the caller inspects the residuals and decides.  When
     `stop_tol` is given, iteration ends early once every residual is at or
     below it (the returned residuals are always freshly computed).
     """
-    current = rel
-    residuals: tuple[float, ...] = tuple(
-        satisfies(current, g).residual for g in constraints
-    )
+    current = p
+    residuals: tuple[float, ...] = tuple(satisfies(current, f) for f in folds)
     for _ in range(sweeps):
         if stop_tol is not None and residuals and all(r <= stop_tol for r in residuals):
             break
-        for g in constraints:
-            current = mpj_map(current, g)
-            if current.min_weight() <= 0.0:
+        for f in folds:
+            current = mpj_map(current, f)
+            if current.min() <= 0.0:
                 raise AssertionError("projection produced a nonpositive weight from positive input")
-        residuals = tuple(satisfies(current, g).residual for g in constraints)
+        residuals = tuple(satisfies(current, f) for f in folds)
     return current, residuals
 
 
@@ -133,16 +177,19 @@ def check_soundness(constraints: Sequence[Gajd], target: Gajd, cfg: OracleConfig
     whose projection does not reach `sat_tol` are discarded; if fewer than
     half converge the report is inconclusive rather than failed.
     """
+    scheme = cfg.domains.scheme
+    folds = [fold_axes(scheme, g) for g in constraints]
+    target_fold = fold_axes(scheme, target)
     converged = passed = 0
     worst = 0.0
     failing: list[int] = []
     for seed in cfg.trial_seeds():
-        rel = random_positive(cfg.domains, seed)
-        projected, residuals = project_onto(rel, constraints, cfg.ipf_sweeps, stop_tol=cfg.sat_tol)
+        p = random_positive(cfg.domains, seed)
+        projected, residuals = project_onto(p, folds, cfg.ipf_sweeps, stop_tol=cfg.sat_tol)
         if residuals and max(residuals) > cfg.sat_tol:
             continue
         converged += 1
-        target_residual = satisfies(projected, target).residual
+        target_residual = satisfies(projected, target_fold)
         worst = max(worst, target_residual)
         if target_residual <= cfg.check_tol:
             passed += 1
@@ -193,14 +240,18 @@ def search_counterexample(
     constraints: Sequence[Gajd], target: Gajd, cfg: OracleConfig
 ) -> CounterexampleReport | NotFound:
     """Look for a distribution satisfying the constraints but not the target."""
+    scheme = cfg.domains.scheme
+    folds = [fold_axes(scheme, g) for g in constraints]
+    target_fold = fold_axes(scheme, target)
     for i, seed in enumerate(cfg.trial_seeds(), start=1):
-        rel = random_positive(cfg.domains, seed)
-        projected, residuals = project_onto(rel, constraints, cfg.ipf_sweeps, stop_tol=cfg.sat_tol)
+        p = random_positive(cfg.domains, seed)
+        projected, residuals = project_onto(p, folds, cfg.ipf_sweeps, stop_tol=cfg.sat_tol)
         if residuals and max(residuals) > cfg.sat_tol:
             continue
-        target_residual = satisfies(projected, target).residual
+        target_residual = satisfies(projected, target_fold)
         if target_residual > cfg.check_tol:
-            return CounterexampleReport(projected, residuals, target_residual, seed, i)
+            distribution = relation_from_domains(cfg.domains, projected.ravel().tolist())
+            return CounterexampleReport(distribution, residuals, target_residual, seed, i)
     return NotFound(cfg.trials)
 
 
@@ -238,20 +289,19 @@ def check_decomposition(g: Gajd, cfg: OracleConfig) -> DecompositionReport:
     explicit quotient of its own edge marginals by its interaction marginals
     and (b) the result is a fixed point of the map.
     """
+    scheme = cfg.domains.scheme
+    fold = fold_axes(scheme, g)
+    edge_axes = [_outside(scheme, e) for e in g.edges_in_order]
+    inter_axes = [_outside(scheme, s) for s in g.interactions]
     worst_formula = 0.0
     worst_fixpoint = 0.0
     for seed in cfg.trial_seeds():
-        base = random_positive(cfg.domains, seed)
-        rel = mpj_map(base, g)
-        scheme = rel.scheme
-        edge_parts = [(marginalize(rel, e), [scheme.index(a) for a in e]) for e in g.edges_in_order]
-        inter_parts = [(marginalize(rel, s), [scheme.index(a) for a in s]) for s in g.interactions]
-        for key, w in rel.items():
-            expected = 1.0
-            for marg, idx in edge_parts:
-                expected *= marg.weight(tuple(key[i] for i in idx))
-            for marg, idx in inter_parts:
-                expected /= marg.weight(tuple(key[i] for i in idx))
-            worst_formula = max(worst_formula, abs(w - expected))
-        worst_fixpoint = max(worst_fixpoint, satisfies(rel, g).residual)
+        p = mpj_map(random_positive(cfg.domains, seed), fold)
+        expected = 1.0
+        for axes in edge_axes:
+            expected = expected * p.sum(axis=axes, keepdims=True)
+        for axes in inter_axes:
+            expected = expected / p.sum(axis=axes, keepdims=True)
+        worst_formula = max(worst_formula, float(abs(p - expected).max()))
+        worst_fixpoint = max(worst_fixpoint, satisfies(p, fold))
     return DecompositionReport(cfg.trials, worst_formula, worst_fixpoint)

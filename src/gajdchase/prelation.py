@@ -12,9 +12,9 @@ join of its marginals over a hypertree's edges.
 Zero handling: the inverse relation is defined only where the weight is
 nonzero, so zero-weight tuples are dropped by `inverse` and, consequently,
 tuples whose intersection marginal vanishes are dropped by `monotone_join`.
-The numeric oracle works with strictly positive distributions, keeping every
-operation exact; the zero-drop rule is the documented extension outside that
-regime.
+This sparse algebra serves `tableau.run` and the symbolic evaluator; the
+numeric oracle (`oracle.py`) runs the same map on dense arrays of strictly
+positive distributions, where the zero-drop rule never applies.
 """
 
 from __future__ import annotations
@@ -122,9 +122,6 @@ class WeightedRelation:
 
     def is_normalized(self, tol: float = 1e-12) -> bool:
         return abs(self.total() - 1.0) <= tol
-
-    def min_weight(self) -> float:
-        return min(self._rows.values(), default=0.0)
 
     def max_abs_diff(self, other: "WeightedRelation") -> float:
         """Largest pointwise weight difference; missing tuples count as 0."""

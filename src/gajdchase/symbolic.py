@@ -39,6 +39,12 @@ class Variable:
     def __post_init__(self):
         if self.index < 1:
             raise ValueError("variable indices are 1-based")
+        # The chase keys dicts and sets by tuples of variables; the value is
+        # the generated dataclass hash, computed once instead of per lookup.
+        object.__setattr__(self, "_hash", hash((self.distinguished, self.index, self.column)))
+
+    def __hash__(self) -> int:
+        return self._hash
 
     def render(self) -> str:
         return f"{'a' if self.distinguished else 'b'}{self.index}"

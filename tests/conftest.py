@@ -1,4 +1,5 @@
 import itertools
+import os
 import random
 from pathlib import Path
 
@@ -6,9 +7,19 @@ import pytest
 
 from gajdchase.errors import NotHypertreeError
 from gajdchase.hypergraph import AttributeSet, HypertreeCertificate, is_twig, validate_certificate
-from gajdchase.prelation import Gajd, WeightedRelation
+from gajdchase.oracle import random_positive
+from gajdchase.prelation import DomainSpec, Gajd, WeightedRelation, relation_from_domains
 
 GOLDEN_DIR = Path(__file__).parent / "golden"
+
+
+def subprocess_env() -> dict:
+    """The environment for a child Python that imports the `gajdchase` these tests import."""
+    import gajdchase
+
+    src = str(Path(gajdchase.__file__).resolve().parents[1])
+    path = os.environ.get("PYTHONPATH")
+    return {**os.environ, "PYTHONPATH": src + os.pathsep + path if path else src}
 
 
 @pytest.fixture
@@ -108,6 +119,11 @@ def reverse_greedy_certificate(g: Gajd) -> HypertreeCertificate:
     cert = HypertreeCertificate(ordering, tuple(branching))
     validate_certificate(h, cert)
     return cert
+
+
+def positive_relation(domains: DomainSpec, seed: int) -> WeightedRelation:
+    """The oracle's seeded positive joint as a dict relation, for the relation-algebra tests."""
+    return relation_from_domains(domains, random_positive(domains, seed).ravel().tolist())
 
 
 def brute_marginal(rel: WeightedRelation, onto: AttributeSet) -> dict:

@@ -18,7 +18,6 @@ from gajdchase.oracle import (
     OracleConfig,
     check_decomposition,
     check_soundness,
-    random_positive,
     search_counterexample,
 )
 from gajdchase.prelation import DomainSpec, Gajd, mpj_map
@@ -28,6 +27,7 @@ from conftest import (
     CHAIN4_PROBLEM,
     covering_hypertrees,
     hypertree_census,
+    positive_relation,
     random_certificate,
     random_hypertree,
     reverse_greedy_certificate,
@@ -148,7 +148,7 @@ def test_criterion_5_tableau_matches_fold():
         # three attributes: every covering hypertree against all 50 seeds
         dom3 = DomainSpec.uniform(["A", "B", "C"])
         trees3 = covering_hypertrees(["A", "B", "C"], 3)
-        rels3 = [random_positive(dom3, seed) for seed in range(50)]
+        rels3 = [positive_relation(dom3, seed) for seed in range(50)]
         for g in trees3:
             t = build_tr(g)
             for rel in rels3:
@@ -157,7 +157,7 @@ def test_criterion_5_tableau_matches_fold():
         # tree meets several of the 50 relations and every relation is used
         dom4 = DomainSpec.uniform(["A", "B", "C", "D"])
         trees4 = covering_hypertrees(["A", "B", "C", "D"], 3)
-        rels4 = [random_positive(dom4, 1000 + seed) for seed in range(50)]
+        rels4 = [positive_relation(dom4, 1000 + seed) for seed in range(50)]
         for i, g in enumerate(trees4):
             t = build_tr(g)
             for k in range(3):

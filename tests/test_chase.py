@@ -6,8 +6,8 @@ import pytest
 from gajdchase.chase import ChaseStep, ChaseTrace, JRule, chase, implies
 from gajdchase.errors import ChaseRowLimitError, SchemeError
 from gajdchase.hypergraph import AttributeSet
-from gajdchase.oracle import project_onto, random_positive
-from gajdchase.prelation import DomainSpec, Gajd, satisfies
+from gajdchase.oracle import fold_axes, project_onto, random_positive
+from gajdchase.prelation import DomainSpec, Gajd, relation_from_domains, satisfies
 from gajdchase.symbolic import MarginalAtom, RationalExpression, distinguished_for, evaluate
 from gajdchase.tableau import Row, build_tr, run
 from conftest import covering_hypertrees, random_hypertree
@@ -353,10 +353,11 @@ class TestImplies:
 
 
 def _satisfying_relation(constraints, attrs, seed):
-    rel = random_positive(DomainSpec.uniform(attrs), seed)
-    projected, residuals = project_onto(rel, constraints, sweeps=300, stop_tol=1e-12)
+    dom = DomainSpec.uniform(attrs)
+    folds = [fold_axes(dom.scheme, g) for g in constraints]
+    projected, residuals = project_onto(random_positive(dom, seed), folds, sweeps=300, stop_tol=1e-12)
     assert max(residuals) <= 1e-12
-    return projected
+    return relation_from_domains(dom, projected.ravel().tolist())
 
 
 class TestNumericAgreement:

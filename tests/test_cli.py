@@ -7,7 +7,7 @@ import pytest
 from gajdchase.cli import cmd_implies, cmd_tableau, cmd_verify, main, parse
 from gajdchase.errors import ProblemParseError
 from gajdchase.prelation import WeightedRelation
-from conftest import CHAIN4_NEGATIVE_PROBLEM, CHAIN4_PROBLEM, random_hypertree
+from conftest import CHAIN4_NEGATIVE_PROBLEM, CHAIN4_PROBLEM, random_hypertree, subprocess_env
 
 
 class TestParse:
@@ -298,7 +298,26 @@ class TestMain:
             [sys.executable, "-m", "gajdchase", "implies", "--factorize", str(path)],
             capture_output=True,
             text=True,
+            env=subprocess_env(),
         )
         assert result.returncode == 0
         assert "IMPLIES: yes" in result.stdout
         assert "FACTORIZATION:" in result.stdout
+
+    def test_numpy_loaded_only_by_the_oracle(self):
+        # The chase alone never imports numpy; the first verify does.
+        script = (
+            "import sys\n"
+            "import gajdchase, gajdchase.cli as cli\n"
+            f"problem = cli.parse({CHAIN4_PROBLEM!r})\n"
+            "code, out = cli.cmd_implies(problem, trace=True, factorize=True)\n"
+            "assert code == 0 and 'IMPLIES: yes' in out, out\n"
+            "assert 'numpy' not in sys.modules\n"
+            "code, out = cli.cmd_verify(problem, trials=2)\n"
+            "assert code == 0 and 'status=pass' in out, out\n"
+            "assert 'numpy' in sys.modules\n"
+        )
+        result = subprocess.run(
+            [sys.executable, "-c", script], capture_output=True, text=True, env=subprocess_env()
+        )
+        assert result.returncode == 0, result.stderr

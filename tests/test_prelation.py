@@ -7,7 +7,6 @@ from hypothesis import strategies as st
 
 from gajdchase.errors import SchemeError
 from gajdchase.hypergraph import AttributeSet
-from gajdchase.oracle import random_positive
 from gajdchase.prelation import (
     DomainSpec,
     Gajd,
@@ -20,7 +19,7 @@ from gajdchase.prelation import (
     product_join,
     satisfies,
 )
-from conftest import brute_marginal, random_certificate
+from conftest import brute_marginal, positive_relation, random_certificate
 
 AB = AttributeSet(["A", "B"])
 A = AttributeSet(["A"])
@@ -32,7 +31,7 @@ def rel_ab(weights):
 
 
 def positive_rel(attrs, seed, size=2):
-    return random_positive(DomainSpec.uniform(attrs, size), seed)
+    return positive_relation(DomainSpec.uniform(attrs, size), seed)
 
 
 class TestWeightedRelation:

@@ -4,7 +4,6 @@ from hypothesis import strategies as st
 
 from gajdchase.errors import SchemeError, ZeroDenominatorWarning
 from gajdchase.hypergraph import AttributeSet
-from gajdchase.oracle import random_positive
 from gajdchase.prelation import DomainSpec
 from gajdchase.symbolic import (
     MarginalAtom,
@@ -15,6 +14,7 @@ from gajdchase.symbolic import (
     evaluate,
     restrict_atom,
 )
+from conftest import positive_relation
 
 SCHEME = AttributeSet(["A1", "A2", "A3", "A4"])
 A1, A2, A3, A4 = (distinguished_for(SCHEME, a) for a in SCHEME)
@@ -160,7 +160,7 @@ class TestEq5Expression:
 class TestEvaluate:
     def setup_method(self):
         self.scheme = AttributeSet(["A1", "A2", "A3"])
-        self.joint = random_positive(DomainSpec.uniform(["A1", "A2", "A3"]), seed=21)
+        self.joint = positive_relation(DomainSpec.uniform(["A1", "A2", "A3"]), seed=21)
         self.binding = {
             distinguished_for(self.scheme, "A1"): "0",
             distinguished_for(self.scheme, "A2"): "1",

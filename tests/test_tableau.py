@@ -4,7 +4,6 @@ import pytest
 
 from gajdchase.errors import SchemeError, TableauInconsistencyError
 from gajdchase.hypergraph import AttributeSet
-from gajdchase.oracle import random_positive
 from gajdchase.prelation import DomainSpec, Gajd, WeightedRelation, mpj_map
 from gajdchase.symbolic import (
     MarginalAtom,
@@ -14,7 +13,7 @@ from gajdchase.symbolic import (
     evaluate,
 )
 from gajdchase.tableau import Row, Tableau, build_tr, identity_tableau, run
-from conftest import covering_hypertrees
+from conftest import covering_hypertrees, positive_relation
 
 
 def patterns(t: Tableau) -> list[str]:
@@ -89,7 +88,7 @@ class TestTableauInvariants:
 
 class TestRun:
     def test_identity_tableau_is_identity(self):
-        rel = random_positive(DomainSpec.uniform(["A", "B"]), seed=2)
+        rel = positive_relation(DomainSpec.uniform(["A", "B"]), seed=2)
         t = identity_tableau(rel.scheme)
         assert run(t, rel).max_abs_diff(rel) == 0.0
 
@@ -104,11 +103,11 @@ class TestRun:
         target, _, _ = chain4
         t = build_tr(target)
         for seed in range(3):
-            rel = random_positive(DomainSpec.uniform(["A1", "A2", "A3", "A4"]), seed)
+            rel = positive_relation(DomainSpec.uniform(["A1", "A2", "A3", "A4"]), seed)
             assert run(t, rel).max_abs_diff(mpj_map(rel, target)) <= 1e-12
 
     def test_matches_mpj_map_across_small_hypertrees(self):
-        rel = random_positive(DomainSpec.uniform(["A", "B", "C"]), seed=13)
+        rel = positive_relation(DomainSpec.uniform(["A", "B", "C"]), seed=13)
         for g in covering_hypertrees(["A", "B", "C"], 3):
             assert run(build_tr(g), rel).max_abs_diff(mpj_map(rel, g)) <= 1e-12
 
@@ -124,7 +123,7 @@ class TestRun:
     def test_agrees_with_naive_valuation_filter(self, edges):
         g = Gajd.from_edges(edges)
         t = build_tr(g)
-        rel = random_positive(DomainSpec.uniform(["A", "B", "C"]), seed=17)
+        rel = positive_relation(DomainSpec.uniform(["A", "B", "C"]), seed=17)
         support = {k for k, w in rel.items() if w > 0}
         variables = sorted({v for row in t.rows for v in row.cells}, key=lambda v: v.sort_key)
         column_values = {a: sorted({k[list(rel.scheme).index(a)] for k in rel.keys()}) for a in rel.scheme}
@@ -150,7 +149,7 @@ class TestRun:
 
     def test_scheme_mismatch(self, chain4):
         target, _, _ = chain4
-        rel = random_positive(DomainSpec.uniform(["A1", "A2"]), seed=0)
+        rel = positive_relation(DomainSpec.uniform(["A1", "A2"]), seed=0)
         with pytest.raises(SchemeError):
             run(build_tr(target), rel)
 
@@ -167,7 +166,7 @@ class TestRun:
         t = Tableau(scheme, psi)
         t.add_row(Row((a1, b1), RationalExpression.of([MarginalAtom(scheme, (a1, b1))])))
         t.add_row(Row((b2, a2), RationalExpression.of([MarginalAtom(scheme, (b2, a2))])))
-        rel = random_positive(DomainSpec.uniform(["A", "B"]), seed=23)
+        rel = positive_relation(DomainSpec.uniform(["A", "B"]), seed=23)
         with pytest.raises(TableauInconsistencyError):
             run(t, rel)
 
@@ -177,6 +176,6 @@ class TestRun:
         b1 = Variable(False, 1, "B")
         t = Tableau(scheme, RationalExpression.of())
         t.add_row(Row((a1, b1), RationalExpression.of()))
-        rel = random_positive(DomainSpec.uniform(["A", "B"]), seed=1)
+        rel = positive_relation(DomainSpec.uniform(["A", "B"]), seed=1)
         with pytest.raises(ValueError):
             run(t, rel)
