@@ -25,8 +25,8 @@ constraint rules: the target is implied exactly when the all-distinguished
 row becomes derivable.  Two stop rules shape the output without affecting
 the verdict:
 
-* `stop_at_distinguished` ends the run as soon as the all-distinguished row
-  appears (sound: the row is in the fixpoint).
+* `stop_at_distinguished` ends the run as soon as the tableau holds the
+  all-distinguished row (sound: the row is in the fixpoint).
 * `stop_when_no_gain` ends the run when no candidate row carries more
   distinguished variables than the tableau already has.  This yields the
   short, human-readable generating prefix, but it is *not* decision-complete:
@@ -129,11 +129,6 @@ class ChaseTrace:
             rule, selection = step.rule, step.selection
             cr = compiled.get(rule)
             if cr is None:
-                if rule.gajd.scheme != t.scheme:
-                    raise SchemeError(
-                        f"rule {rule.name} is over {rule.gajd.scheme.render()}, "
-                        f"not the tableau scheme {t.scheme.render()}"
-                    )
                 cr = compiled[rule] = _CompiledRule(rule, t.scheme)
             if len(selection) != len(cr.cols):
                 raise ValueError(
@@ -172,10 +167,15 @@ class _CompiledRule:
     """A rule over one scheme: edge columns in certificate order, their indexes, witnesses.
 
     `produce` builds the rule's row for a selection; the chase and
-    `ChaseTrace.replay` both use it.
+    `ChaseTrace.replay` both use it.  A rule over another scheme is a SchemeError.
     """
 
     def __init__(self, rule: JRule, scheme: AttributeSet):
+        if rule.gajd.scheme != scheme:
+            raise SchemeError(
+                f"constraint {rule.name} is over {rule.gajd.scheme.render()}, not the tableau scheme "
+                f"{scheme.render()}; constraints must cover the full scheme (implicit padding is not performed)"
+            )
         self.rule = rule
         self.cols = tuple(tuple(scheme.index(a) for a in edge) for edge in rule.gajd.edges_in_order)
         self.plan = JoinPlan(self.cols)
@@ -276,7 +276,10 @@ class _ChaseRun:
     def run(self, stop_at_distinguished: bool, stop_when_no_gain: bool, max_rows: int) -> str:
         """Apply pending applications until a stop rule holds; returns the stop reason."""
         work = self.work
+        wd = work.distinguished_row()
         while True:
+            if stop_at_distinguished and work.has_pattern(wd):
+                return "distinguished"
             for rid in range(self.indexed, len(work.rows)):
                 self._index_row(rid)
             self.indexed = len(work.rows)
@@ -296,8 +299,6 @@ class _ChaseRun:
             rid = work.add_row(row)
             self.steps.append(ChaseStep(cr.rule, selection, row, rid))
             self.max_dist = max(self.max_dist, -neg_dist)
-            if stop_at_distinguished and all(v.distinguished for v in pattern):
-                return "distinguished"
 
 
 def chase(
@@ -326,6 +327,8 @@ def chase(
     row with the most distinguished variables, breaking ties by rule input
     order and then by selection.  Passing `rng` replaces that priority with a
     seeded random choice (used to exercise order independence).
+    `stop_at_distinguished` ends the run once the tableau holds the
+    all-distinguished row, so a tableau that starts with it yields no steps.
 
     Passing the trace of an earlier call instead of a tableau continues that
     call's run where it stopped, with the same constraints and order: the
@@ -347,12 +350,6 @@ def chase(
         rng = state.rng
     else:
         state = None
-        for rule in rules:
-            if rule.gajd.scheme != t.scheme:
-                raise SchemeError(
-                    f"constraint {rule.name} is over {rule.gajd.scheme.render()}, "
-                    f"not the tableau scheme {t.scheme.render()}; schemes must match exactly"
-                )
     if stop_when_no_gain and rng is not None:
         raise ValueError("the no-gain stop rule requires the deterministic order")
 
@@ -507,33 +504,17 @@ def implies(
     with the same least selections, so the closure's steps are the same.
     """
     rules = _as_rules(constraints)
-    for rule in rules:
-        if rule.gajd.scheme != target.scheme:
-            raise SchemeError(
-                f"constraint {rule.name} is over {rule.gajd.scheme.render()} but the target "
-                f"scheme is {target.scheme.render()}; constraints must cover the full scheme "
-                "(implicit padding is not performed)"
-            )
-    t = build_tr(target)
-    if t.contains_distinguished_row():
-        trace = ChaseTrace(initial=t.copy(), steps=[], final=t.copy(), stop_reason="distinguished")
-        expression, rewrites = factorization_for(trace)
-        return Verdict(True, expression, trace, None, rewrites)
-
-    prefix = chase(t, rules, stop_at_distinguished=True, stop_when_no_gain=True, max_rows=max_rows)
-    if prefix.final.contains_distinguished_row():
-        expression, rewrites = factorization_for(prefix)
-        return Verdict(True, expression, prefix, None, rewrites)
-
-    closure = chase(prefix, rules, stop_at_distinguished=True, max_rows=max_rows)
-    if closure.final.contains_distinguished_row():
-        merged = ChaseTrace(
-            initial=prefix.initial,
-            steps=prefix.steps + closure.steps,
+    trace = chase(build_tr(target), rules, stop_at_distinguished=True, stop_when_no_gain=True, max_rows=max_rows)
+    if not trace.final.contains_distinguished_row():
+        closure = chase(trace, rules, stop_at_distinguished=True, max_rows=max_rows)
+        if not closure.final.contains_distinguished_row():
+            return Verdict(False, None, trace, closure, ())
+        trace = ChaseTrace(
+            initial=trace.initial,
+            steps=trace.steps + closure.steps,
             final=closure.final,
             stop_reason=closure.stop_reason,
-            duplicates=prefix.duplicates + closure.duplicates,
+            duplicates=trace.duplicates + closure.duplicates,
         )
-        expression, rewrites = factorization_for(merged)
-        return Verdict(True, expression, merged, None, rewrites)
-    return Verdict(False, None, prefix, closure, ())
+    expression, rewrites = factorization_for(trace)
+    return Verdict(True, expression, trace, None, rewrites)

@@ -7,7 +7,8 @@ when the part of E shared with the rest of the set is already contained in a
 single other edge, the *branch*.  A certificate records one such ordering
 together with a branching function, and the multiset of branch/twig
 intersections along it is the interaction set, which does not depend on the
-ordering chosen.
+ordering chosen.  By the twig equation each intersection is what the twig
+shares with its prefix, so validating a certificate computes it.
 """
 
 from __future__ import annotations
@@ -123,6 +124,11 @@ class Hypergraph:
         return "".join(e.render() for e in self.edges)
 
 
+def _shared(h: Hypergraph, candidate: int, others: Iterable[int]) -> AttributeSet:
+    """What edge `candidate` shares with the union of the edges `others`: the twig equation's left side."""
+    return AttributeSet.union(h.edges[j] for j in others) & h.edges[candidate]
+
+
 class TwigResult(NamedTuple):
     is_twig: bool
     branch: int | None
@@ -141,11 +147,9 @@ def is_twig(h: Hypergraph, candidate: int, within: Iterable[int]) -> TwigResult:
     if len(idx) == 1:
         return TwigResult(True, None)
     cand = h.edges[candidate]
-    rest = AttributeSet.union(h.edges[j] for j in idx if j != candidate)
-    needed = rest & cand
-    for j in idx:
-        if j == candidate:
-            continue
+    others = [j for j in idx if j != candidate]
+    needed = _shared(h, candidate, others)
+    for j in others:
         if (h.edges[j] & cand) == needed:
             return TwigResult(True, j)
     return TwigResult(False, None)
@@ -215,19 +219,20 @@ class InteractionSet:
         return f"InteractionSet({[list(m) for m in self.members]!r})"
 
 
-def validate_certificate(h: Hypergraph, cert: HypertreeCertificate) -> None:
-    """Replay the twig test over every prefix; raise InvalidCertificateError on failure."""
+def validate_certificate(h: Hypergraph, cert: HypertreeCertificate) -> tuple[AttributeSet, ...]:
+    """Each twig's overlap with its prefix, by replaying the twig test; raises InvalidCertificateError."""
     n = len(h.edges)
     if sorted(cert.ordering) != list(range(n)):
         raise InvalidCertificateError("ordering is not a permutation of the edge indices")
+    shared = []
     for i in range(1, n):
-        cand = h.edges[cert.ordering[i]]
-        prefix = AttributeSet.union(h.edges[cert.ordering[k]] for k in range(i))
-        branch = h.edges[cert.ordering[cert.branching[i]]]
-        if (prefix & cand) != (branch & cand):
+        needed = _shared(h, cert.ordering[i], cert.ordering[:i])
+        if (h.edges[cert.ordering[cert.branching[i]]] & h.edges[cert.ordering[i]]) != needed:
             raise InvalidCertificateError(
                 f"edge at position {i} is not a twig of its prefix with the recorded branch"
             )
+        shared.append(needed)
+    return tuple(shared)
 
 
 def _try_ordering(h: Hypergraph, ordering: tuple[int, ...]) -> HypertreeCertificate | None:
@@ -236,8 +241,7 @@ def _try_ordering(h: Hypergraph, ordering: tuple[int, ...]) -> HypertreeCertific
     branching: list[int | None] = [None] * n
     for i in range(1, n):
         cand = h.edges[ordering[i]]
-        prefix = AttributeSet.union(h.edges[ordering[k]] for k in range(i))
-        needed = prefix & cand
+        needed = _shared(h, ordering[i], ordering[:i])
         for j in range(i):
             if (h.edges[ordering[j]] & cand) == needed:
                 branching[i] = j
@@ -280,10 +284,4 @@ def find_certificate(h: Hypergraph) -> Union[HypertreeCertificate, NotHypertree]
 
 def interaction_set(cert: HypertreeCertificate, h: Hypergraph) -> InteractionSet:
     """The branch ∩ twig intersections of a valid certificate, in certificate order."""
-    validate_certificate(h, cert)
-    members = []
-    for i in range(1, len(cert.ordering)):
-        twig = h.edges[cert.ordering[i]]
-        branch = h.edges[cert.ordering[cert.branching[i]]]
-        members.append(branch & twig)
-    return InteractionSet(members)
+    return InteractionSet(validate_certificate(h, cert))

@@ -20,7 +20,7 @@ counterexample becomes a `WeightedRelation`.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Sequence
+from typing import TYPE_CHECKING, Iterator, Sequence
 
 # numpy is imported inside the functions that use it, so that importing the
 # package for the chase alone does not load it.
@@ -33,6 +33,9 @@ if TYPE_CHECKING:
 
 MAX_TABLE_CELLS = 4096
 POSITIVITY_FLOOR = 1e-4
+IPF_SWEEPS = 200  # full projection sweeps a trial gets to reach `sat_tol`
+FORMULA_TOL = 1e-10  # with FIXPOINT_TOL, the worst residuals a passing decomposition check allows
+FIXPOINT_TOL = 1e-12
 
 # Per edge in certificate order: the axes its marginal sums out, and the axes
 # of that marginal outside the earlier edges, which the separator sums out.
@@ -46,7 +49,6 @@ class OracleConfig:
     domains: DomainSpec
     seed: int = 0
     trials: int = 50
-    ipf_sweeps: int = 200
     sat_tol: float = 1e-10
     check_tol: float = 1e-8
 
@@ -95,12 +97,11 @@ def fold_axes(scheme: AttributeSet, g: Gajd) -> Fold:
         raise SchemeError(
             f"joint scheme {scheme.render()} does not match constraint scheme {g.scheme.render()}"
         )
-    seen: set[str] = set()
+    # By the twig equation an edge meets the earlier ones in its interaction-set member.
     fold = []
-    for edge in g.edges_in_order:
-        new = tuple(i for i, a in enumerate(scheme) if a in edge and a not in seen)
+    for edge, shared in zip(g.edges_in_order, (AttributeSet(),) + g.interactions.members):
+        new = tuple(i for i, a in enumerate(scheme) if a in edge and a not in shared)
         fold.append((_outside(scheme, edge), new))
-        seen.update(edge)
     return tuple(fold)
 
 
@@ -139,7 +140,7 @@ def project_onto(
     current = p
     residuals: tuple[float, ...] = tuple(satisfies(current, f) for f in folds)
     for _ in range(sweeps):
-        if stop_tol is not None and residuals and all(r <= stop_tol for r in residuals):
+        if stop_tol is not None and all(r <= stop_tol for r in residuals):
             break
         for f in folds:
             current = mpj_map(current, f)
@@ -169,6 +170,21 @@ class SoundnessReport:
         )
 
 
+def _trials(
+    constraints: Sequence[Gajd], target: Gajd, cfg: OracleConfig
+) -> Iterator[tuple[int, int, ndarray, tuple[float, ...], float]]:
+    """Number, seed, projected joint, constraint and target residuals of each converged trial."""
+    scheme = cfg.domains.scheme
+    folds = [fold_axes(scheme, g) for g in constraints]
+    target_fold = fold_axes(scheme, target)
+    for i, seed in enumerate(cfg.trial_seeds(), start=1):
+        p = random_positive(cfg.domains, seed)
+        projected, residuals = project_onto(p, folds, IPF_SWEEPS, stop_tol=cfg.sat_tol)
+        if residuals and max(residuals) > cfg.sat_tol:
+            continue
+        yield i, seed, projected, residuals, satisfies(projected, target_fold)
+
+
 def check_soundness(constraints: Sequence[Gajd], target: Gajd, cfg: OracleConfig) -> SoundnessReport:
     """Require every converged projection onto the constraints to satisfy the target.
 
@@ -177,32 +193,22 @@ def check_soundness(constraints: Sequence[Gajd], target: Gajd, cfg: OracleConfig
     whose projection does not reach `sat_tol` are discarded; if fewer than
     half converge the report is inconclusive rather than failed.
     """
-    scheme = cfg.domains.scheme
-    folds = [fold_axes(scheme, g) for g in constraints]
-    target_fold = fold_axes(scheme, target)
-    converged = passed = 0
+    converged = 0
     worst = 0.0
     failing: list[int] = []
-    for seed in cfg.trial_seeds():
-        p = random_positive(cfg.domains, seed)
-        projected, residuals = project_onto(p, folds, cfg.ipf_sweeps, stop_tol=cfg.sat_tol)
-        if residuals and max(residuals) > cfg.sat_tol:
-            continue
+    for _, seed, _, _, target_residual in _trials(constraints, target, cfg):
         converged += 1
-        target_residual = satisfies(projected, target_fold)
         worst = max(worst, target_residual)
-        if target_residual <= cfg.check_tol:
-            passed += 1
-        else:
+        if target_residual > cfg.check_tol:
             failing.append(seed)
-    failed = converged - passed
+    failed = len(failing)
     if failed > 0:
         status = "fail"
     elif converged < (cfg.trials + 1) // 2:
         status = "inconclusive"
     else:
         status = "pass"
-    return SoundnessReport(cfg.trials, converged, passed, failed, worst, status, tuple(failing))
+    return SoundnessReport(cfg.trials, converged, converged - failed, failed, worst, status, tuple(failing))
 
 
 @dataclass(frozen=True)
@@ -240,15 +246,7 @@ def search_counterexample(
     constraints: Sequence[Gajd], target: Gajd, cfg: OracleConfig
 ) -> CounterexampleReport | NotFound:
     """Look for a distribution satisfying the constraints but not the target."""
-    scheme = cfg.domains.scheme
-    folds = [fold_axes(scheme, g) for g in constraints]
-    target_fold = fold_axes(scheme, target)
-    for i, seed in enumerate(cfg.trial_seeds(), start=1):
-        p = random_positive(cfg.domains, seed)
-        projected, residuals = project_onto(p, folds, cfg.ipf_sweeps, stop_tol=cfg.sat_tol)
-        if residuals and max(residuals) > cfg.sat_tol:
-            continue
-        target_residual = satisfies(projected, target_fold)
+    for i, seed, projected, residuals, target_residual in _trials(constraints, target, cfg):
         if target_residual > cfg.check_tol:
             distribution = relation_from_domains(cfg.domains, projected.ravel().tolist())
             return CounterexampleReport(distribution, residuals, target_residual, seed, i)
@@ -262,14 +260,12 @@ class DecompositionReport:
     trials: int
     worst_formula_residual: float
     worst_fixpoint_residual: float
-    formula_tol: float = 1e-10
-    fixpoint_tol: float = 1e-12
 
     @property
     def passed(self) -> bool:
         return (
-            self.worst_formula_residual <= self.formula_tol
-            and self.worst_fixpoint_residual <= self.fixpoint_tol
+            self.worst_formula_residual <= FORMULA_TOL
+            and self.worst_fixpoint_residual <= FIXPOINT_TOL
         )
 
     def render(self) -> str:
@@ -291,14 +287,13 @@ def check_decomposition(g: Gajd, cfg: OracleConfig) -> DecompositionReport:
     """
     scheme = cfg.domains.scheme
     fold = fold_axes(scheme, g)
-    edge_axes = [_outside(scheme, e) for e in g.edges_in_order]
     inter_axes = [_outside(scheme, s) for s in g.interactions]
     worst_formula = 0.0
     worst_fixpoint = 0.0
     for seed in cfg.trial_seeds():
         p = mpj_map(random_positive(cfg.domains, seed), fold)
         expected = 1.0
-        for axes in edge_axes:
+        for axes, _ in fold:
             expected = expected * p.sum(axis=axes, keepdims=True)
         for axes in inter_axes:
             expected = expected / p.sum(axis=axes, keepdims=True)

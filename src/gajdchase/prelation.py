@@ -298,12 +298,3 @@ def satisfies(rel: WeightedRelation, g: Gajd, tol: float = 1e-12) -> SatisfiesRe
     """Whether `rel` is a fixed point of its own marginalize/product-join map, within `tol`."""
     residual = rel.max_abs_diff(mpj_map(rel, g))
     return SatisfiesResult(residual <= tol, residual)
-
-
-def ci_residual(rel: WeightedRelation, x: AttributeSet, y: AttributeSet) -> float:
-    """Residual of the two-edge dependency over {x, y}: independence of x and y given x ∩ y."""
-    if (x | y) != rel.scheme:
-        raise SchemeError(
-            f"{x.render()} and {y.render()} must cover the scheme {rel.scheme.render()}"
-        )
-    return satisfies(rel, Gajd.from_edges([x, y])).residual

@@ -25,7 +25,9 @@ from typing import Callable, Mapping, Sequence
 from .errors import SchemeError, TableauInconsistencyError
 from .hypergraph import AttributeSet
 from .prelation import Gajd, WeightedRelation
-from .symbolic import MarginalAtom, RationalExpression, Variable, distinguished_for, evaluate
+from .symbolic import MarginalAtom, RationalExpression, Variable, distinguished_for, eq5_expression, evaluate
+
+WEIGHT_TOL = 1e-12  # relative disagreement that `run` allows between valuations of one tuple
 
 
 @dataclass(frozen=True)
@@ -118,14 +120,13 @@ def build_tr(g: Gajd) -> Tableau:
     Row i carries the distinguished variable in every column of its edge and
     fresh nondistinguished variables elsewhere (unique across the tableau).
     Its weight expression is the single full-scheme atom at its own pattern.
-    The emission expression multiplies one edge marginal per row, at the
-    distinguished pattern, and divides by the interaction-set marginals.
+    The emission expression is the rule quotient (`eq5_expression`) at the
+    distinguished row: one edge marginal per row over the interaction-set marginals.
     """
     scheme = g.scheme
     dist = {a: distinguished_for(scheme, a) for a in scheme}
-    num = [MarginalAtom.from_cells(edge, dist) for edge in g.edges_in_order]
-    den = [MarginalAtom.from_cells(s, dist) for s in g.interactions]
-    t = Tableau(scheme, RationalExpression.of(num, den))
+    psi = eq5_expression([(e, dist) for e in g.edges_in_order], [(s, dist) for s in g.interactions])
+    t = Tableau(scheme, psi)
     for edge in g.edges_in_order:
         cells = tuple(dist[a] if a in edge else t.fresh(a) for a in scheme)
         expr = RationalExpression.atom(MarginalAtom(scheme, cells))
@@ -229,7 +230,7 @@ def join(
         del extend
 
 
-def run(t: Tableau, rel: WeightedRelation, weight_tol: float = 1e-12) -> WeightedRelation:
+def run(t: Tableau, rel: WeightedRelation) -> WeightedRelation:
     """Execute a tableau against a relation.
 
     Valuations are materialized by an indexed join of the rows over the
@@ -238,7 +239,7 @@ def run(t: Tableau, rel: WeightedRelation, weight_tol: float = 1e-12) -> Weighte
     row already binds, in support order, so valuations come out in the order
     of a nested loop over the support.  The output deduplicates
     distinguished tuples; if two valuations of one distinguished tuple ever
-    disagree on the emitted weight beyond `weight_tol`, the input violates
+    disagree on the emitted weight beyond `WEIGHT_TOL`, the input violates
     the marginal-consistency contract and an error is raised.
     """
     if rel.scheme != t.scheme:
@@ -283,7 +284,7 @@ def run(t: Tableau, rel: WeightedRelation, weight_tol: float = 1e-12) -> Weighte
         seen = results.get(dist)
         if seen is None:
             results[dist] = value
-        elif abs(seen - value) > weight_tol * max(1.0, abs(seen), abs(value)):
+        elif abs(seen - value) > WEIGHT_TOL * max(1.0, abs(seen), abs(value)):
             raise TableauInconsistencyError(
                 f"distinguished tuple {dist} received weights {seen} and {value}"
             )

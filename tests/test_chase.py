@@ -317,6 +317,21 @@ class TestImplies:
         with pytest.raises(SchemeError, match="padding"):
             implies([Gajd.from_edges([["A1", "A2"]])], target)
 
+    def test_full_scheme_edge_holds_before_any_step(self):
+        # The target's tableau starts with the all-distinguished row; run on,
+        # rule C would add the row (b2,a2,b1).
+        target = Gajd.from_edges([["A1", "A2", "A3"], ["A1", "A2"], ["A2", "A3"]])
+        rules = [JRule("C", Gajd.from_edges([["A1", "A2"], ["A2", "A3"]]))]
+        verdict = implies(rules, target)
+        assert verdict.holds and verdict.closure_trace is None
+        assert verdict.trace.steps == [] and verdict.trace.stop_reason == "distinguished"
+        assert verdict.factorization.render() == "phi(a1,a2,a3)"
+        trace = chase(build_tr(target), rules, stop_at_distinguished=True)
+        assert trace.steps == [] and trace.stop_reason == "distinguished"
+        assert len(chase(build_tr(target), rules).steps) == 1
+        with pytest.raises(SchemeError, match="padding"):
+            implies([Gajd.from_edges([["A1", "A2"]])], target)
+
     @pytest.mark.parametrize(
         "target, given, fixpoint_rows",
         [

@@ -245,6 +245,29 @@ class TestInteractionSet:
             base = interaction_set(g.certificate, g.hypergraph)
             assert interaction_set(random_certificate(g, rng), g.hypergraph) == base
 
+    def test_certificate_rule_against_brute_force(self):
+        # With plain Python sets: each twig's overlap with its prefix, the
+        # smallest earlier position meeting it in exactly that overlap, and
+        # every other earlier position as a wrong branch.
+        wrong_branches = 0
+        for g in hypertree_census(random.Random(13)):
+            h = g.hypergraph
+            cert = find_certificate(h)
+            edges = [set(h.edges[e]) for e in cert.ordering]
+            overlaps = []
+            for i in range(1, len(edges)):
+                overlap = set().union(*edges[:i]) & edges[i]
+                fits = [j for j in range(i) if edges[j] & edges[i] == overlap]
+                assert cert.branching[i] == fits[0]
+                overlaps.append(AttributeSet(overlap))
+                for j in set(range(i)) - set(fits):
+                    branching = cert.branching[:i] + (j,) + cert.branching[i + 1:]
+                    with pytest.raises(InvalidCertificateError):
+                        interaction_set(HypertreeCertificate(cert.ordering, branching), h)
+                    wrong_branches += 1
+            assert interaction_set(cert, h).members == tuple(overlaps)
+        assert wrong_branches > 1000
+
 
 class TestGajd:
     def test_rejects_triangle_with_witness(self):

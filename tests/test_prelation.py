@@ -11,7 +11,6 @@ from gajdchase.prelation import (
     DomainSpec,
     Gajd,
     WeightedRelation,
-    ci_residual,
     inverse,
     marginalize,
     monotone_join,
@@ -307,13 +306,13 @@ class TestCiResidual:
         rel = positive_rel(["A", "B", "C"], seed=12)
         g = Gajd.from_edges([["A", "B"], ["B", "C"]])
         built = mpj_map(rel, g)
-        assert ci_residual(built, AB, AttributeSet(["B", "C"])) <= 1e-12
-        assert ci_residual(rel, AB, AttributeSet(["B", "C"])) > 1e-6
+        assert satisfies(built, Gajd.from_edges([AB, AttributeSet(["B", "C"])])).residual <= 1e-12
+        assert satisfies(rel, Gajd.from_edges([AB, AttributeSet(["B", "C"])])).residual > 1e-6
 
     def test_coverage_error(self):
         rel = positive_rel(["A", "B", "C"], seed=12)
         with pytest.raises(SchemeError):
-            ci_residual(rel, A, AttributeSet(["B"]))
+            satisfies(rel, Gajd.from_edges([A, AttributeSet(["B"])]))
 
 
 class TestDomainSpec:
