@@ -20,6 +20,15 @@ selection of rows in lexicographic order would meet that selection first,
 and later rows only get larger ids, so steps, row ids and weight
 expressions are the same as under that exhaustive enumeration.
 
+Because the variable universe is fixed by the initial tableau, a run codes
+each variable once as a small int, and its patterns, projections, index
+keys, join bindings and pending applications are tuples of ints.  An
+applied application becomes a tableau row of `Variable` cells that keeps
+its rule and selected rows instead of a weight expression; the expression
+(`eq5_expression`, looked up on this module when called) is built the first
+time something reads it, such as a rendered step or tableau.  The closure
+of a negative verdict is never rendered, so its rows never build one.
+
 The implication test builds the target's tableau and chases it under the
 constraint rules: the target is implied exactly when the all-distinguished
 row becomes derivable.  Two stop rules shape the output without affecting
@@ -166,8 +175,11 @@ def _as_rules(constraints: Iterable[Gajd | JRule]) -> tuple[JRule, ...]:
 class _CompiledRule:
     """A rule over one scheme: edge columns in certificate order, their indexes, witnesses.
 
-    `produce` builds the rule's row for a selection; the chase and
-    `ChaseTrace.replay` both use it.  A rule over another scheme is a SchemeError.
+    `first` and `index` are keyed by projections of int-coded patterns (see
+    `_ChaseRun`).  `produce` makes the rule's row for a selection, and
+    `expression` builds that row's weight expression when it is read; the
+    chase and `ChaseTrace.replay` both use them.  A rule over another scheme
+    is a SchemeError.
     """
 
     def __init__(self, rule: JRule, scheme: AttributeSet):
@@ -177,24 +189,28 @@ class _CompiledRule:
                 f"{scheme.render()}; constraints must cover the full scheme (implicit padding is not performed)"
             )
         self.rule = rule
+        self.scheme = scheme
         self.cols = tuple(tuple(scheme.index(a) for a in edge) for edge in rule.gajd.edges_in_order)
         self.plan = JoinPlan(self.cols)
         # Per position: edge projection -> smallest row id carrying it, and
         # interaction-set key -> distinct projections.
-        self.first: list[dict[tuple[Variable, ...], int]] = [{} for _ in self.cols]
-        self.index: list[dict[tuple, list[tuple[Variable, ...]]]] = [{} for _ in self.cols]
+        self.first: list[dict[tuple[int, ...], int]] = [{} for _ in self.cols]
+        self.index: list[dict[tuple[int, ...], list[tuple[int, ...]]]] = [{} for _ in self.cols]
 
     def produce(self, t: Tableau, selection: Sequence[int], pattern: tuple[Variable, ...]) -> Row:
-        """The row at `pattern` produced from the selected rows of `t`, its weight expression attached."""
-        scheme, gajd = t.scheme, self.rule.gajd
-        by_col = dict(zip(scheme, pattern))
-        edge_patterns = [
-            (edge, dict(zip(scheme, t.rows[k].cells))) for edge, k in zip(gajd.edges_in_order, selection)
-        ]
-        interaction_patterns = [(s, by_col) for s in gajd.interactions]
-        return Row(pattern, eq5_expression(edge_patterns, interaction_patterns))
+        """The row at `pattern` produced from the selected rows of `t`; its expression is built when read."""
+        return Row(pattern, rule=self, selected=tuple([t.rows[k].cells for k in selection]))
 
-    def witness(self, pattern: tuple[Variable, ...]) -> tuple[int, ...]:
+    def expression(
+        self, pattern: tuple[Variable, ...], selected: Sequence[tuple[Variable, ...]]
+    ) -> RationalExpression:
+        """The weight of the row at `pattern`: selected edge atoms over interaction atoms at `pattern`."""
+        scheme, gajd = self.scheme, self.rule.gajd
+        by_col = dict(zip(scheme, pattern))
+        edge_patterns = [(edge, dict(zip(scheme, cells))) for edge, cells in zip(gajd.edges_in_order, selected)]
+        return eq5_expression(edge_patterns, [(s, by_col) for s in gajd.interactions])
+
+    def witness(self, pattern: tuple[int, ...]) -> tuple[int, ...]:
         """The least selection producing `pattern`: the smallest row id per edge projection."""
         return tuple(
             first[tuple([pattern[c] for c in cols])] for first, cols in zip(self.first, self.cols)
@@ -202,7 +218,16 @@ class _CompiledRule:
 
 
 class _ChaseRun:
-    """The state of one chase: working tableau, indexes and pending applications.
+    """The state of one chase: working tableau, int-coded patterns, indexes and pending applications.
+
+    Every produced cell comes from a selected row, so the initial tableau's
+    variables are all the run will meet.  Each is coded once as its position
+    in `variables`, and everything the joins touch holds tuples of those
+    ints: the rows' patterns (`patterns`, by row id, and `row_of`, pattern to
+    row id), the compiled rules' projections and index keys, the join
+    bindings, the `pushed` sets and the pending entries.  Only an applied
+    application is decoded into `Variable` cells and added to `work`, as a
+    row whose weight expression is built when something reads it.
 
     Pending entries are `(-distinguished, rule_index, selection, pattern)`,
     one per (rule, pattern) found while the pattern was not a row.
@@ -215,14 +240,25 @@ class _ChaseRun:
         self.compiled = [_CompiledRule(rule, t.scheme) for rule in rules]
         self.steps: list[ChaseStep] = []
         self.duplicates = 0
-        self.pending: list[tuple[int, int, tuple[int, ...], tuple[Variable, ...]]] = []
-        self.pushed: set[tuple[int, tuple[Variable, ...]]] = set()
+        code: dict[Variable, int] = {}
+        for row in t.rows:
+            for v in row.cells:
+                code.setdefault(v, len(code))
+        self.variables = tuple(code)
+        self.is_distinguished = [int(v.distinguished) for v in self.variables]
+        self.patterns = [tuple([code[v] for v in row.cells]) for row in t.rows]
+        self.row_of = {pattern: rid for rid, pattern in enumerate(self.patterns)}
+        wd = t.distinguished_row()
+        # None when some distinguished variable is in no row: no row can then carry them all.
+        self.goal = tuple(code[v] for v in wd) if all(v in code for v in wd) else None
+        self.pending: list[tuple[int, int, tuple[int, ...], tuple[int, ...]]] = []
+        self.pushed: list[set[tuple[int, ...]]] = [set() for _ in rules]
         self.max_dist = max((row.distinguished_count() for row in self.work.rows), default=0)
         self.indexed = 0
 
     def _index_row(self, rid: int) -> None:
         """Index row `rid` and join each of its new edge projections with the rest."""
-        cells = self.work.rows[rid].cells
+        cells = self.patterns[rid]
         for rule_idx, cr in enumerate(self.compiled):
             new = []
             for pos, cols in enumerate(cr.cols):
@@ -237,17 +273,18 @@ class _ChaseRun:
                     join(cr.plan, cr.index, emit, fixed)
 
     def _consider(self, rule_idx: int, cr: _CompiledRule):
-        work, pushed, pending, rng = self.work, self.pushed, self.pending, self.rng
+        row_of, pushed, pending, rng = self.row_of, self.pushed[rule_idx], self.pending, self.rng
+        is_distinguished = self.is_distinguished
 
         def emit(binding: list) -> None:
             pattern = tuple(binding)
-            if work.has_pattern(pattern):
+            if pattern in row_of:
                 self.duplicates += 1
                 return
-            if (rule_idx, pattern) in pushed:
+            if pattern in pushed:
                 return
-            pushed.add((rule_idx, pattern))
-            dist = sum(1 for v in pattern if v.distinguished)
+            pushed.add(pattern)
+            dist = sum([is_distinguished[v] for v in pattern])
             entry = (-dist, rule_idx, cr.witness(pattern), pattern)
             if rng is None:
                 heapq.heappush(pending, entry)
@@ -261,7 +298,7 @@ class _ChaseRun:
         pending = self.pending
         while pending:
             i = 0 if self.rng is None else self.rng.randrange(len(pending))
-            if not self.work.has_pattern(pending[i][3]):
+            if pending[i][3] not in self.row_of:
                 return i
             self.duplicates += 1
             self._drop(i)
@@ -275,10 +312,9 @@ class _ChaseRun:
 
     def run(self, stop_at_distinguished: bool, stop_when_no_gain: bool, max_rows: int) -> str:
         """Apply pending applications until a stop rule holds; returns the stop reason."""
-        work = self.work
-        wd = work.distinguished_row()
+        work, variables = self.work, self.variables
         while True:
-            if stop_at_distinguished and work.has_pattern(wd):
+            if stop_at_distinguished and self.goal in self.row_of:
                 return "distinguished"
             for rid in range(self.indexed, len(work.rows)):
                 self._index_row(rid)
@@ -295,8 +331,10 @@ class _ChaseRun:
                     f"chase exceeded the {max_rows}-row cap before terminating", limit=max_rows
                 )
             cr = self.compiled[rule_idx]
-            row = cr.produce(work, selection, pattern)
+            row = cr.produce(work, selection, tuple([variables[c] for c in pattern]))
             rid = work.add_row(row)
+            self.patterns.append(pattern)
+            self.row_of[pattern] = rid
             self.steps.append(ChaseStep(cr.rule, selection, row, rid))
             self.max_dist = max(self.max_dist, -neg_dist)
 

@@ -198,9 +198,6 @@ class InteractionSet:
     def __init__(self, members: Iterable[AttributeSet]):
         self.members: tuple[AttributeSet, ...] = tuple(members)
 
-    def as_multiset(self) -> Counter:
-        return Counter(self.members)
-
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, InteractionSet):
             return NotImplemented

@@ -120,9 +120,6 @@ class WeightedRelation:
     def total(self) -> float:
         return math.fsum(self._rows.values())
 
-    def is_normalized(self, tol: float = 1e-12) -> bool:
-        return abs(self.total() - 1.0) <= tol
-
     def max_abs_diff(self, other: "WeightedRelation") -> float:
         """Largest pointwise weight difference; missing tuples count as 0."""
         if self.scheme != other.scheme:
@@ -143,28 +140,6 @@ class WeightedRelation:
         for key in sorted(self._rows):
             lines.append(" ".join(list(key) + [format(self._rows[key], ".17g")]))
         return "\n".join(lines) + "\n"
-
-    @classmethod
-    def from_text(cls, text: str) -> "WeightedRelation":
-        lines = [ln for ln in text.splitlines() if ln.strip()]
-        if not lines:
-            raise ValueError("empty relation text")
-        header = lines[0].split()
-        if not header or header[-1] != "f":
-            raise ValueError("header must end with the weight column `f`")
-        scheme = AttributeSet(header[:-1])
-        if list(scheme) != header[:-1]:
-            raise ValueError("header attributes must be listed in canonical sorted order")
-        rows: dict[ValueTuple, float] = {}
-        for ln in lines[1:]:
-            parts = ln.split()
-            if len(parts) != len(header):
-                raise ValueError(f"row {ln!r} does not match the header width")
-            key = tuple(parts[:-1])
-            if key in rows:
-                raise ValueError(f"duplicate tuple {key!r} in row {ln!r}")
-            rows[key] = float(parts[-1])
-        return cls(scheme, rows)
 
 
 def relation_from_domains(domains: DomainSpec, weights: Iterable[float]) -> WeightedRelation:

@@ -39,8 +39,10 @@ class Variable:
     def __post_init__(self):
         if self.index < 1:
             raise ValueError("variable indices are 1-based")
-        # The chase keys dicts and sets by tuples of variables; the value is
-        # the generated dataclass hash, computed once instead of per lookup.
+        # A tableau's pattern index, `tableau.run`'s slots, `evaluate`'s
+        # bindings and the atom counters of expressions are keyed by variables
+        # or tuples of them; the value is the generated dataclass hash,
+        # computed once instead of per lookup.
         object.__setattr__(self, "_hash", hash((self.distinguished, self.index, self.column)))
 
     def __hash__(self) -> int:

@@ -19,7 +19,6 @@ distinguished tuple agree and raises otherwise.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Callable, Mapping, Sequence
 
 from .errors import SchemeError, TableauInconsistencyError
@@ -30,12 +29,52 @@ from .symbolic import MarginalAtom, RationalExpression, Variable, distinguished_
 WEIGHT_TOL = 1e-12  # relative disagreement that `run` allows between valuations of one tuple
 
 
-@dataclass(frozen=True)
 class Row:
-    """One tableau row: a variable per column plus its weight expression."""
+    """One tableau row: a variable per column plus its weight expression.
 
-    cells: tuple[Variable, ...]
-    weight_expr: RationalExpression
+    A row is either given its expression, or keeps where it came from: the
+    rule that produced it and the cells of the rows that rule selected.  The
+    expression of such a row is built on the first read of `weight_expr`, by
+    `rule.expression(cells, selected)`, and then kept.  The chase produces
+    its rows this way, so rows that are never rendered never build one.
+    Equality and hashing take the cells and the expression, as for a row
+    given its expression; comparing a row that has not built its expression
+    yet builds it.
+    """
+
+    __slots__ = ("cells", "_expr", "_rule", "_selected")
+
+    def __init__(
+        self,
+        cells: tuple[Variable, ...],
+        weight_expr: RationalExpression | None = None,
+        *,
+        rule=None,
+        selected: tuple[tuple[Variable, ...], ...] = (),
+    ):
+        if (weight_expr is None) == (rule is None):
+            raise ValueError("a row takes either its weight expression or the rule that builds it")
+        self.cells = cells
+        self._expr = weight_expr
+        self._rule = rule
+        self._selected = selected
+
+    @property
+    def weight_expr(self) -> RationalExpression:
+        if self._expr is None:
+            self._expr = self._rule.expression(self.cells, self._selected)
+        return self._expr
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, Row):
+            return NotImplemented
+        return self.cells == other.cells and self.weight_expr == other.weight_expr
+
+    def __hash__(self) -> int:
+        return hash((self.cells, self.weight_expr))
+
+    def __repr__(self) -> str:
+        return f"Row({self.render_pattern()}, {self.weight_expr.render()})"
 
     def distinguished_count(self) -> int:
         return sum(1 for v in self.cells if v.distinguished)
@@ -73,10 +112,10 @@ class Tableau:
     def add_row(self, row: Row) -> int:
         if len(row.cells) != len(self.scheme):
             raise SchemeError("row width does not match the tableau scheme")
-        for attr, var in zip(self.scheme, row.cells):
+        for position, (attr, var) in enumerate(zip(self.scheme, row.cells), start=1):
             if var.column != attr:
                 raise ValueError(f"variable {var.render()} does not belong in column {attr}")
-            if var.distinguished and var.index != self.scheme.index(attr) + 1:
+            if var.distinguished and var.index != position:
                 raise ValueError(f"distinguished variable {var.render()} is outside its own column")
         if row.cells in self._index:
             raise ValueError(f"duplicate row pattern {row.render_pattern()}")
@@ -100,9 +139,6 @@ class Tableau:
         for row in self.rows:
             t.add_row(row)
         return t
-
-    def pattern_set(self) -> frozenset[tuple[Variable, ...]]:
-        return frozenset(self._index)
 
     def render(self) -> str:
         """Aligned table: a header line, then one line per row with cells and the weight expression."""
@@ -131,15 +167,6 @@ def build_tr(g: Gajd) -> Tableau:
         cells = tuple(dist[a] if a in edge else t.fresh(a) for a in scheme)
         expr = RationalExpression.atom(MarginalAtom(scheme, cells))
         t.add_row(Row(cells, expr))
-    return t
-
-
-def identity_tableau(scheme: AttributeSet) -> Tableau:
-    """The single all-distinguished row; the identity mapping on every relation."""
-    t = Tableau(scheme, RationalExpression.atom(
-        MarginalAtom(scheme, tuple(distinguished_for(scheme, a) for a in scheme))))
-    cells = t.distinguished_row()
-    t.add_row(Row(cells, RationalExpression.atom(MarginalAtom(scheme, cells))))
     return t
 
 

@@ -9,6 +9,8 @@ from gajdchase.errors import NotHypertreeError
 from gajdchase.hypergraph import AttributeSet, HypertreeCertificate, is_twig, validate_certificate
 from gajdchase.oracle import random_positive
 from gajdchase.prelation import DomainSpec, Gajd, WeightedRelation, relation_from_domains
+from gajdchase.symbolic import MarginalAtom, RationalExpression, distinguished_for
+from gajdchase.tableau import Row, Tableau
 
 GOLDEN_DIR = Path(__file__).parent / "golden"
 
@@ -124,6 +126,46 @@ def reverse_greedy_certificate(g: Gajd) -> HypertreeCertificate:
 def positive_relation(domains: DomainSpec, seed: int) -> WeightedRelation:
     """The oracle's seeded positive joint as a dict relation, for the relation-algebra tests."""
     return relation_from_domains(domains, random_positive(domains, seed).ravel().tolist())
+
+
+def relation_from_text(text: str) -> WeightedRelation:
+    """Parse `WeightedRelation.to_text` output: a header of attributes plus `f`, one tuple per line."""
+    lines = [ln for ln in text.splitlines() if ln.strip()]
+    if not lines:
+        raise ValueError("empty relation text")
+    header = lines[0].split()
+    if not header or header[-1] != "f":
+        raise ValueError("header must end with the weight column `f`")
+    scheme = AttributeSet(header[:-1])
+    if list(scheme) != header[:-1]:
+        raise ValueError("header attributes must be listed in canonical sorted order")
+    rows: dict[tuple[str, ...], float] = {}
+    for ln in lines[1:]:
+        parts = ln.split()
+        if len(parts) != len(header):
+            raise ValueError(f"row {ln!r} does not match the header width")
+        key = tuple(parts[:-1])
+        if key in rows:
+            raise ValueError(f"duplicate tuple {key!r} in row {ln!r}")
+        rows[key] = float(parts[-1])
+    return WeightedRelation(scheme, rows)
+
+
+def is_normalized(rel: WeightedRelation, tol: float = 1e-12) -> bool:
+    return abs(rel.total() - 1.0) <= tol
+
+
+def identity_tableau(scheme: AttributeSet) -> Tableau:
+    """The single all-distinguished row; the identity mapping on every relation."""
+    cells = tuple(distinguished_for(scheme, a) for a in scheme)
+    atom = RationalExpression.atom(MarginalAtom(scheme, cells))
+    t = Tableau(scheme, atom)
+    t.add_row(Row(cells, atom))
+    return t
+
+
+def pattern_set(t: Tableau) -> frozenset:
+    return frozenset(row.cells for row in t.rows)
 
 
 def brute_marginal(rel: WeightedRelation, onto: AttributeSet) -> dict:

@@ -3,6 +3,7 @@ import random
 
 import pytest
 
+from gajdchase import chase as chase_module
 from gajdchase.chase import ChaseStep, ChaseTrace, JRule, chase, implies
 from gajdchase.errors import ChaseRowLimitError, SchemeError
 from gajdchase.hypergraph import AttributeSet
@@ -10,7 +11,7 @@ from gajdchase.oracle import fold_axes, project_onto, random_positive
 from gajdchase.prelation import DomainSpec, Gajd, relation_from_domains, satisfies
 from gajdchase.symbolic import MarginalAtom, RationalExpression, distinguished_for, evaluate
 from gajdchase.tableau import Row, build_tr, run
-from conftest import covering_hypertrees, random_hypertree
+from conftest import covering_hypertrees, pattern_set, random_hypertree
 
 
 def rules_for(chain4):
@@ -23,6 +24,13 @@ def rules_for(chain4):
 # The greedy most-distinguished-first prefix alone never finds it.
 STUBBORN_TARGET = [["A"], ["B", "C"]]
 STUBBORN_CONSTRAINTS = [[["B"], ["A", "C"]], [["C"], ["A", "B"], ["B", "C"]]]
+
+
+def independence_family(n):
+    """Target {A1}..{An} given {A1}..{An-2}{An-1 An}: not implied, and the fixpoint has n^(n-1) rows."""
+    attrs = [f"A{i}" for i in range(1, n + 1)]
+    target = [[a] for a in attrs]
+    return target, [[[a] for a in attrs[:-2]] + [attrs[-2:]]]
 
 
 def _step(t, rule, selection, produced_id, pattern, num, den=()):
@@ -105,7 +113,7 @@ class TestChase:
         trace = chase(t, [])
         assert trace.stop_reason == "fixpoint"
         assert trace.steps == []
-        assert trace.final.pattern_set() == t.pattern_set()
+        assert pattern_set(trace.final) == pattern_set(t)
 
     def test_fixpoint_of_single_split(self, chain4):
         target, left, _ = chain4
@@ -134,10 +142,10 @@ class TestChase:
             (target, [JRule("T", target)]),
         ]
         for tgt, ruleset in cases:
-            reference = chase(build_tr(tgt), ruleset).final.pattern_set()
+            reference = pattern_set(chase(build_tr(tgt), ruleset).final)
             for seed in range(8):
                 shuffled = chase(build_tr(tgt), ruleset, rng=random.Random(seed))
-                assert shuffled.final.pattern_set() == reference
+                assert pattern_set(shuffled.final) == reference
 
     def test_row_cap_enforced(self, chain4):
         target, left, _ = chain4
@@ -154,7 +162,7 @@ class TestChase:
         target, left, right = chain4
         trace = chase(build_tr(target), [JRule("C1", left), JRule("C2", right)])
         replayed = trace.replay()
-        assert replayed.pattern_set() == trace.final.pattern_set()
+        assert pattern_set(replayed) == pattern_set(trace.final)
 
     def test_duplicates_counted(self, chain4):
         target, left, _ = chain4
@@ -353,6 +361,8 @@ class TestImplies:
                 ],
                 64,
             ),
+            (*independence_family(5), 625),
+            (*independence_family(6), 7776),
         ],
     )
     def test_former_pathological_queries(self, target, given, fixpoint_rows):
@@ -360,6 +370,46 @@ class TestImplies:
         assert not verdict.holds
         assert verdict.closure_trace.stop_reason == "fixpoint"
         assert len(verdict.closure_trace.final) == fixpoint_rows
+
+    def test_independence_family_closure_replays(self):
+        target, given = independence_family(5)
+        closure = implies([Gajd.from_edges(e) for e in given], Gajd.from_edges(target)).closure_trace
+        assert len(closure.final) == 625
+        replayed = closure.replay()
+        assert [r.cells for r in replayed.rows] == [r.cells for r in closure.final.rows]
+        assert replayed.rows == closure.final.rows
+
+    def test_row_expressions_built_when_read(self, monkeypatch):
+        calls = []
+        original = chase_module.eq5_expression
+
+        def counting(*args):
+            calls.append(args)
+            return original(*args)
+
+        monkeypatch.setattr(chase_module, "eq5_expression", counting)
+        target, given = independence_family(5)
+        constraints, target = [Gajd.from_edges(e) for e in given], Gajd.from_edges(target)
+        closure = implies(constraints, target).closure_trace
+        assert len(closure.steps) > 500 and calls == []
+        lines = closure.render_steps()
+        assert len(calls) == len(closure.steps) == len(lines)
+        assert closure.render_steps() == lines and len(calls) == len(lines)
+
+        calls.clear()
+        closure = implies(constraints, target).closure_trace
+        step = closure.steps[-1]
+        lazy, scheme, g = step.produced, closure.final.scheme, step.rule.gajd
+        expr = original(
+            [(e, dict(zip(scheme, closure.final.rows[k].cells))) for e, k in zip(g.edges_in_order, step.selection)],
+            [(s, dict(zip(scheme, lazy.cells))) for s in g.interactions],
+        )
+        eager = Row(lazy.cells, expr)
+        assert calls == []
+        assert lazy == eager and eager == lazy and hash(lazy) == hash(eager)
+        assert len(calls) == 1
+        assert lazy.weight_expr is lazy.weight_expr and len(calls) == 1
+        assert lazy != Row(lazy.cells, RationalExpression.of())
 
     def test_row_cap_propagates(self, chain4):
         target, left, _ = chain4

@@ -6,8 +6,14 @@ import pytest
 
 from gajdchase.cli import cmd_implies, cmd_tableau, cmd_verify, main, parse
 from gajdchase.errors import ProblemParseError
-from gajdchase.prelation import WeightedRelation
-from conftest import CHAIN4_NEGATIVE_PROBLEM, CHAIN4_PROBLEM, random_hypertree, subprocess_env
+from conftest import (
+    CHAIN4_NEGATIVE_PROBLEM,
+    CHAIN4_PROBLEM,
+    is_normalized,
+    random_hypertree,
+    relation_from_text,
+    subprocess_env,
+)
 
 
 class TestParse:
@@ -166,8 +172,8 @@ class TestCmdVerify:
         assert code == 0
         assert "counterexample: seed=" in text
         dump = text[text.index("A1 A2 A3 A4 f"):]
-        rel = WeightedRelation.from_text(dump)
-        assert rel.is_normalized(tol=1e-9)
+        rel = relation_from_text(dump)
+        assert is_normalized(rel, tol=1e-9)
 
     def test_zero_trials_rejected(self):
         from gajdchase.errors import GajdChaseError

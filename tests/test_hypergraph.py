@@ -220,12 +220,12 @@ class TestInteractionSet:
     def test_disjoint_edges_have_empty_member(self):
         h = Hypergraph([["A", "B"], ["C", "D"]])
         got = interaction_set(find_certificate(h), h)
-        assert got.as_multiset() == Counter([AttributeSet()])
+        assert Counter(got.members) == Counter([AttributeSet()])
 
     def test_repeated_member_kept_as_multiset(self):
         h = Hypergraph([["A", "B"], ["B", "C"], ["B", "D"]])
         got = interaction_set(find_certificate(h), h)
-        assert got.as_multiset() == Counter({AttributeSet(["B"]): 2})
+        assert Counter(got.members) == Counter({AttributeSet(["B"]): 2})
 
     def test_ordering_independence_small_census(self):
         rng = random.Random(11)

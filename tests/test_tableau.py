@@ -12,8 +12,8 @@ from gajdchase.symbolic import (
     distinguished_for,
     evaluate,
 )
-from gajdchase.tableau import Row, Tableau, build_tr, identity_tableau, run
-from conftest import covering_hypertrees, positive_relation
+from gajdchase.tableau import Row, Tableau, build_tr, run
+from conftest import covering_hypertrees, identity_tableau, positive_relation
 
 
 def patterns(t: Tableau) -> list[str]:
