@@ -229,8 +229,9 @@ class _ChaseRun:
     application is decoded into `Variable` cells and added to `work`, as a
     row whose weight expression is built when something reads it.
 
-    Pending entries are `(-distinguished, rule_index, selection, pattern)`,
-    one per (rule, pattern) found while the pattern was not a row.
+    `pending` is a heap of `(_key(pattern), rule_index, selection, pattern)`,
+    one entry per (rule, pattern) found while the pattern was not a row.
+    `max_dist` is counted from the applied patterns, never from a key.
     """
 
     def __init__(self, t: Tableau, rules: tuple[JRule, ...], rng: random.Random | None):
@@ -251,7 +252,7 @@ class _ChaseRun:
         wd = t.distinguished_row()
         # None when some distinguished variable is in no row: no row can then carry them all.
         self.goal = tuple(code[v] for v in wd) if all(v in code for v in wd) else None
-        self.pending: list[tuple[int, int, tuple[int, ...], tuple[int, ...]]] = []
+        self.pending: list[tuple[float, int, tuple[int, ...], tuple[int, ...]]] = []
         self.pushed: list[set[tuple[int, ...]]] = [set() for _ in rules]
         self.max_dist = max((row.distinguished_count() for row in self.work.rows), default=0)
         self.indexed = 0
@@ -272,9 +273,14 @@ class _ChaseRun:
                 for fixed in new:
                     join(cr.plan, cr.index, emit, fixed)
 
+    def _key(self, pattern: tuple[int, ...]) -> float:
+        """The pending priority of `pattern`: most distinguished variables first, or a seeded random draw."""
+        if self.rng is not None:
+            return self.rng.random()
+        return -sum([self.is_distinguished[v] for v in pattern])
+
     def _consider(self, rule_idx: int, cr: _CompiledRule):
-        row_of, pushed, pending, rng = self.row_of, self.pushed[rule_idx], self.pending, self.rng
-        is_distinguished = self.is_distinguished
+        row_of, pushed, pending, key = self.row_of, self.pushed[rule_idx], self.pending, self._key
 
         def emit(binding: list) -> None:
             pattern = tuple(binding)
@@ -284,48 +290,37 @@ class _ChaseRun:
             if pattern in pushed:
                 return
             pushed.add(pattern)
-            dist = sum([is_distinguished[v] for v in pattern])
-            entry = (-dist, rule_idx, cr.witness(pattern), pattern)
-            if rng is None:
-                heapq.heappush(pending, entry)
-            else:
-                pending.append(entry)
+            heapq.heappush(pending, (key(pattern), rule_idx, cr.witness(pattern), pattern))
 
         return emit
 
-    def _next(self) -> int | None:
-        """Position in `pending` of the next application; stale entries are dropped."""
+    def _next(self) -> tuple[float, int, tuple[int, ...], tuple[int, ...]] | None:
+        """The pending entry at the top of the heap; stale entries are dropped."""
         pending = self.pending
         while pending:
-            i = 0 if self.rng is None else self.rng.randrange(len(pending))
-            if pending[i][3] not in self.row_of:
-                return i
+            if pending[0][3] not in self.row_of:
+                return pending[0]
             self.duplicates += 1
-            self._drop(i)
+            heapq.heappop(pending)
         return None
-
-    def _drop(self, i: int) -> None:
-        if self.rng is None:
-            heapq.heappop(self.pending)
-        else:
-            self.pending.pop(i)
 
     def run(self, stop_at_distinguished: bool, stop_when_no_gain: bool, max_rows: int) -> str:
         """Apply pending applications until a stop rule holds; returns the stop reason."""
-        work, variables = self.work, self.variables
+        work, variables, is_distinguished = self.work, self.variables, self.is_distinguished
         while True:
             if stop_at_distinguished and self.goal in self.row_of:
                 return "distinguished"
             for rid in range(self.indexed, len(work.rows)):
                 self._index_row(rid)
             self.indexed = len(work.rows)
-            i = self._next()
-            if i is None:
+            entry = self._next()
+            if entry is None:
                 return "fixpoint"
-            neg_dist, rule_idx, selection, pattern = self.pending[i]
-            if stop_when_no_gain and -neg_dist <= self.max_dist:
+            _, rule_idx, selection, pattern = entry
+            dist = sum([is_distinguished[v] for v in pattern])
+            if stop_when_no_gain and dist <= self.max_dist:
                 return "no_gain"
-            self._drop(i)
+            heapq.heappop(self.pending)
             if len(work.rows) + 1 > max_rows:
                 raise ChaseRowLimitError(
                     f"chase exceeded the {max_rows}-row cap before terminating", limit=max_rows
@@ -336,7 +331,7 @@ class _ChaseRun:
             self.patterns.append(pattern)
             self.row_of[pattern] = rid
             self.steps.append(ChaseStep(cr.rule, selection, row, rid))
-            self.max_dist = max(self.max_dist, -neg_dist)
+            self.max_dist = max(self.max_dist, dist)
 
 
 def chase(
@@ -364,7 +359,8 @@ def chase(
     among all applicable productive rule applications, prefer the candidate
     row with the most distinguished variables, breaking ties by rule input
     order and then by selection.  Passing `rng` replaces that priority with a
-    seeded random choice (used to exercise order independence).
+    seeded random key drawn when an application is found (used to exercise
+    order independence).
     `stop_at_distinguished` ends the run once the tableau holds the
     all-distinguished row, so a tableau that starts with it yields no steps.
 

@@ -75,7 +75,7 @@ class ProblemFile:
     def render(self) -> str:
         lines = ["attrs " + " ".join(self.attrs)]
         for attr in self.attrs:
-            if attr in self.domain_sizes and self.domain_sizes[attr] != 2:
+            if attr in self.domain_sizes:
                 lines.append(f"domain {attr} {self.domain_sizes[attr]}")
         for name, g in self.constraints.items():
             edges = " ".join(e.render() for e in g.hypergraph.edges)
@@ -192,8 +192,11 @@ def parse(text: str) -> ProblemFile:
         elif head == "query":
             if attrs is None:
                 raise ProblemParseError("query before attrs declaration", lineno)
-            edges_text, sep, given_text = body.partition(" given ")
-            if not sep and body.rstrip().endswith(" given"):
+            # An attribute may be named `given`, so the clause is looked for after the last brace.
+            last = body.rfind("}") + 1
+            tail, sep, given_text = body[last:].partition(" given ")
+            edges_text = body[:last] + tail
+            if not sep and tail.rstrip().endswith(" given"):
                 raise ProblemParseError("given clause lists no constraints", lineno)
             given = tuple(given_text.split())
             if sep and not given:
@@ -277,6 +280,8 @@ def cmd_verify(
     """Cross-validate each verdict numerically; exit 1 on any soundness failure."""
     if trials < 1:
         raise GajdChaseError("trials must be at least 1")
+    if seed < 0:
+        raise GajdChaseError(f"seed must be nonnegative, got {seed}")
     max_rows = max_rows if max_rows is not None else _max_rows_from_env()
     cfg = OracleConfig(domains=problem.domains(), seed=seed, trials=trials)
     out: list[str] = []

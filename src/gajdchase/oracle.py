@@ -33,7 +33,9 @@ if TYPE_CHECKING:
 
 MAX_TABLE_CELLS = 4096
 POSITIVITY_FLOOR = 1e-4
-IPF_SWEEPS = 200  # full projection sweeps a trial gets to reach `sat_tol`
+IPF_SWEEPS = 200  # full projection sweeps a trial gets to reach SAT_TOL
+SAT_TOL = 1e-10  # a trial converged when every constraint residual is at or below this
+CHECK_TOL = 1e-8  # a converged trial refutes the target when its residual is above this
 FORMULA_TOL = 1e-10  # with FIXPOINT_TOL, the worst residuals a passing decomposition check allows
 FIXPOINT_TOL = 1e-12
 
@@ -44,21 +46,15 @@ Fold = tuple[tuple[tuple[int, ...], tuple[int, ...]], ...]
 
 @dataclass(frozen=True)
 class OracleConfig:
-    """Sampling sizes and tolerances; identical configs give identical reports."""
+    """Domains, seed and trial count; identical configs give identical reports."""
 
     domains: DomainSpec
     seed: int = 0
     trials: int = 50
-    sat_tol: float = 1e-10
-    check_tol: float = 1e-8
 
     def __post_init__(self):
         if self.trials < 1:
             raise ValueError("trials must be at least 1")
-        if self.sat_tol <= 0 or self.check_tol <= 0:
-            raise ValueError("tolerances must be positive")
-        if not self.sat_tol < self.check_tol:
-            raise ValueError("sat_tol must be strictly below check_tol")
 
     def trial_seeds(self) -> list[int]:
         import numpy as np
@@ -179,8 +175,8 @@ def _trials(
     target_fold = fold_axes(scheme, target)
     for i, seed in enumerate(cfg.trial_seeds(), start=1):
         p = random_positive(cfg.domains, seed)
-        projected, residuals = project_onto(p, folds, IPF_SWEEPS, stop_tol=cfg.sat_tol)
-        if residuals and max(residuals) > cfg.sat_tol:
+        projected, residuals = project_onto(p, folds, IPF_SWEEPS, stop_tol=SAT_TOL)
+        if residuals and max(residuals) > SAT_TOL:
             continue
         yield i, seed, projected, residuals, satisfies(projected, target_fold)
 
@@ -190,7 +186,7 @@ def check_soundness(constraints: Sequence[Gajd], target: Gajd, cfg: OracleConfig
 
     Callers invoke this only for targets the symbolic test declared implied;
     any failure therefore flags a symbolic/numeric disagreement.  Trials
-    whose projection does not reach `sat_tol` are discarded; if fewer than
+    whose projection does not reach SAT_TOL are discarded; if fewer than
     half converge the report is inconclusive rather than failed.
     """
     converged = 0
@@ -199,7 +195,7 @@ def check_soundness(constraints: Sequence[Gajd], target: Gajd, cfg: OracleConfig
     for _, seed, _, _, target_residual in _trials(constraints, target, cfg):
         converged += 1
         worst = max(worst, target_residual)
-        if target_residual > cfg.check_tol:
+        if target_residual > CHECK_TOL:
             failing.append(seed)
     failed = len(failing)
     if failed > 0:
@@ -247,7 +243,7 @@ def search_counterexample(
 ) -> CounterexampleReport | NotFound:
     """Look for a distribution satisfying the constraints but not the target."""
     for i, seed, projected, residuals, target_residual in _trials(constraints, target, cfg):
-        if target_residual > cfg.check_tol:
+        if target_residual > CHECK_TOL:
             distribution = relation_from_domains(cfg.domains, projected.ravel().tolist())
             return CounterexampleReport(distribution, residuals, target_residual, seed, i)
     return NotFound(cfg.trials)

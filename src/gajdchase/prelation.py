@@ -56,24 +56,20 @@ class DomainSpec:
         return cls({a: tuple(str(i) for i in range(size)) for a in attrs})
 
     @classmethod
-    def with_sizes(cls, attrs: Iterable[str], sizes: Mapping[str, int], default: int = 2) -> "DomainSpec":
-        return cls({a: tuple(str(i) for i in range(sizes.get(a, default))) for a in attrs})
+    def with_sizes(cls, attrs: Iterable[str], sizes: Mapping[str, int]) -> "DomainSpec":
+        """Labels `0..size-1` per attribute; an attribute missing from `sizes` gets two."""
+        return cls({a: tuple(str(i) for i in range(sizes.get(a, 2))) for a in attrs})
 
     @property
     def scheme(self) -> AttributeSet:
         return AttributeSet(self.domains.keys())
 
-    def labels(self, attr: str) -> tuple[str, ...]:
-        return tuple(self.domains[attr])
+    def table_size(self) -> int:
+        return math.prod(len(self.domains[a]) for a in self.scheme)
 
-    def table_size(self, scheme: AttributeSet | None = None) -> int:
-        scheme = scheme if scheme is not None else self.scheme
-        return math.prod(len(self.domains[a]) for a in scheme)
-
-    def tuples(self, scheme: AttributeSet | None = None) -> Iterator[ValueTuple]:
-        """All value tuples over `scheme`, attributes in canonical order, labels in declared order."""
-        scheme = scheme if scheme is not None else self.scheme
-        yield from iterproduct(*(self.domains[a] for a in scheme))
+    def tuples(self) -> Iterator[ValueTuple]:
+        """All value tuples over the scheme, attributes in canonical order, labels in declared order."""
+        yield from iterproduct(*(self.domains[a] for a in self.scheme))
 
 
 class WeightedRelation:

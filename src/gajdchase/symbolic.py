@@ -127,7 +127,7 @@ class RationalExpression:
 
     @classmethod
     def atom(cls, atom: MarginalAtom) -> "RationalExpression":
-        return cls.of([atom])
+        return cls((atom,), ())  # a single atom is already canonical
 
     def is_unit(self) -> bool:
         return not self.numerator and not self.denominator

@@ -19,6 +19,7 @@ distinguished tuple agree and raises otherwise.
 
 from __future__ import annotations
 
+import itertools
 from typing import Callable, Mapping, Sequence
 
 from .errors import SchemeError, TableauInconsistencyError
@@ -87,17 +88,15 @@ class Tableau:
     """An ordered set of rows over a scheme, with the emission expression `psi`.
 
     Rows keep insertion order for reproducible traces, and a pattern index
-    enforces set semantics.  `fresh_counter` is the next nondistinguished
-    index to hand out.
+    enforces set semantics.
     """
 
-    def __init__(self, scheme: AttributeSet, psi: RationalExpression, fresh_counter: int = 1):
+    def __init__(self, scheme: AttributeSet, psi: RationalExpression):
         if len(scheme) == 0:
             raise ValueError("a tableau needs a nonempty scheme")
         self.scheme = scheme
         self.psi = psi
         self.rows: list[Row] = []
-        self.fresh_counter = fresh_counter
         self._index: dict[tuple[Variable, ...], int] = {}
 
     def __len__(self) -> int:
@@ -123,11 +122,6 @@ class Tableau:
         self._index[row.cells] = len(self.rows) - 1
         return len(self.rows) - 1
 
-    def fresh(self, column: str) -> Variable:
-        v = Variable(False, self.fresh_counter, column)
-        self.fresh_counter += 1
-        return v
-
     def distinguished_row(self) -> tuple[Variable, ...]:
         return tuple(distinguished_for(self.scheme, a) for a in self.scheme)
 
@@ -135,9 +129,10 @@ class Tableau:
         return self.has_pattern(self.distinguished_row())
 
     def copy(self) -> "Tableau":
-        t = Tableau(self.scheme, self.psi, self.fresh_counter)
-        for row in self.rows:
-            t.add_row(row)
+        """A tableau with the same rows; they were checked when added here, so they are not checked again."""
+        t = Tableau(self.scheme, self.psi)
+        t.rows = self.rows.copy()
+        t._index = self._index.copy()
         return t
 
     def render(self) -> str:
@@ -163,8 +158,9 @@ def build_tr(g: Gajd) -> Tableau:
     dist = {a: distinguished_for(scheme, a) for a in scheme}
     psi = eq5_expression([(e, dist) for e in g.edges_in_order], [(s, dist) for s in g.interactions])
     t = Tableau(scheme, psi)
+    fresh = itertools.count(1)
     for edge in g.edges_in_order:
-        cells = tuple(dist[a] if a in edge else t.fresh(a) for a in scheme)
+        cells = tuple(dist[a] if a in edge else Variable(False, next(fresh), a) for a in scheme)
         expr = RationalExpression.atom(MarginalAtom(scheme, cells))
         t.add_row(Row(cells, expr))
     return t

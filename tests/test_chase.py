@@ -147,6 +147,17 @@ class TestChase:
                 shuffled = chase(build_tr(tgt), ruleset, rng=random.Random(seed))
                 assert pattern_set(shuffled.final) == reference
 
+    def test_seeded_orders_differ(self):
+        target, given = independence_family(5)
+        rules = [JRule("C", Gajd.from_edges(given[0]))]
+        sequences, fixpoints = set(), set()
+        for seed in range(20):
+            trace = chase(build_tr(Gajd.from_edges(target)), rules, rng=random.Random(seed))
+            sequences.add(tuple((step.selection, step.produced.cells) for step in trace.steps))
+            fixpoints.add(pattern_set(trace.final))
+        assert len(sequences) >= 2
+        assert len(fixpoints) == 1 and len(next(iter(fixpoints))) == 625
+
     def test_row_cap_enforced(self, chain4):
         target, left, _ = chain4
         with pytest.raises(ChaseRowLimitError):

@@ -33,7 +33,7 @@ class TestParse:
     def test_domain_sizes(self):
         problem = parse("attrs A B\ndomain A 3\nquery {A B}\n")
         assert problem.domain_sizes == {"A": 3}
-        assert problem.domains().labels("A") == ("0", "1", "2")
+        assert problem.domains().domains["A"] == ("0", "1", "2")
 
     def test_unknown_attribute_has_position(self):
         with pytest.raises(ProblemParseError) as excinfo:
@@ -73,6 +73,13 @@ class TestParse:
         with pytest.raises(ProblemParseError, match="given"):
             parse("attrs A B\nquery {A B} given\n")
 
+    def test_attribute_named_given(self):
+        problem = parse("attrs A given B\nquery {A given B}\n")
+        assert [e.render() for e in problem.queries[0].target.hypergraph.edges] == ["{A B given}"]
+        assert problem.queries[0].given == ()
+        problem = parse("attrs A given\ngajd C1 = {A} {given}\nquery {A given} given C1\n")
+        assert problem.queries[0].given == ("C1",)
+
     def test_unknown_directive(self):
         with pytest.raises(ProblemParseError, match="directive"):
             parse("attrs A B\nfrobnicate {A}\n")
@@ -82,9 +89,10 @@ class TestParse:
             parse("attrs A B\ngajd C 1 = {A B}\n")
 
     def test_round_trip_fixed(self):
-        problem = parse(CHAIN4_PROBLEM)
-        assert parse(problem.render()) == problem
-        assert parse(problem.render()).render() == problem.render()
+        for text in (CHAIN4_PROBLEM, "attrs A B\ndomain A 2\ndomain B 3\nquery {A} {B}\n"):
+            problem = parse(text)
+            assert parse(problem.render()) == problem
+            assert parse(problem.render()).render() == problem.render()
 
     def test_round_trip_generated(self):
         rng = random.Random(5)
@@ -290,6 +298,12 @@ class TestMain:
         path.write_text(f"attrs {attrs}\nquery {edge}\n")
         assert main(["verify", "--trials", "2", str(path)]) == 2
         assert "cell" in capsys.readouterr().err
+
+    def test_negative_seed_exit_2(self, tmp_path, capsys):
+        path = tmp_path / "problem.gajd"
+        path.write_text(CHAIN4_PROBLEM)
+        assert main(["verify", "--seed", "-1", str(path)]) == 2
+        assert capsys.readouterr().err.startswith("error:")
 
     def test_expect_flag(self, tmp_path):
         path = tmp_path / "problem.gajd"

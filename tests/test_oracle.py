@@ -4,7 +4,7 @@ import random
 import numpy as np
 import pytest
 
-from gajdchase import prelation
+from gajdchase import oracle, prelation
 from gajdchase.errors import DomainTooLargeError, SchemeError
 from gajdchase.oracle import (
     CounterexampleReport,
@@ -125,9 +125,10 @@ class TestCheckSoundness:
         assert report.status == "pass"
         assert report.worst_target_residual <= 1e-12
 
-    def test_unreachable_tolerance_is_inconclusive(self, chain4):
+    def test_unreachable_tolerance_is_inconclusive(self, chain4, monkeypatch):
         target, left, right = chain4
-        cfg = OracleConfig(domains=DOM4, seed=7, trials=4, sat_tol=1e-30, check_tol=1e-8)
+        monkeypatch.setattr(oracle, "SAT_TOL", 1e-30)
+        cfg = OracleConfig(domains=DOM4, seed=7, trials=4)
         report = check_soundness([left, right], target, cfg)
         assert report.status == "inconclusive"
         assert report.converged == 0
@@ -152,18 +153,18 @@ class TestSearchCounterexample:
         found = search_counterexample([], target, cfg)
         assert isinstance(found, CounterexampleReport)
         assert found.trials_used <= 10
-        assert found.target_residual > cfg.check_tol
+        assert found.target_residual > oracle.CHECK_TOL
 
     def test_golden_negative_case(self, chain4):
         target, left, _ = chain4
         cfg = OracleConfig(domains=DOM4, seed=11, trials=20)
         found = search_counterexample([left], target, cfg)
         assert isinstance(found, CounterexampleReport)
-        assert max(found.constraint_residuals) <= cfg.sat_tol
-        assert found.target_residual > cfg.check_tol
+        assert max(found.constraint_residuals) <= oracle.SAT_TOL
+        assert found.target_residual > oracle.CHECK_TOL
         # the reported distribution really does both
-        assert prelation.satisfies(found.distribution, left, tol=cfg.sat_tol).holds
-        assert not prelation.satisfies(found.distribution, target, tol=cfg.check_tol).holds
+        assert prelation.satisfies(found.distribution, left, tol=oracle.SAT_TOL).holds
+        assert not prelation.satisfies(found.distribution, target, tol=oracle.CHECK_TOL).holds
 
 
 class TestCheckDecomposition:
@@ -262,10 +263,6 @@ class TestOracleConfig:
     def test_validation(self):
         with pytest.raises(ValueError):
             OracleConfig(domains=DOM3, trials=0)
-        with pytest.raises(ValueError):
-            OracleConfig(domains=DOM3, sat_tol=1e-8, check_tol=1e-10)
-        with pytest.raises(ValueError):
-            OracleConfig(domains=DOM3, sat_tol=-1.0)
 
     def test_trial_seeds_deterministic(self):
         a = OracleConfig(domains=DOM3, seed=1, trials=5)

@@ -318,8 +318,8 @@ class TestCiResidual:
 class TestDomainSpec:
     def test_uniform_and_sizes(self):
         d = DomainSpec.with_sizes(["A", "B"], {"A": 3})
-        assert d.labels("A") == ("0", "1", "2")
-        assert d.labels("B") == ("0", "1")
+        assert d.domains["A"] == ("0", "1", "2")
+        assert d.domains["B"] == ("0", "1")
         assert d.table_size() == 6
 
     def test_tuples_enumeration_order(self):

@@ -84,6 +84,7 @@ class TestTableauInvariants:
         clone = t.copy()
         clone.add_row(Row(tuple(clone.distinguished_row()), RationalExpression.of()))
         assert len(t) == 3 and len(clone) == 4
+        assert clone.contains_distinguished_row() and not t.contains_distinguished_row()
 
 
 class TestRun:
