@@ -327,7 +327,7 @@ class _ChaseRun:
                 )
             cr = self.compiled[rule_idx]
             row = cr.produce(work, selection, tuple([variables[c] for c in pattern]))
-            rid = work.add_row(row)
+            rid = work._admit(row)
             self.patterns.append(pattern)
             self.row_of[pattern] = rid
             self.steps.append(ChaseStep(cr.rule, selection, row, rid))

@@ -364,6 +364,9 @@ def main(argv: list[str] | None = None) -> int:
     except (ProblemParseError, DomainTooLargeError, GajdChaseError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except UnicodeDecodeError as exc:
+        print(f"error: {args.file} is not UTF-8 text: {exc}", file=sys.stderr)
+        return 2
     sys.stdout.write(text)
     return code
 

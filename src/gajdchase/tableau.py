@@ -118,6 +118,15 @@ class Tableau:
                 raise ValueError(f"distinguished variable {var.render()} is outside its own column")
         if row.cells in self._index:
             raise ValueError(f"duplicate row pattern {row.render_pattern()}")
+        return self._admit(row)
+
+    def _admit(self, row: Row) -> int:
+        """Append `row` unchecked and index its pattern; for rows built from this tableau's own rows.
+
+        The chase admits its rows here: every cell is copied from a row that
+        was checked when added, and the chase has checked that the pattern
+        is new.
+        """
         self.rows.append(row)
         self._index[row.cells] = len(self.rows) - 1
         return len(self.rows) - 1
@@ -176,9 +185,19 @@ class JoinPlan:
     index maps the values at `keys[i]` to the projections carrying them.
     For the edges of a hypertree in certificate order the keys are the
     interaction sets, which makes the join Yannakakis's acyclic join.
+
+    Which slots a position binds is fixed by the plan, so `steps(skip)`
+    works the join's control flow out once per fixed position `skip` (-1
+    for none) and keeps it: for each position but `skip`, in order, the
+    position, its key slots, the `(component, slot)` pairs it binds and the
+    pairs it checks.  A key component is matched by the index lookup and
+    needs neither.  Every other component binds its slot, except where the
+    slot is one that `skip` binds: `skip` is bound first, so a position
+    before it checks those components instead.  At a position after `skip`
+    they are key components, so such a position binds all its others.
     """
 
-    __slots__ = ("slots", "keys", "key_slots", "width")
+    __slots__ = ("slots", "keys", "width", "_split", "_steps")
 
     def __init__(self, slots: Sequence[Sequence[int]]):
         self.slots = tuple(tuple(comp) for comp in slots)
@@ -188,12 +207,33 @@ class JoinPlan:
             keys.append(tuple(c for c, slot in enumerate(comp) if slot in seen))
             seen.update(comp)
         self.keys = tuple(keys)
-        self.key_slots = tuple(tuple(comp[c] for c in k) for comp, k in zip(self.slots, self.keys))
         self.width = max(seen, default=-1) + 1
+        # Per position: its key slots, and the `(component, slot)` pairs off its key.
+        self._split = tuple(
+            (tuple(comp[c] for c in k), tuple((c, slot) for c, slot in enumerate(comp) if c not in k))
+            for comp, k in zip(self.slots, self.keys)
+        )
+        self._steps: dict[int, tuple] = {}
 
     def key(self, i: int, proj: Sequence) -> tuple:
         """The index key of projection `proj` at position `i`."""
         return tuple([proj[c] for c in self.keys[i]])
+
+    def steps(self, skip: int) -> tuple[tuple[int, tuple, tuple, tuple], ...]:
+        """Per position but `skip`: `(position, key slots, bind pairs, check pairs)`; see the class."""
+        steps = self._steps.get(skip)
+        if steps is None:
+            steps = []
+            for i, (key_slots, free) in enumerate(self._split):
+                if i < skip:
+                    fixed = self.slots[skip]
+                    binds = tuple(pair for pair in free if pair[1] not in fixed)
+                    checks = tuple(pair for pair in free if pair[1] in fixed)
+                    steps.append((i, key_slots, binds, checks))
+                elif i > skip:
+                    steps.append((i, key_slots, free, ()))
+            steps = self._steps[skip] = tuple(steps)
+        return steps
 
 
 def join(
@@ -210,6 +250,14 @@ def join(
     indexed by slot and is reused between calls.  With `fixed=(p, proj)`
     position p takes only `proj`, which is bound first; positions before p
     then also check the slots p shares with them.
+
+    Each position runs the steps `plan.steps` fixed for it: look the bucket
+    up on the key slots, and for each projection in it compare the check
+    pairs, assign the bind pairs and go on to the next position.  No slot is
+    reset after a candidate.  A slot a position binds is read only by the
+    positions after it, and the next candidate at that position, or at any
+    earlier one, assigns it again before they run, so a stale value is
+    never read; when `emit` runs, every slot holds the current choice's value.
     """
     binding: list = [None] * plan.width
     skip = -1
@@ -217,32 +265,26 @@ def join(
         skip, proj = fixed
         for slot, v in zip(plan.slots[skip], proj):
             binding[slot] = v
-    last = len(plan.slots)
-    slots_at, key_slots_at = plan.slots, plan.key_slots
+    steps = plan.steps(skip)
+    last = len(steps)
 
-    def extend(i: int) -> None:
-        if i == skip:
-            i += 1
-        if i == last:
+    def extend(d: int) -> None:
+        if d == last:
             emit(binding)
             return
-        bucket = indexes[i].get(tuple([binding[s] for s in key_slots_at[i]]))
+        i, key_slots, binds, checks = steps[d]
+        bucket = indexes[i].get(tuple([binding[s] for s in key_slots]))
         if not bucket:
             return
-        slots = slots_at[i]
+        d += 1
         for proj in bucket:
-            bound = []
-            for slot, v in zip(slots, proj):
-                prev = binding[slot]
-                if prev is None:
-                    binding[slot] = v
-                    bound.append(slot)
-                elif prev != v:
+            for c, s in checks:
+                if proj[c] != binding[s]:
                     break
             else:
-                extend(i + 1)
-            for slot in bound:
-                binding[slot] = None
+                for c, s in binds:
+                    binding[s] = proj[c]
+                extend(d)
 
     try:
         extend(0)
@@ -258,12 +300,16 @@ def run(t: Tableau, rel: WeightedRelation) -> WeightedRelation:
 
     Valuations are materialized by an indexed join of the rows over the
     relation's positive-weight tuples (zero-weight tuples count as absent):
-    each row's tuples are indexed on the columns whose variables an earlier
-    row already binds, in support order, so valuations come out in the order
-    of a nested loop over the support.  The output deduplicates
-    distinguished tuples; if two valuations of one distinguished tuple ever
-    disagree on the emitted weight beyond `WEIGHT_TOL`, the input violates
-    the marginal-consistency contract and an error is raised.
+    each row is a position of one `JoinPlan`, built per call with a slot
+    per variable, and its tuples are indexed on the columns whose variables
+    an earlier row already binds, in support order, so valuations come out
+    in the order of a nested loop over the support.  No position is fixed,
+    so each row binds the variables no earlier row binds and checks nothing
+    the index lookup has not matched.  The output deduplicates
+    distinguished tuples: a later valuation of a tuple is compared with the
+    first only when their weights differ, and if they disagree beyond
+    `WEIGHT_TOL` the input violates the marginal-consistency contract and
+    an error is raised.
     """
     if rel.scheme != t.scheme:
         raise SchemeError(
@@ -304,10 +350,8 @@ def run(t: Tableau, rel: WeightedRelation) -> WeightedRelation:
             value = evaluate(t.psi, rel, dict(zip(psi_vars, key)), marginal_cache)
             value_cache[key] = value
         dist = tuple([binding[s] for s in dist_slots])
-        seen = results.get(dist)
-        if seen is None:
-            results[dist] = value
-        elif abs(seen - value) > WEIGHT_TOL * max(1.0, abs(seen), abs(value)):
+        seen = results.setdefault(dist, value)
+        if seen != value and abs(seen - value) > WEIGHT_TOL * max(1.0, abs(seen), abs(value)):
             raise TableauInconsistencyError(
                 f"distinguished tuple {dist} received weights {seen} and {value}"
             )

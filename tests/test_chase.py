@@ -10,8 +10,8 @@ from gajdchase.hypergraph import AttributeSet
 from gajdchase.oracle import fold_axes, project_onto, random_positive
 from gajdchase.prelation import DomainSpec, Gajd, relation_from_domains, satisfies
 from gajdchase.symbolic import MarginalAtom, RationalExpression, distinguished_for, evaluate
-from gajdchase.tableau import Row, build_tr, run
-from conftest import covering_hypertrees, pattern_set, random_hypertree
+from gajdchase.tableau import Row, Tableau, build_tr, run
+from conftest import covering_hypertrees, hypertree_census, pattern_set, random_hypertree
 
 
 def rules_for(chain4):
@@ -382,13 +382,28 @@ class TestImplies:
         assert verdict.closure_trace.stop_reason == "fixpoint"
         assert len(verdict.closure_trace.final) == fixpoint_rows
 
-    def test_independence_family_closure_replays(self):
-        target, given = independence_family(5)
-        closure = implies([Gajd.from_edges(e) for e in given], Gajd.from_edges(target)).closure_trace
-        assert len(closure.final) == 625
-        replayed = closure.replay()
-        assert [r.cells for r in replayed.rows] == [r.cells for r in closure.final.rows]
-        assert replayed.rows == closure.final.rows
+    @pytest.mark.parametrize("query", ["family5", "family6", "census"])
+    def test_chase_rows_pass_add_row_and_replay(self, query):
+        # The chase admits its rows without `add_row`'s checks; each one
+        # must still pass them, sit at its row id, and replay.
+        if query == "census":
+            members = [g for g in hypertree_census(random.Random(13)) if len(g.scheme) == 7]
+            target, *constraints = random.Random(1).sample(members, 4)
+        else:
+            target, given = independence_family(int(query[-1]))
+            constraints, target = [Gajd.from_edges(e) for e in given], Gajd.from_edges(target)
+        verdict = implies(constraints, target)
+        assert not verdict.holds
+        for trace in (verdict.trace, verdict.closure_trace):
+            final = trace.final
+            fresh = Tableau(final.scheme, final.psi)
+            for i, row in enumerate(final.rows):
+                assert fresh.add_row(row) == i
+                assert final.row_id(row.cells) == i
+            replayed = trace.replay()
+            assert [r.cells for r in replayed.rows] == [r.cells for r in final.rows]
+            assert replayed.rows == final.rows
+        assert len(verdict.closure_trace.steps) > 80
 
     def test_row_expressions_built_when_read(self, monkeypatch):
         calls = []

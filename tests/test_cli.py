@@ -278,6 +278,12 @@ class TestMain:
     def test_missing_file_exit_2(self, capsys):
         assert main(["implies", "/nonexistent/problem.gajd"]) == 2
 
+    def test_non_utf8_file_exit_2(self, tmp_path, capsys):
+        path = tmp_path / "latin1.gajd"
+        path.write_bytes(b"attrs A B\nquery {A \xff} {B}\n")
+        assert main(["implies", str(path)]) == 2
+        assert capsys.readouterr().err.startswith("error:")
+
     def test_row_cap_exit_3(self, tmp_path, capsys, monkeypatch):
         monkeypatch.setenv("GAJD_CHASE_MAX_ROWS", "4")
         path = tmp_path / "problem.gajd"

@@ -1,4 +1,5 @@
 import itertools
+import random
 
 import pytest
 
@@ -12,7 +13,7 @@ from gajdchase.symbolic import (
     distinguished_for,
     evaluate,
 )
-from gajdchase.tableau import Row, Tableau, build_tr, run
+from gajdchase.tableau import JoinPlan, Row, Tableau, build_tr, join, run
 from conftest import covering_hypertrees, identity_tableau, positive_relation
 
 
@@ -85,6 +86,68 @@ class TestTableauInvariants:
         clone.add_row(Row(tuple(clone.distinguished_row()), RationalExpression.of()))
         assert len(t) == 3 and len(clone) == 4
         assert clone.contains_distinguished_row() and not t.contains_distinguished_row()
+
+
+def brute_join(plan, projections, fixed=None):
+    """Every consistent choice of one projection per position, by a plain nested loop."""
+    choices = list(projections)
+    if fixed is not None:
+        choices[fixed[0]] = [fixed[1]]
+    out = []
+    for choice in itertools.product(*choices):
+        binding = [None] * plan.width
+        consistent = True
+        for slots, proj in zip(plan.slots, choice):
+            for slot, v in zip(slots, proj):
+                if binding[slot] is None:
+                    binding[slot] = v
+                elif binding[slot] != v:
+                    consistent = False
+        if consistent:
+            out.append(tuple(binding))
+    return out
+
+
+class TestJoin:
+    def _emitted(self, plan, projections, fixed=None):
+        indexes = [{} for _ in plan.slots]
+        for i, projs in enumerate(projections):
+            for proj in projs:
+                indexes[i].setdefault(plan.key(i, proj), []).append(proj)
+        out = []
+        join(plan, indexes, lambda binding: out.append(tuple(binding)), fixed)
+        return out
+
+    def test_matches_nested_loop_on_random_plans(self):
+        rng = random.Random(5)
+        shared_fixed = results = 0
+        for _ in range(400):
+            width = rng.randint(1, 5)
+            plan = JoinPlan([rng.sample(range(width), rng.randint(1, width)) for _ in range(rng.randint(1, 4))])
+            projections = []
+            for slots in plan.slots:
+                pool = list(itertools.product(range(3), repeat=len(slots)))
+                projections.append(rng.sample(pool, rng.randint(0, min(6, len(pool)))))
+            expected = brute_join(plan, projections)
+            assert self._emitted(plan, projections) == expected
+            results += len(expected)
+            for p, slots in enumerate(plan.slots):
+                earlier = {slot for comp in plan.slots[:p] for slot in comp}
+                shared_fixed += bool(earlier & set(slots))
+                for proj in projections[p] or [tuple(rng.randrange(3) for _ in slots)]:
+                    fixed = (p, proj)
+                    assert self._emitted(plan, projections, fixed) == brute_join(plan, projections, fixed)
+        assert shared_fixed > 100 and results > 300
+
+    def test_fixed_position_checks_earlier_positions(self):
+        # A cycle: with the last position fixed, the first two check the slots it binds.
+        plan = JoinPlan([(0, 1), (1, 2), (2, 0)])
+        projections = [[(0, 0), (0, 1), (1, 1)], [(0, 0), (1, 0), (1, 1)], [(0, 0), (1, 1), (0, 1)]]
+        fixed = (2, (1, 1))
+        assert self._emitted(plan, projections, fixed) == brute_join(plan, projections, fixed) == [(1, 1, 1)]
+        assert self._emitted(plan, projections) == brute_join(plan, projections) == [
+            (0, 0, 0), (0, 1, 0), (1, 1, 0), (1, 1, 1)
+        ]
 
 
 class TestRun:
@@ -170,6 +233,21 @@ class TestRun:
         rel = positive_relation(DomainSpec.uniform(["A", "B"]), seed=23)
         with pytest.raises(TableauInconsistencyError):
             run(t, rel)
+
+    def test_agreeing_valuations_accepted(self):
+        # The same tableau as above on a uniform relation: every valuation
+        # of one distinguished tuple emits the same weight, so none is raised.
+        scheme = AttributeSet(["A", "B"])
+        a1 = distinguished_for(scheme, "A")
+        a2 = distinguished_for(scheme, "B")
+        b1 = Variable(False, 1, "B")
+        b2 = Variable(False, 2, "A")
+        psi = RationalExpression.of([MarginalAtom(scheme, (a1, b1))])
+        t = Tableau(scheme, psi)
+        t.add_row(Row((a1, b1), RationalExpression.of([MarginalAtom(scheme, (a1, b1))])))
+        t.add_row(Row((b2, a2), RationalExpression.of([MarginalAtom(scheme, (b2, a2))])))
+        rel = WeightedRelation(scheme, {k: 0.25 for k in itertools.product("01", repeat=2)})
+        assert run(t, rel).max_abs_diff(rel) == 0.0
 
     def test_missing_distinguished_variable_rejected(self):
         scheme = AttributeSet(["A", "B"])
