@@ -14,10 +14,11 @@ natural join of the rows' distinct projections onto the rule's edges.  The
 edges are joined in certificate order, so each one is looked up on its
 interaction set with the edges before it (Yannakakis's acyclic join), and
 the join is semi-naive: a new row is joined only where one of its edge
-projections is new.  Each pattern found this way is recorded with its least
-selection, the smallest row id carrying each edge projection.  Trying every
-selection of rows in lexicographic order would meet that selection first,
-and later rows only get larger ids, so steps, row ids and weight
+projections is new.  Each index entry carries the first row id with its
+projection, so the join hands back each pattern together with its least
+selection, the smallest row id carrying each edge projection.  Trying
+every selection of rows in lexicographic order would meet that selection
+first, and later rows only get larger ids, so steps, row ids and weight
 expressions are the same as under that exhaustive enumeration.
 
 Because the variable universe is fixed by the initial tableau, a run codes
@@ -173,10 +174,11 @@ def _as_rules(constraints: Iterable[Gajd | JRule]) -> tuple[JRule, ...]:
 
 
 class _CompiledRule:
-    """A rule over one scheme: edge columns in certificate order, their indexes, witnesses.
+    """A rule over one scheme: edge columns in certificate order and their indexes.
 
-    `first` and `index` are keyed by projections of int-coded patterns (see
-    `_ChaseRun`).  `produce` makes the rule's row for a selection, and
+    `seen` and `index` hold projections of int-coded patterns (see
+    `_ChaseRun`).  A join result is the pattern followed by its least
+    selection.  `produce` makes the rule's row for a selection, and
     `expression` builds that row's weight expression when it is read; the
     chase and `ChaseTrace.replay` both use them.  A rule over another scheme
     is a SchemeError.
@@ -191,10 +193,12 @@ class _CompiledRule:
         self.rule = rule
         self.scheme = scheme
         self.cols = tuple(tuple(scheme.index(a) for a in edge) for edge in rule.gajd.edges_in_order)
-        self.plan = JoinPlan(self.cols)
-        # Per position: edge projection -> smallest row id carrying it, and
-        # interaction-set key -> distinct projections.
-        self.first: list[dict[tuple[int, ...], int]] = [{} for _ in self.cols]
+        # Per position: the edge projections met so far, and interaction-set key -> each
+        # distinct projection followed by the first row id carrying it, which the plan
+        # binds to slot n + i; no other position names that slot, so it is never checked.
+        n = len(scheme)
+        self.plan = JoinPlan([cols + (n + i,) for i, cols in enumerate(self.cols)])
+        self.seen: list[set[tuple[int, ...]]] = [set() for _ in self.cols]
         self.index: list[dict[tuple[int, ...], list[tuple[int, ...]]]] = [{} for _ in self.cols]
 
     def produce(self, t: Tableau, selection: Sequence[int], pattern: tuple[Variable, ...]) -> Row:
@@ -210,12 +214,6 @@ class _CompiledRule:
         edge_patterns = [(edge, dict(zip(scheme, cells))) for edge, cells in zip(gajd.edges_in_order, selected)]
         return eq5_expression(edge_patterns, [(s, by_col) for s in gajd.interactions])
 
-    def witness(self, pattern: tuple[int, ...]) -> tuple[int, ...]:
-        """The least selection producing `pattern`: the smallest row id per edge projection."""
-        return tuple(
-            first[tuple([pattern[c] for c in cols])] for first, cols in zip(self.first, self.cols)
-        )
-
 
 class _ChaseRun:
     """The state of one chase: working tableau, int-coded patterns, indexes and pending applications.
@@ -226,8 +224,9 @@ class _ChaseRun:
     ints: the rows' patterns (`patterns`, by row id, and `row_of`, pattern to
     row id), the compiled rules' projections and index keys, the join
     bindings, the `pushed` sets and the pending entries.  Only an applied
-    application is decoded into `Variable` cells and added to `work`, as a
-    row whose weight expression is built when something reads it.
+    application is decoded into `Variable` cells and appended to `work.rows`,
+    as a row whose weight expression is built when something reads it;
+    `row_of` is the only pattern index written during a run.
 
     `pending` is a heap of `(_key(pattern), rule_index, selection, pattern)`,
     one entry per (rule, pattern) found while the pattern was not a row.
@@ -254,7 +253,7 @@ class _ChaseRun:
         self.goal = tuple(code[v] for v in wd) if all(v in code for v in wd) else None
         self.pending: list[tuple[float, int, tuple[int, ...], tuple[int, ...]]] = []
         self.pushed: list[set[tuple[int, ...]]] = [set() for _ in rules]
-        self.max_dist = max((row.distinguished_count() for row in self.work.rows), default=0)
+        self.max_dist = max((sum([self.is_distinguished[v] for v in p]) for p in self.patterns), default=0)
         self.indexed = 0
 
     def _index_row(self, rid: int) -> None:
@@ -264,10 +263,11 @@ class _ChaseRun:
             new = []
             for pos, cols in enumerate(cr.cols):
                 proj = tuple([cells[c] for c in cols])
-                if proj not in cr.first[pos]:
-                    cr.first[pos][proj] = rid
-                    cr.index[pos].setdefault(cr.plan.key(pos, proj), []).append(proj)
-                    new.append((pos, proj))
+                if proj not in cr.seen[pos]:
+                    cr.seen[pos].add(proj)
+                    entry = proj + (rid,)
+                    cr.index[pos].setdefault(cr.plan.key(pos, proj), []).append(entry)
+                    new.append((pos, entry))
             if new:
                 emit = self._consider(rule_idx, cr)
                 for fixed in new:
@@ -281,16 +281,17 @@ class _ChaseRun:
 
     def _consider(self, rule_idx: int, cr: _CompiledRule):
         row_of, pushed, pending, key = self.row_of, self.pushed[rule_idx], self.pending, self._key
+        n = len(cr.scheme)
 
         def emit(binding: list) -> None:
-            pattern = tuple(binding)
+            pattern = tuple(binding[:n])
             if pattern in row_of:
                 self.duplicates += 1
                 return
             if pattern in pushed:
                 return
             pushed.add(pattern)
-            heapq.heappush(pending, (key(pattern), rule_idx, cr.witness(pattern), pattern))
+            heapq.heappush(pending, (key(pattern), rule_idx, tuple(binding[n:]), pattern))
 
         return emit
 
@@ -327,7 +328,9 @@ class _ChaseRun:
                 )
             cr = self.compiled[rule_idx]
             row = cr.produce(work, selection, tuple([variables[c] for c in pattern]))
-            rid = work._admit(row)
+            # Unchecked: every cell comes from a checked row, and `row_of` says the pattern is new.
+            rid = len(work.rows)
+            work.rows.append(row)
             self.patterns.append(pattern)
             self.row_of[pattern] = rid
             self.steps.append(ChaseStep(cr.rule, selection, row, rid))
@@ -539,9 +542,9 @@ def implies(
     """
     rules = _as_rules(constraints)
     trace = chase(build_tr(target), rules, stop_at_distinguished=True, stop_when_no_gain=True, max_rows=max_rows)
-    if not trace.final.contains_distinguished_row():
+    if trace.stop_reason != "distinguished":
         closure = chase(trace, rules, stop_at_distinguished=True, max_rows=max_rows)
-        if not closure.final.contains_distinguished_row():
+        if closure.stop_reason != "distinguished":
             return Verdict(False, None, trace, closure, ())
         trace = ChaseTrace(
             initial=trace.initial,

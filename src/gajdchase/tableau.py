@@ -77,9 +77,6 @@ class Row:
     def __repr__(self) -> str:
         return f"Row({self.render_pattern()}, {self.weight_expr.render()})"
 
-    def distinguished_count(self) -> int:
-        return sum(1 for v in self.cells if v.distinguished)
-
     def render_pattern(self) -> str:
         return "(" + ",".join(v.render() for v in self.cells) + ")"
 
@@ -87,8 +84,9 @@ class Row:
 class Tableau:
     """An ordered set of rows over a scheme, with the emission expression `psi`.
 
-    Rows keep insertion order for reproducible traces, and a pattern index
-    enforces set semantics.
+    Rows keep insertion order for reproducible traces, and a pattern index,
+    derived from `rows` when read, enforces set semantics.  The chase appends
+    the rows it has checked to `rows` directly; they are indexed if asked for.
     """
 
     def __init__(self, scheme: AttributeSet, psi: RationalExpression):
@@ -102,11 +100,18 @@ class Tableau:
     def __len__(self) -> int:
         return len(self.rows)
 
+    def _pattern_index(self) -> dict[tuple[Variable, ...], int]:
+        # Rows are never removed and their patterns are unique, so the index holds the first len(index) rows.
+        index, rows = self._index, self.rows
+        for rid in range(len(index), len(rows)):
+            index[rows[rid].cells] = rid
+        return index
+
     def has_pattern(self, cells: tuple[Variable, ...]) -> bool:
-        return cells in self._index
+        return cells in self._pattern_index()
 
     def row_id(self, cells: tuple[Variable, ...]) -> int:
-        return self._index[cells]
+        return self._pattern_index()[cells]
 
     def add_row(self, row: Row) -> int:
         if len(row.cells) != len(self.scheme):
@@ -116,19 +121,9 @@ class Tableau:
                 raise ValueError(f"variable {var.render()} does not belong in column {attr}")
             if var.distinguished and var.index != position:
                 raise ValueError(f"distinguished variable {var.render()} is outside its own column")
-        if row.cells in self._index:
+        if self.has_pattern(row.cells):
             raise ValueError(f"duplicate row pattern {row.render_pattern()}")
-        return self._admit(row)
-
-    def _admit(self, row: Row) -> int:
-        """Append `row` unchecked and index its pattern; for rows built from this tableau's own rows.
-
-        The chase admits its rows here: every cell is copied from a row that
-        was checked when added, and the chase has checked that the pattern
-        is new.
-        """
         self.rows.append(row)
-        self._index[row.cells] = len(self.rows) - 1
         return len(self.rows) - 1
 
     def distinguished_row(self) -> tuple[Variable, ...]:
@@ -141,7 +136,6 @@ class Tableau:
         """A tableau with the same rows; they were checked when added here, so they are not checked again."""
         t = Tableau(self.scheme, self.psi)
         t.rows = self.rows.copy()
-        t._index = self._index.copy()
         return t
 
     def render(self) -> str:

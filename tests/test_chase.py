@@ -195,7 +195,8 @@ class TestChase:
     def test_witness_is_least_selection(self):
         # Each step's selection is the lexicographically least selection of
         # earlier rows that produces its row, as trying every selection in
-        # order would find it, and the trace still replays.
+        # order would find it, and the trace still replays.  Seeded orders
+        # add the rows in other orders, and the selections must stay least.
         def mixes_to(t, edges, selection, cells):
             # Reference mix: row k_i's cells on the i-th edge, which must agree where edges overlap.
             mixed = {}
@@ -213,6 +214,7 @@ class TestChase:
             rules = [JRule(f"R{k}", random_hypertree(attrs, 3, rng)) for k in range(2)]
             verdict = implies(rules, target)
             traces = [chase(build_tr(target), rules), verdict.trace, verdict.closure_trace]
+            traces += [chase(build_tr(target), rules, rng=random.Random(k)) for k in range(3)]
             for trace in filter(None, traces):
                 t = trace.initial.copy()
                 for step in trace.steps:
@@ -396,6 +398,8 @@ class TestImplies:
         assert not verdict.holds
         for trace in (verdict.trace, verdict.closure_trace):
             final = trace.final
+            # `implies` reads its verdict from the stop reason.
+            assert (trace.stop_reason == "distinguished") == final.contains_distinguished_row()
             fresh = Tableau(final.scheme, final.psi)
             for i, row in enumerate(final.rows):
                 assert fresh.add_row(row) == i

@@ -3,6 +3,7 @@ import random
 
 import pytest
 
+from gajdchase.chase import chase
 from gajdchase.errors import SchemeError, TableauInconsistencyError
 from gajdchase.hypergraph import AttributeSet
 from gajdchase.prelation import DomainSpec, Gajd, WeightedRelation, mpj_map
@@ -86,6 +87,30 @@ class TestTableauInvariants:
         clone.add_row(Row(tuple(clone.distinguished_row()), RationalExpression.of()))
         assert len(t) == 3 and len(clone) == 4
         assert clone.contains_distinguished_row() and not t.contains_distinguished_row()
+
+
+class TestTableau:
+    def test_index_catches_up_with_appended_rows(self, chain4):
+        # The chase appends its rows to `rows` without `add_row`; the pattern
+        # index must catch up with them whenever it is read.
+        target, left, right = chain4
+        prefix = chase(build_tr(target), [left, right], stop_when_no_gain=True)
+        first = prefix.steps[-1].produced
+        assert prefix.final.row_id(first.cells) == len(prefix.final) - 1
+        # The continuation appends to a copy of the prefix's final tableau, taken after that read.
+        closure = chase(prefix, [left, right])
+        final = closure.final
+        last = closure.steps[-1].produced
+        with pytest.raises(ValueError, match="duplicate row pattern"):
+            final.add_row(Row(last.cells, RationalExpression.of()))
+        for i, row in enumerate(final.rows):
+            assert final.has_pattern(row.cells) and final.row_id(row.cells) == i
+        assert len(prefix.final) < len(final) and not prefix.final.has_pattern(last.cells)
+        clone = final.copy()
+        assert clone.row_id(last.cells) == len(clone) - 1
+        extra = Row((first.cells[0],) + last.cells[1:], RationalExpression.of())
+        assert final.add_row(extra) == final.row_id(extra.cells) == len(clone)
+        assert not clone.has_pattern(extra.cells) and clone.add_row(extra) == len(clone) - 1
 
 
 def brute_join(plan, projections, fixed=None):
