@@ -14,12 +14,15 @@ natural join of the rows' distinct projections onto the rule's edges.  The
 edges are joined in certificate order, so each one is looked up on its
 interaction set with the edges before it (Yannakakis's acyclic join), and
 the join is semi-naive: a new row is joined only where one of its edge
-projections is new.  Each index entry carries the first row id with its
-projection, so the join hands back each pattern together with its least
-selection, the smallest row id carrying each edge projection.  Trying
-every selection of rows in lexicographic order would meet that selection
-first, and later rows only get larger ids, so steps, row ids and weight
-expressions are the same as under that exhaustive enumeration.
+projections is new.  Each new projection is joined with the projections
+indexed before it as soon as it is indexed, before the row's next one, so a
+result comes out exactly once per run, at the last new projection it uses.
+Each index entry carries the first row id with its projection, so the join
+hands back each pattern together with its least selection, the smallest row
+id carrying each edge projection.  Trying every selection of rows in
+lexicographic order would meet that selection first, and later rows only
+get larger ids, so steps, row ids and weight expressions are the same as
+under that exhaustive enumeration.
 
 Because the variable universe is fixed by the initial tableau, a run codes
 each variable once as a small int, and its patterns, projections, index
@@ -106,9 +109,10 @@ class ChaseStep:
 class ChaseTrace:
     """A replayable derivation log: initial tableau, steps, final tableau.
 
-    `duplicates` counts the join results, and the stale pending
-    applications, whose pattern was already a row when they came up,
-    including those met while indexing the initial rows.
+    `duplicates` counts the join results whose pattern was already a row
+    when they came out, each once per rule (including those met while
+    indexing the initial rows), and the stale pending applications: those
+    whose pattern became a row, by another rule, before they came up.
     """
 
     initial: Tableau
@@ -223,14 +227,17 @@ class _ChaseRun:
     in `variables`, and everything the joins touch holds tuples of those
     ints: the rows' patterns (`patterns`, by row id, and `row_of`, pattern to
     row id), the compiled rules' projections and index keys, the join
-    bindings, the `pushed` sets and the pending entries.  Only an applied
-    application is decoded into `Variable` cells and appended to `work.rows`,
-    as a row whose weight expression is built when something reads it;
-    `row_of` is the only pattern index written during a run.
+    bindings and the pending entries.  Only an applied application is
+    decoded into `Variable` cells and appended to `work.rows`, as a row
+    whose weight expression is built when something reads it; `row_of` is
+    the only pattern index written during a run.
 
-    `pending` is a heap of `(_key(pattern), rule_index, selection, pattern)`,
-    one entry per (rule, pattern) found while the pattern was not a row.
-    `max_dist` is counted from the applied patterns, never from a key.
+    `pending` is a heap of `(key, rule_index, selection, pattern)`, one
+    entry per (rule, pattern) found while the pattern was not a row: the
+    join emits each such pair once, through the rule's callback in `emits`
+    (see `_consider`), so no entry repeats and the heap order depends only
+    on the entries.  `max_dist` is counted from the applied patterns, never
+    from a key.
     """
 
     def __init__(self, t: Tableau, rules: tuple[JRule, ...], rng: random.Random | None):
@@ -239,7 +246,8 @@ class _ChaseRun:
         self.work = t.copy()
         self.compiled = [_CompiledRule(rule, t.scheme) for rule in rules]
         self.steps: list[ChaseStep] = []
-        self.duplicates = 0
+        # The duplicates so far (see ChaseTrace): one item, which the `emits` count into.
+        self.duplicates = [0]
         code: dict[Variable, int] = {}
         for row in t.rows:
             for v in row.cells:
@@ -252,46 +260,40 @@ class _ChaseRun:
         # None when some distinguished variable is in no row: no row can then carry them all.
         self.goal = tuple(code[v] for v in wd) if all(v in code for v in wd) else None
         self.pending: list[tuple[float, int, tuple[int, ...], tuple[int, ...]]] = []
-        self.pushed: list[set[tuple[int, ...]]] = [set() for _ in rules]
+        self.emits = [self._consider(rule_idx, cr) for rule_idx, cr in enumerate(self.compiled)]
         self.max_dist = max((sum([self.is_distinguished[v] for v in p]) for p in self.patterns), default=0)
         self.indexed = 0
 
     def _index_row(self, rid: int) -> None:
-        """Index row `rid` and join each of its new edge projections with the rest."""
+        """Index each new edge projection of row `rid` and join it with those indexed before it."""
         cells = self.patterns[rid]
-        for rule_idx, cr in enumerate(self.compiled):
-            new = []
+        for cr, emit in zip(self.compiled, self.emits):
             for pos, cols in enumerate(cr.cols):
                 proj = tuple([cells[c] for c in cols])
                 if proj not in cr.seen[pos]:
                     cr.seen[pos].add(proj)
                     entry = proj + (rid,)
                     cr.index[pos].setdefault(cr.plan.key(pos, proj), []).append(entry)
-                    new.append((pos, entry))
-            if new:
-                emit = self._consider(rule_idx, cr)
-                for fixed in new:
-                    join(cr.plan, cr.index, emit, fixed)
-
-    def _key(self, pattern: tuple[int, ...]) -> float:
-        """The pending priority of `pattern`: most distinguished variables first, or a seeded random draw."""
-        if self.rng is not None:
-            return self.rng.random()
-        return -sum([self.is_distinguished[v] for v in pattern])
+                    join(cr.plan, cr.index, emit, (pos, entry))
 
     def _consider(self, rule_idx: int, cr: _CompiledRule):
-        row_of, pushed, pending, key = self.row_of, self.pushed[rule_idx], self.pending, self._key
+        """Rule `rule_idx`'s join callback: count a result that is already a row, queue any other.
+
+        The pending key is most distinguished variables first, or a seeded
+        random draw.  The callback holds the run's containers but not the run,
+        so the run and its `emits` form no reference cycle.
+        """
+        row_of, pending, duplicates = self.row_of, self.pending, self.duplicates
+        rng, is_distinguished = self.rng, self.is_distinguished
         n = len(cr.scheme)
 
         def emit(binding: list) -> None:
             pattern = tuple(binding[:n])
             if pattern in row_of:
-                self.duplicates += 1
+                duplicates[0] += 1
                 return
-            if pattern in pushed:
-                return
-            pushed.add(pattern)
-            heapq.heappush(pending, (key(pattern), rule_idx, tuple(binding[n:]), pattern))
+            key = rng.random() if rng is not None else -sum([is_distinguished[v] for v in pattern])
+            heapq.heappush(pending, (key, rule_idx, tuple(binding[n:]), pattern))
 
         return emit
 
@@ -301,7 +303,7 @@ class _ChaseRun:
         while pending:
             if pending[0][3] not in self.row_of:
                 return pending[0]
-            self.duplicates += 1
+            self.duplicates[0] += 1
             heapq.heappop(pending)
         return None
 
@@ -351,11 +353,13 @@ def chase(
     Each rule is applied as a natural join of the rows' distinct projections
     onto its edges, taken in certificate order with one index per
     interaction set, and semi-naively: a new row is joined only where one of
-    its edge projections is new.  Each result that is not yet a row becomes
-    one pending application per rule, whose selection takes, at each edge,
-    the smallest row id with that projection.  That is the lexicographically
-    least selection producing the pattern, and a later row can never lower
-    it, so the order below is that of trying every selection of rows.
+    its edge projections is new, each new projection with those indexed
+    before it, so each result comes out once per rule.  Each result that is
+    not yet a row becomes one pending application, whose selection takes,
+    at each edge, the smallest row id with that projection.  That is the
+    lexicographically least selection producing the pattern, and a later row
+    can never lower it, so the order below is that of trying every selection
+    of rows.
 
     With no stop options this runs to the fixpoint, which is unique whatever
     the application order.  The default order is deterministic best-first:
@@ -396,14 +400,14 @@ def chase(
     else:
         t._run = None
         initial, state.work = state.work, state.work.copy()
-    first_step, duplicates = len(state.steps), state.duplicates
+    first_step, duplicates = len(state.steps), state.duplicates[0]
     stop_reason = state.run(stop_at_distinguished, stop_when_no_gain, max_rows)
     return ChaseTrace(
         initial=initial,
         steps=state.steps[first_step:],
         final=state.work,
         stop_reason=stop_reason,
-        duplicates=state.duplicates - duplicates,
+        duplicates=state.duplicates[0] - duplicates,
         _run=state,
     )
 

@@ -28,6 +28,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 from dataclasses import dataclass, field
@@ -41,12 +42,7 @@ from .errors import (
     ProblemParseError,
 )
 from .hypergraph import AttributeSet
-from .oracle import (
-    CounterexampleReport,
-    OracleConfig,
-    check_soundness,
-    search_counterexample,
-)
+from .oracle import OracleConfig, check_soundness, check_table_cells, search_counterexample
 from .prelation import DomainSpec, Gajd
 from .tableau import build_tr
 
@@ -67,6 +63,8 @@ class ProblemFile:
     queries: tuple[Query, ...] = ()
 
     def domains(self) -> DomainSpec:
+        """The declared domains; a joint table over the oracle's cap is refused before any label is built."""
+        check_table_cells(math.prod(self.domain_sizes.get(a, 2) for a in self.attrs))
         return DomainSpec.with_sizes(self.attrs, self.domain_sizes)
 
     def rules_for(self, query: Query) -> tuple[JRule, ...]:
@@ -244,10 +242,9 @@ def cmd_implies(
     trace_json: bool = False,
     factorize: bool = False,
     expect: str | None = None,
-    max_rows: int | None = None,
 ) -> tuple[int, str]:
     """Answer every query; exit 0 regardless of verdicts unless --expect mismatches."""
-    max_rows = max_rows if max_rows is not None else _max_rows_from_env()
+    max_rows = _max_rows_from_env()
     out: list[str] = []
     exit_code = 0
     for i, query in enumerate(problem.queries, start=1):
@@ -275,14 +272,13 @@ def cmd_verify(
     problem: ProblemFile,
     seed: int = 0,
     trials: int = 50,
-    max_rows: int | None = None,
 ) -> tuple[int, str]:
     """Cross-validate each verdict numerically; exit 1 on any soundness failure."""
     if trials < 1:
         raise GajdChaseError("trials must be at least 1")
     if seed < 0:
         raise GajdChaseError(f"seed must be nonnegative, got {seed}")
-    max_rows = max_rows if max_rows is not None else _max_rows_from_env()
+    max_rows = _max_rows_from_env()
     cfg = OracleConfig(domains=problem.domains(), seed=seed, trials=trials)
     out: list[str] = []
     exit_code = 0
@@ -298,9 +294,7 @@ def cmd_verify(
             if report.status == "fail":
                 exit_code = 1
         else:
-            found = search_counterexample(constraints, query.target, cfg)
-            include = isinstance(found, CounterexampleReport)
-            out.append(found.render(include_distribution=include))
+            out.append(search_counterexample(constraints, query.target, cfg).render())
     return exit_code, "\n".join(out) + "\n"
 
 

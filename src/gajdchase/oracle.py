@@ -63,6 +63,12 @@ class OracleConfig:
         return [int(s) for s in state]
 
 
+def check_table_cells(cells: int) -> None:
+    """Raise DomainTooLargeError when a joint table of `cells` cells is above MAX_TABLE_CELLS."""
+    if cells > MAX_TABLE_CELLS:
+        raise DomainTooLargeError(f"joint table has {cells} cells, above the {MAX_TABLE_CELLS}-cell cap")
+
+
 def random_positive(domains: DomainSpec, seed: int) -> ndarray:
     """A seeded, normalized, strictly positive joint over the full domain product.
 
@@ -71,8 +77,7 @@ def random_positive(domains: DomainSpec, seed: int) -> ndarray:
     later quotients can degenerate.
     """
     n = domains.table_size()
-    if n > MAX_TABLE_CELLS:
-        raise DomainTooLargeError(f"joint table has {n} cells, above the {MAX_TABLE_CELLS}-cell cap")
+    check_table_cells(n)
     import numpy as np
 
     rng = np.random.default_rng(seed)
@@ -217,15 +222,13 @@ class CounterexampleReport:
     seed: int
     trials_used: int
 
-    def render(self, include_distribution: bool = False) -> str:
+    def render(self) -> str:
         residuals = ",".join(f"{r:.3e}" for r in self.constraint_residuals) or "-"
-        lines = [
+        return (
             f"counterexample: seed={self.seed} trials_used={self.trials_used} "
-            f"constraint_residuals=[{residuals}] target_residual={self.target_residual:.3e}"
-        ]
-        if include_distribution:
-            lines.append(self.distribution.to_text().rstrip("\n"))
-        return "\n".join(lines)
+            f"constraint_residuals=[{residuals}] target_residual={self.target_residual:.3e}\n"
+            + self.distribution.to_text().rstrip("\n")
+        )
 
 
 @dataclass(frozen=True)
@@ -234,7 +237,7 @@ class NotFound:
 
     trials: int
 
-    def render(self, include_distribution: bool = False) -> str:
+    def render(self) -> str:
         return f"counterexample: not found after {self.trials} trials (inconclusive)"
 
 

@@ -129,9 +129,6 @@ class Tableau:
     def distinguished_row(self) -> tuple[Variable, ...]:
         return tuple(distinguished_for(self.scheme, a) for a in self.scheme)
 
-    def contains_distinguished_row(self) -> bool:
-        return self.has_pattern(self.distinguished_row())
-
     def copy(self) -> "Tableau":
         """A tableau with the same rows; they were checked when added here, so they are not checked again."""
         t = Tableau(self.scheme, self.psi)

@@ -168,6 +168,11 @@ def pattern_set(t: Tableau) -> frozenset:
     return frozenset(row.cells for row in t.rows)
 
 
+def contains_distinguished_row(t: Tableau) -> bool:
+    """Whether `t` holds the all-distinguished row."""
+    return t.has_pattern(t.distinguished_row())
+
+
 def brute_marginal(rel: WeightedRelation, onto: AttributeSet) -> dict:
     """Independent marginalization: direct summation, no library reuse."""
     positions = [list(rel.scheme).index(a) for a in onto]

@@ -25,6 +25,7 @@ from gajdchase.tableau import build_tr, run
 from conftest import (
     CHAIN4_NEGATIVE_PROBLEM,
     CHAIN4_PROBLEM,
+    contains_distinguished_row,
     covering_hypertrees,
     hypertree_census,
     pattern_set,
@@ -136,11 +137,11 @@ def test_criterion_4_negative_verdict_golden(golden_dir):
         verdict = implies([JRule("C1", left)], target)
         assert not verdict.holds
         assert [r.render_pattern() for r in verdict.trace.final.rows] == EXPECTED_ROWS_AFTER_ONE
-        assert not verdict.trace.final.contains_distinguished_row()
+        assert not contains_distinguished_row(verdict.trace.final)
         # decision evidence: the unrestricted fixpoint also lacks the row
         assert verdict.closure_trace is not None
         assert verdict.closure_trace.stop_reason == "fixpoint"
-        assert not verdict.closure_trace.final.contains_distinguished_row()
+        assert not contains_distinguished_row(verdict.closure_trace.final)
 
 
 def test_criterion_5_tableau_matches_fold():

@@ -1,3 +1,4 @@
+import collections
 import itertools
 import random
 
@@ -11,7 +12,13 @@ from gajdchase.oracle import fold_axes, project_onto, random_positive
 from gajdchase.prelation import DomainSpec, Gajd, relation_from_domains, satisfies
 from gajdchase.symbolic import MarginalAtom, RationalExpression, distinguished_for, evaluate
 from gajdchase.tableau import Row, Tableau, build_tr, run
-from conftest import covering_hypertrees, hypertree_census, pattern_set, random_hypertree
+from conftest import (
+    contains_distinguished_row,
+    covering_hypertrees,
+    hypertree_census,
+    pattern_set,
+    random_hypertree,
+)
 
 
 def rules_for(chain4):
@@ -70,7 +77,7 @@ class TestReplay:
         replayed = self._replay(t, [first, second])
         assert [r.render_pattern() for r in replayed.rows[3:]] == ["(a1,a2,a3,b4)", "(a1,a2,a3,a4)"]
         assert replayed.rows[4].weight_expr.render() == "phi(a1,a2,a3)*phi(a3,a4)/phi(a3)"
-        assert replayed.contains_distinguished_row()
+        assert contains_distinguished_row(replayed)
 
     def test_self_selection_already_present(self, chain4):
         t, step = self._c1_step(chain4, (0, 0))
@@ -180,6 +187,43 @@ class TestChase:
         trace = chase(build_tr(target), [JRule("C1", left)])
         assert trace.duplicates > 0
 
+    def test_each_join_result_emitted_once(self, monkeypatch):
+        # Each new projection is joined as soon as it is indexed, so a result
+        # comes out only at the last new projection it uses: once per (rule,
+        # pattern) in a run, across the prefix and its continued closure.
+        emitted = collections.Counter()
+        original = chase_module.join
+
+        def counting_join(plan, indexes, emit, fixed=None):
+            n = plan.width - len(plan.slots)  # the pattern's slots; the selection's follow them
+
+            def counted(binding):
+                emitted[plan, tuple(binding[:n])] += 1
+                emit(binding)
+
+            original(plan, indexes, counted, fixed)
+
+        monkeypatch.setattr(chase_module, "join", counting_join)
+        target, given = independence_family(5)
+        draws = [(Gajd.from_edges(target), [Gajd.from_edges(e) for e in given])]
+        rng = random.Random(3)
+        for n in (5, 6, 6):
+            attrs = [f"A{i}" for i in range(1, n + 1)]
+            draws.append((random_hypertree(attrs, 4, rng), [random_hypertree(attrs, 4, rng) for _ in range(2)]))
+        runs = 0
+        for target, constraints in draws:
+            rules = [JRule(f"R{k}", g) for k, g in enumerate(constraints)]
+            for k in (None, 0, 1, 2):
+                emitted.clear()
+                if k is None:
+                    implies(rules, target)
+                else:
+                    chase(build_tr(target), rules, rng=random.Random(k))
+                runs += bool(emitted)
+                repeated = sum(1 for count in emitted.values() if count > 1)
+                assert repeated == 0, f"{repeated} results emitted more than once (order {k})"
+        assert runs == 4 * len(draws)
+
     def test_terminates_on_wider_scheme(self):
         attrs = ["A", "B", "C", "D", "E", "F"]
         target = Gajd.from_edges([["A", "B"], ["B", "C"], ["C", "D"], ["D", "E"], ["E", "F"]])
@@ -284,7 +328,7 @@ class TestImplies:
         assert verdict.closure_trace is not None
         assert verdict.closure_trace.stop_reason == "fixpoint"
         assert len(verdict.closure_trace.final) == 5
-        assert not verdict.closure_trace.final.contains_distinguished_row()
+        assert not contains_distinguished_row(verdict.closure_trace.final)
 
     def test_reflexive(self, chain4):
         target, _, _ = chain4
@@ -326,10 +370,10 @@ class TestImplies:
         prefix_only = chase(
             build_tr(target), rules, stop_at_distinguished=True, stop_when_no_gain=True
         )
-        assert not prefix_only.final.contains_distinguished_row()
+        assert not contains_distinguished_row(prefix_only.final)
         verdict = implies(rules, target)
         assert verdict.holds
-        assert verdict.trace.final.contains_distinguished_row()
+        assert contains_distinguished_row(verdict.trace.final)
         assert verdict.closure_trace is None
         assert verdict.factorization is not None
 
@@ -399,7 +443,7 @@ class TestImplies:
         for trace in (verdict.trace, verdict.closure_trace):
             final = trace.final
             # `implies` reads its verdict from the stop reason.
-            assert (trace.stop_reason == "distinguished") == final.contains_distinguished_row()
+            assert (trace.stop_reason == "distinguished") == contains_distinguished_row(final)
             fresh = Tableau(final.scheme, final.psi)
             for i, row in enumerate(final.rows):
                 assert fresh.add_row(row) == i
@@ -515,7 +559,7 @@ class TestNumericAgreement:
             for constraint in hypertrees:
                 verdict = implies([constraint], target)
                 full = chase(build_tr(target), [constraint])
-                assert verdict.holds == full.final.contains_distinguished_row()
+                assert verdict.holds == contains_distinguished_row(full.final)
                 pairs += 1
         assert pairs == len(hypertrees) ** 2
 
@@ -531,6 +575,6 @@ class TestNumericAgreement:
             target = random_hypertree(attrs, 3, rng)
             verdict = implies(constraints, target)
             full = chase(build_tr(target), constraints)
-            assert verdict.holds == full.final.contains_distinguished_row()
+            assert verdict.holds == contains_distinguished_row(full.final)
             positives += verdict.holds
         assert positives >= 10

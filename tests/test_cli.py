@@ -158,12 +158,13 @@ class TestCmdImplies:
         second = cmd_implies(problem, trace=True, factorize=True)
         assert first == second
 
-    def test_row_cap(self):
+    def test_row_cap(self, monkeypatch):
         from gajdchase.errors import ChaseRowLimitError
 
+        monkeypatch.setenv("GAJD_CHASE_MAX_ROWS", "4")
         problem = parse(CHAIN4_NEGATIVE_PROBLEM)
         with pytest.raises(ChaseRowLimitError):
-            cmd_implies(problem, max_rows=4)
+            cmd_implies(problem)
 
 
 class TestCmdVerify:
@@ -304,6 +305,23 @@ class TestMain:
         path.write_text(f"attrs {attrs}\nquery {edge}\n")
         assert main(["verify", "--trials", "2", str(path)]) == 2
         assert "cell" in capsys.readouterr().err
+
+    def test_verify_huge_domain_refused_before_labels(self, tmp_path):
+        # The declared cell count is checked before any label is built, so
+        # 10^12 values for one attribute are refused within 1 GiB of memory.
+        path = tmp_path / "huge.gajd"
+        path.write_text("attrs A B\ndomain A 1000000000000\nquery {A} {B}\n")
+        script = (
+            "import resource, sys\n"
+            "resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))\n"
+            "from gajdchase.cli import main\n"
+            f"sys.exit(main(['verify', {str(path)!r}]))\n"
+        )
+        result = subprocess.run(
+            [sys.executable, "-c", script], capture_output=True, text=True, env=subprocess_env(), timeout=60
+        )
+        assert result.returncode == 2, result.stderr
+        assert result.stderr == "error: joint table has 2000000000000 cells, above the 4096-cell cap\n"
 
     def test_negative_seed_exit_2(self, tmp_path, capsys):
         path = tmp_path / "problem.gajd"
