@@ -17,6 +17,8 @@ the join is semi-naive: a new row is joined only where one of its edge
 projections is new.  Each new projection is joined with the projections
 indexed before it as soon as it is indexed, before the row's next one, so a
 result comes out exactly once per run, at the last new projection it uses.
+A produced row is not indexed for the rule that produced it: on each of that
+rule's edges it carries the projection of a row already indexed there.
 Each index entry carries the first row id with its projection, so the join
 hands back each pattern together with its least selection, the smallest row
 id carrying each edge projection.  Trying every selection of rows in
@@ -32,6 +34,9 @@ its rule and selected rows instead of a weight expression; the expression
 (`eq5_expression`, looked up on this module when called) is built the first
 time something reads it, such as a rendered step or tableau.  The closure
 of a negative verdict is never rendered, so its rows never build one.
+Likewise a positive verdict builds its factorization the first time it is
+read, so output that prints only the verdict, such as `verify`'s, never
+builds one.
 
 The implication test builds the target's tableau and chases it under the
 constraint rules: the target is implied exactly when the all-distinguished
@@ -54,6 +59,7 @@ from __future__ import annotations
 import heapq
 import random
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Iterable, Sequence
 
 from .errors import ChaseRowLimitError, SchemeError
@@ -255,6 +261,8 @@ class _ChaseRun:
         self.variables = tuple(code)
         self.is_distinguished = [int(v.distinguished) for v in self.variables]
         self.patterns = [tuple([code[v] for v in row.cells]) for row in t.rows]
+        # By row id: the index of the rule that produced the row, -1 for an initial row.
+        self.producer = [-1] * len(self.patterns)
         self.row_of = {pattern: rid for rid, pattern in enumerate(self.patterns)}
         wd = t.distinguished_row()
         # None when some distinguished variable is in no row: no row can then carry them all.
@@ -265,9 +273,16 @@ class _ChaseRun:
         self.indexed = 0
 
     def _index_row(self, rid: int) -> None:
-        """Index each new edge projection of row `rid` and join it with those indexed before it."""
-        cells = self.patterns[rid]
-        for cr, emit in zip(self.compiled, self.emits):
+        """Index each new edge projection of row `rid` and join it with those indexed before it.
+
+        The rule that produced the row is skipped: on each of its edges the
+        row carries the projection of the row selected there, which is
+        already indexed, so it brings that rule nothing new.
+        """
+        cells, producer = self.patterns[rid], self.producer[rid]
+        for rule_idx, (cr, emit) in enumerate(zip(self.compiled, self.emits)):
+            if rule_idx == producer:
+                continue
             for pos, cols in enumerate(cr.cols):
                 proj = tuple([cells[c] for c in cols])
                 if proj not in cr.seen[pos]:
@@ -334,6 +349,7 @@ class _ChaseRun:
             rid = len(work.rows)
             work.rows.append(row)
             self.patterns.append(pattern)
+            self.producer.append(rule_idx)
             self.row_of[pattern] = rid
             self.steps.append(ChaseStep(cr.rule, selection, row, rid))
             self.max_dist = max(self.max_dist, dist)
@@ -433,14 +449,26 @@ class Verdict:
     `closure_trace` holds the continuation to the unrestricted fixpoint that
     certifies non-derivability.  `factorization` is the decomposable-product
     form of the all-distinguished row, with the atom rewrites used to reach
-    it listed in `rewrites`.
+    it listed in `rewrites`; both are None and () for a negative verdict.
+    They are built from `trace` by `factorization_for` (looked up on this
+    module when called) the first time either is read, and then kept.
     """
 
     holds: bool
-    factorization: RationalExpression | None
     trace: ChaseTrace
     closure_trace: ChaseTrace | None = None
-    rewrites: tuple[AtomRewrite, ...] = ()
+
+    @cached_property
+    def _factorized(self) -> tuple[RationalExpression | None, tuple[AtomRewrite, ...]]:
+        return factorization_for(self.trace) if self.holds else (None, ())
+
+    @property
+    def factorization(self) -> RationalExpression | None:
+        return self._factorized[0]
+
+    @property
+    def rewrites(self) -> tuple[AtomRewrite, ...]:
+        return self._factorized[1]
 
 
 def _atom_at(scheme: AttributeSet, row: Row, over: AttributeSet) -> MarginalAtom:
@@ -543,13 +571,14 @@ def implies(
     trace is kept as it stopped, and the run goes on without the no-gain
     stop.  Its pending applications are the ones a fresh chase would find,
     with the same least selections, so the closure's steps are the same.
+    A positive verdict's factorization is built when first read.
     """
     rules = _as_rules(constraints)
     trace = chase(build_tr(target), rules, stop_at_distinguished=True, stop_when_no_gain=True, max_rows=max_rows)
     if trace.stop_reason != "distinguished":
         closure = chase(trace, rules, stop_at_distinguished=True, max_rows=max_rows)
         if closure.stop_reason != "distinguished":
-            return Verdict(False, None, trace, closure, ())
+            return Verdict(False, trace, closure)
         trace = ChaseTrace(
             initial=trace.initial,
             steps=trace.steps + closure.steps,
@@ -557,5 +586,4 @@ def implies(
             stop_reason=closure.stop_reason,
             duplicates=trace.duplicates + closure.duplicates,
         )
-    expression, rewrites = factorization_for(trace)
-    return Verdict(True, expression, trace, None, rewrites)
+    return Verdict(True, trace)

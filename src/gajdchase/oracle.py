@@ -13,13 +13,16 @@ Joints are dense `numpy` arrays with one axis per attribute of the domain
 scheme, in canonical order, so C order matches `DomainSpec.tuples()`.  A
 marginal is a sum over the other axes, kept as size-1 axes, and the monotone
 join is a broadcast product.  `fold_axes` turns a dependency into those axes
-once per call of the oracle, not once per sweep.  Only a reported
-counterexample becomes a `WeightedRelation`.
+once per call of the oracle, not once per sweep, and a sweep reuses the map
+its residual pass computed for the first constraint.  A counterexample is
+printed from its array; it becomes a `WeightedRelation` only when its
+`distribution` is read.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import product as iterproduct
 from typing import TYPE_CHECKING, Iterator, Sequence
 
 # numpy is imported inside the functions that use it, so that importing the
@@ -137,17 +140,24 @@ def project_onto(
     is not guaranteed; the caller inspects the residuals and decides.  When
     `stop_tol` is given, iteration ends early once every residual is at or
     below it (the returned residuals are always freshly computed).
+
+    A residual is measured against the constraint's map of the current
+    joint, and a sweep starts by applying the first constraint's map to that
+    same joint, so the sweep takes that map from the residual pass instead
+    of computing it again.
     """
     current = p
-    residuals: tuple[float, ...] = tuple(satisfies(current, f) for f in folds)
+    maps = [mpj_map(current, f) for f in folds]
+    residuals: tuple[float, ...] = tuple(float(abs(current - m).max()) for m in maps)
     for _ in range(sweeps):
         if stop_tol is not None and all(r <= stop_tol for r in residuals):
             break
-        for f in folds:
-            current = mpj_map(current, f)
+        for i, f in enumerate(folds):
+            current = maps[0] if i == 0 else mpj_map(current, f)
             if current.min() <= 0.0:
                 raise AssertionError("projection produced a nonpositive weight from positive input")
-        residuals = tuple(satisfies(current, f) for f in folds)
+        maps = [mpj_map(current, f) for f in folds]
+        residuals = tuple(float(abs(current - m).max()) for m in maps)
     return current, residuals
 
 
@@ -212,23 +222,44 @@ def check_soundness(constraints: Sequence[Gajd], target: Gajd, cfg: OracleConfig
     return SoundnessReport(cfg.trials, converged, converged - failed, failed, worst, status, tuple(failing))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class CounterexampleReport:
-    """A constraint-satisfying distribution that violates the target."""
+    """A constraint-satisfying distribution that violates the target.
 
-    distribution: WeightedRelation
+    The distribution is kept as the projected joint, a dense array over
+    `domains` (see the module docstring).  `render` prints it from the
+    array, in the layout and tuple order of `WeightedRelation.to_text`, and
+    `distribution` builds the `WeightedRelation` each time it is read.
+    """
+
+    joint: ndarray
+    domains: DomainSpec
     constraint_residuals: tuple[float, ...]
     target_residual: float
     seed: int
     trials_used: int
 
+    @property
+    def distribution(self) -> WeightedRelation:
+        return relation_from_domains(self.domains, self.joint.ravel().tolist())
+
     def render(self) -> str:
+        import numpy as np
+
         residuals = ",".join(f"{r:.3e}" for r in self.constraint_residuals) or "-"
-        return (
+        scheme = self.domains.scheme
+        labels = [self.domains.domains[a] for a in scheme]
+        # Tuples sort by their labels, so the sorted order takes each axis's labels sorted.
+        orders = [sorted(range(len(ls)), key=ls.__getitem__) for ls in labels]
+        weights = self.joint[np.ix_(*orders)].ravel().tolist()
+        keys = iterproduct(*[[ls[i] for i in order] for ls, order in zip(labels, orders)])
+        lines = [
             f"counterexample: seed={self.seed} trials_used={self.trials_used} "
-            f"constraint_residuals=[{residuals}] target_residual={self.target_residual:.3e}\n"
-            + self.distribution.to_text().rstrip("\n")
-        )
+            f"constraint_residuals=[{residuals}] target_residual={self.target_residual:.3e}",
+            " ".join(list(scheme) + ["f"]),
+        ]
+        lines += [" ".join(key + (format(w, ".17g"),)) for key, w in zip(keys, weights)]
+        return "\n".join(lines)
 
 
 @dataclass(frozen=True)
@@ -247,8 +278,7 @@ def search_counterexample(
     """Look for a distribution satisfying the constraints but not the target."""
     for i, seed, projected, residuals, target_residual in _trials(constraints, target, cfg):
         if target_residual > CHECK_TOL:
-            distribution = relation_from_domains(cfg.domains, projected.ravel().tolist())
-            return CounterexampleReport(distribution, residuals, target_residual, seed, i)
+            return CounterexampleReport(projected, cfg.domains, residuals, target_residual, seed, i)
     return NotFound(cfg.trials)
 
 

@@ -87,15 +87,25 @@ class Tableau:
     Rows keep insertion order for reproducible traces, and a pattern index,
     derived from `rows` when read, enforces set semantics.  The chase appends
     the rows it has checked to `rows` directly; they are indexed if asked for.
+    `psi` is given either as an expression or as a function that builds it;
+    the function is called on the first read of `psi`, and its result kept.
+    A copy takes the function along, so a tableau whose `psi` nothing reads,
+    such as the ones the chase works on, never builds it.
     """
 
-    def __init__(self, scheme: AttributeSet, psi: RationalExpression):
+    def __init__(self, scheme: AttributeSet, psi: RationalExpression | Callable[[], RationalExpression]):
         if len(scheme) == 0:
             raise ValueError("a tableau needs a nonempty scheme")
         self.scheme = scheme
-        self.psi = psi
+        self._psi = psi
         self.rows: list[Row] = []
         self._index: dict[tuple[Variable, ...], int] = {}
+
+    @property
+    def psi(self) -> RationalExpression:
+        if not isinstance(self._psi, RationalExpression):
+            self._psi = self._psi()
+        return self._psi
 
     def __len__(self) -> int:
         return len(self.rows)
@@ -131,7 +141,7 @@ class Tableau:
 
     def copy(self) -> "Tableau":
         """A tableau with the same rows; they were checked when added here, so they are not checked again."""
-        t = Tableau(self.scheme, self.psi)
+        t = Tableau(self.scheme, self._psi)
         t.rows = self.rows.copy()
         return t
 
@@ -152,11 +162,15 @@ def build_tr(g: Gajd) -> Tableau:
     fresh nondistinguished variables elsewhere (unique across the tableau).
     Its weight expression is the single full-scheme atom at its own pattern.
     The emission expression is the rule quotient (`eq5_expression`) at the
-    distinguished row: one edge marginal per row over the interaction-set marginals.
+    distinguished row: one edge marginal per row over the interaction-set
+    marginals.  It is built the first time `psi` is read.
     """
     scheme = g.scheme
     dist = {a: distinguished_for(scheme, a) for a in scheme}
-    psi = eq5_expression([(e, dist) for e in g.edges_in_order], [(s, dist) for s in g.interactions])
+
+    def psi() -> RationalExpression:
+        return eq5_expression([(e, dist) for e in g.edges_in_order], [(s, dist) for s in g.interactions])
+
     t = Tableau(scheme, psi)
     fresh = itertools.count(1)
     for edge in g.edges_in_order:
@@ -315,7 +329,8 @@ def run(t: Tableau, rel: WeightedRelation) -> WeightedRelation:
     for v in t.distinguished_row():
         if v not in slot_of:
             raise ValueError(f"distinguished variable {v.render()} appears in no row")
-    psi_vars = t.psi.variables()
+    psi = t.psi
+    psi_vars = psi.variables()
     for v in psi_vars:
         if v not in slot_of:
             raise ValueError(f"emission variable {v.render()} appears in no row")
@@ -338,7 +353,7 @@ def run(t: Tableau, rel: WeightedRelation) -> WeightedRelation:
         key = tuple([binding[s] for s in psi_slots])
         value = value_cache.get(key)
         if value is None:
-            value = evaluate(t.psi, rel, dict(zip(psi_vars, key)), marginal_cache)
+            value = evaluate(psi, rel, dict(zip(psi_vars, key)), marginal_cache)
             value_cache[key] = value
         dist = tuple([binding[s] for s in dist_slots])
         seen = results.setdefault(dist, value)

@@ -330,6 +330,29 @@ class TestImplies:
         assert len(verdict.closure_trace.final) == 5
         assert not contains_distinguished_row(verdict.closure_trace.final)
 
+    def test_factorization_built_once_on_first_read(self, chain4, monkeypatch):
+        target, left, right = chain4
+        original = chase_module.factorization_for
+        traces = []
+
+        def counted(trace):
+            traces.append(trace)
+            return original(trace)
+
+        monkeypatch.setattr(chase_module, "factorization_for", counted)
+        verdict = implies([JRule("C1", left), JRule("C2", right)], target)
+        assert traces == []
+        first = verdict.factorization
+        assert verdict.factorization is first
+        assert [r.render() for r in verdict.rewrites] == [
+            "rewrite: phi(a2,a3,b4) -> phi(a2,a3) (sum over b4)"
+        ]
+        assert traces == [verdict.trace]
+        assert (first, verdict.rewrites) == original(verdict.trace)
+        negative = implies([JRule("C1", left)], target)
+        assert (negative.factorization, negative.rewrites) == (None, ())
+        assert len(traces) == 1
+
     def test_reflexive(self, chain4):
         target, _, _ = chain4
         verdict = implies([JRule("T", target)], target)

@@ -203,6 +203,48 @@ class TestCmdVerify:
         assert "IMPLIES: yes" in out and "status=pass" in out
 
 
+class TestOnlyWhatIsPrinted:
+    """The factorization and a tableau's `psi` are built only for output that prints them."""
+
+    @pytest.fixture
+    def calls(self, monkeypatch):
+        from gajdchase import chase, tableau
+
+        counts = {"factorization_for": 0, "eq5_expression": 0}
+        for module, name in ((chase, "factorization_for"), (tableau, "eq5_expression")):
+            original = getattr(module, name)
+
+            def counted(*args, _name=name, _original=original, **kwargs):
+                counts[_name] += 1
+                return _original(*args, **kwargs)
+
+            monkeypatch.setattr(module, name, counted)
+        return counts
+
+    @pytest.mark.parametrize("text", [CHAIN4_PROBLEM, CHAIN4_NEGATIVE_PROBLEM])
+    def test_verify_builds_neither(self, calls, text):
+        code, _ = cmd_verify(parse(text), seed=1, trials=4)
+        assert code == 0
+        assert calls == {"factorization_for": 0, "eq5_expression": 0}
+
+    @pytest.mark.parametrize("text", [CHAIN4_PROBLEM, CHAIN4_NEGATIVE_PROBLEM])
+    def test_implies_without_trace_or_factorize_builds_no_factorization(self, calls, text):
+        cmd_implies(parse(text), trace_json=True, expect="yes")
+        assert calls["factorization_for"] == 0
+
+    def test_the_wrappers_see_what_is_printed(self, calls):
+        from gajdchase.prelation import DomainSpec, relation_from_domains
+        from gajdchase.tableau import build_tr, run
+
+        problem = parse(CHAIN4_PROBLEM)
+        cmd_implies(problem, factorize=True)
+        cmd_implies(problem, trace=True)
+        assert calls["factorization_for"] == 2
+        dom = DomainSpec.uniform(problem.attrs)
+        run(build_tr(problem.queries[0].target), relation_from_domains(dom, [1.0 / 16] * 16))
+        assert calls["eq5_expression"] == 1
+
+
 class TestMultipleQueries:
     TEXT = (
         "attrs A1 A2 A3 A4\n"

@@ -106,6 +106,50 @@ class TestProjectOnto:
         with pytest.raises(SchemeError):
             fold_axes(DOM3.scheme, target)
 
+    def test_equals_the_loop_that_recomputed_every_map(self, monkeypatch):
+        def reference(p, folds, sweeps, stop_tol):
+            # Reference: every map computed afresh, as `satisfies` does; also returns the sweeps run.
+            current = p
+            residuals = tuple(oracle.satisfies(current, f) for f in folds)
+            done = 0
+            for _ in range(sweeps):
+                if stop_tol is not None and all(r <= stop_tol for r in residuals):
+                    break
+                for f in folds:
+                    current = oracle.mpj_map(current, f)
+                    assert current.min() > 0.0
+                residuals = tuple(oracle.satisfies(current, f) for f in folds)
+                done += 1
+            return current, residuals, done
+
+        calls = [0]
+        original = oracle.mpj_map
+
+        def counted(p, fold):
+            calls[0] += 1
+            return original(p, fold)
+
+        monkeypatch.setattr(oracle, "mpj_map", counted)
+        rng = random.Random(17)
+        most_sweeps = 0
+        for case in range(40):
+            attrs = [f"A{i + 1}" for i in range(rng.randint(3, 5))]
+            dom = DomainSpec.with_sizes(attrs, {a: rng.randint(2, 3) for a in attrs[:2]})
+            folds = [fold_axes(dom.scheme, random_hypertree(attrs, 3, rng)) for _ in range(rng.randint(1, 3))]
+            p = random_positive(dom, seed=case)
+            sweeps, stop_tol = (oracle.IPF_SWEEPS, oracle.SAT_TOL) if case % 2 else (rng.randint(0, 4), None)
+            calls[0] = 0
+            expected, expected_residuals, done = reference(p, folds, sweeps, stop_tol)
+            k = len(folds)
+            assert calls[0] == 2 * k * (done + 1) - k
+            calls[0] = 0
+            got, residuals = project_onto(p, folds, sweeps, stop_tol=stop_tol)
+            assert calls[0] == k + done * (2 * k - 1)
+            assert np.array_equal(got, expected)
+            assert residuals == expected_residuals
+            most_sweeps = max(most_sweeps, done)
+        assert most_sweeps >= 3
+
 
 class TestCheckSoundness:
     def test_constraint_equals_target(self, chain4):
@@ -165,6 +209,27 @@ class TestSearchCounterexample:
         # the reported distribution really does both
         assert prelation.satisfies(found.distribution, left, tol=oracle.SAT_TOL).holds
         assert not prelation.satisfies(found.distribution, target, tol=oracle.CHECK_TOL).holds
+
+    @pytest.mark.parametrize(
+        "sizes",
+        [
+            {f"A{i}": 2 for i in range(1, 13)},  # 4096 cells
+            {"A1": 12, "A2": 2, "A3": 3},  # label "10" sorts before "2"
+        ],
+    )
+    def test_render_matches_the_distribution_text(self, sizes):
+        dom = DomainSpec.with_sizes(list(sizes), sizes)
+        attrs = list(dom.scheme)
+        target = Gajd.from_edges([attrs[:2], attrs[1:]])
+        found = search_counterexample([], target, OracleConfig(domains=dom, seed=4, trials=3))
+        assert isinstance(found, CounterexampleReport)
+        header = (
+            f"counterexample: seed={found.seed} trials_used={found.trials_used} "
+            f"constraint_residuals=[-] target_residual={found.target_residual:.3e}\n"
+        )
+        assert found.render() == header + found.distribution.to_text().rstrip("\n")
+        if max(sizes.values()) > 10:
+            assert list(dom.tuples()) != sorted(dom.tuples())
 
 
 class TestCheckDecomposition:
