@@ -26,14 +26,14 @@ lexicographic order would meet that selection first, and later rows only
 get larger ids, so steps, row ids and weight expressions are the same as
 under that exhaustive enumeration.
 
-Because the variable universe is fixed by the initial tableau, a run codes
-each variable once as a small int, and its patterns, projections, index
-keys, join bindings and pending applications are tuples of ints.  An
-applied application becomes a tableau row of `Variable` cells that keeps
-its rule and selected rows instead of a weight expression; the expression
-(`eq5_expression`, looked up on this module when called) is built the first
-time something reads it, such as a rendered step or tableau.  The closure
-of a negative verdict is never rendered, so its rows never build one.
+The variable universe is fixed by the initial tableau, so a run uses that
+tableau's coding of each variable as a small int (`Tableau.codes`): its
+patterns, projections, index keys, join bindings and pending applications
+are tuples of ints.  An applied application becomes a tableau row of
+`Variable` cells that keeps its rule and selected rows instead of a weight
+expression; the expression (`eq5_expression`, looked up on this module when
+called) is built the first time something reads it, such as a rendered step
+or tableau.  A negative verdict's closure is never rendered, so builds none.
 Likewise a positive verdict builds its factorization the first time it is
 read, so output that prints only the verdict, such as `verify`'s, never
 builds one.
@@ -95,11 +95,9 @@ class ChaseStep:
     produced_id: int
 
     def render(self, number: int) -> str:
-        rows = ",".join(str(k + 1) for k in self.selection)
-        return (
-            f"step {number}: rule {self.rule.name} rows [{rows}] -> "
-            f"row {self.produced.render_pattern()} expr {self.produced.weight_expr.render()}"
-        )
+        r = self.record(number)
+        rows = ",".join(map(str, r["rows"]))
+        return f"step {r['step']}: rule {r['rule']} rows [{rows}] -> row {r['pattern']} expr {r['expr']}"
 
     def record(self, number: int) -> dict:
         return {
@@ -186,8 +184,8 @@ def _as_rules(constraints: Iterable[Gajd | JRule]) -> tuple[JRule, ...]:
 class _CompiledRule:
     """A rule over one scheme: edge columns in certificate order and their indexes.
 
-    `seen` and `index` hold projections of int-coded patterns (see
-    `_ChaseRun`).  A join result is the pattern followed by its least
+    `seen` and `index` hold projections of the run tableau's coded patterns
+    (`Tableau.patterns`).  A join result is the pattern followed by its least
     selection.  `produce` makes the rule's row for a selection, and
     `expression` builds that row's weight expression when it is read; the
     chase and `ChaseTrace.replay` both use them.  A rule over another scheme
@@ -226,17 +224,17 @@ class _CompiledRule:
 
 
 class _ChaseRun:
-    """The state of one chase: working tableau, int-coded patterns, indexes and pending applications.
+    """The state of one chase: working tableau, compiled rules and pending applications.
 
     Every produced cell comes from a selected row, so the initial tableau's
-    variables are all the run will meet.  Each is coded once as its position
-    in `variables`, and everything the joins touch holds tuples of those
-    ints: the rows' patterns (`patterns`, by row id, and `row_of`, pattern to
-    row id), the compiled rules' projections and index keys, the join
-    bindings and the pending entries.  Only an applied application is
-    decoded into `Variable` cells and appended to `work.rows`, as a row
-    whose weight expression is built when something reads it; `row_of` is
-    the only pattern index written during a run.
+    variables are all the run will meet, and its tableau `work` has coded
+    them (`variables` decodes).  Everything the joins touch holds tuples of
+    those ints: `work.patterns` and `work.row_of`, the compiled rules'
+    projections and index keys, the join bindings and the pending entries.
+    Only an applied application is decoded into `Variable` cells and goes
+    through `work.append`, as a row whose weight expression is built when
+    something reads it.  The run keeps one `work` for its whole life: the
+    join callbacks hold its `row_of`.
 
     `pending` is a heap of `(key, rule_index, selection, pattern)`, one
     entry per (rule, pattern) found while the pattern was not a row: the
@@ -249,27 +247,19 @@ class _ChaseRun:
     def __init__(self, t: Tableau, rules: tuple[JRule, ...], rng: random.Random | None):
         self.rules = rules
         self.rng = rng
-        self.work = t.copy()
+        self.work = work = t.copy()
         self.compiled = [_CompiledRule(rule, t.scheme) for rule in rules]
         self.steps: list[ChaseStep] = []
         # The duplicates so far (see ChaseTrace): one item, which the `emits` count into.
         self.duplicates = [0]
-        code: dict[Variable, int] = {}
-        for row in t.rows:
-            for v in row.cells:
-                code.setdefault(v, len(code))
-        self.variables = tuple(code)
+        self.variables = tuple(work.codes)
         self.is_distinguished = [int(v.distinguished) for v in self.variables]
-        self.patterns = [tuple([code[v] for v in row.cells]) for row in t.rows]
         # By row id: the index of the rule that produced the row, -1 for an initial row.
-        self.producer = [-1] * len(self.patterns)
-        self.row_of = {pattern: rid for rid, pattern in enumerate(self.patterns)}
-        wd = t.distinguished_row()
-        # None when some distinguished variable is in no row: no row can then carry them all.
-        self.goal = tuple(code[v] for v in wd) if all(v in code for v in wd) else None
+        self.producer = [-1] * len(work)
+        self.goal = work.code(work.distinguished_row())
         self.pending: list[tuple[float, int, tuple[int, ...], tuple[int, ...]]] = []
         self.emits = [self._consider(rule_idx, cr) for rule_idx, cr in enumerate(self.compiled)]
-        self.max_dist = max((sum([self.is_distinguished[v] for v in p]) for p in self.patterns), default=0)
+        self.max_dist = max((sum([self.is_distinguished[v] for v in p]) for p in work.patterns), default=0)
         self.indexed = 0
 
     def _index_row(self, rid: int) -> None:
@@ -279,7 +269,7 @@ class _ChaseRun:
         row carries the projection of the row selected there, which is
         already indexed, so it brings that rule nothing new.
         """
-        cells, producer = self.patterns[rid], self.producer[rid]
+        cells, producer = self.work.patterns[rid], self.producer[rid]
         for rule_idx, (cr, emit) in enumerate(zip(self.compiled, self.emits)):
             if rule_idx == producer:
                 continue
@@ -298,7 +288,7 @@ class _ChaseRun:
         random draw.  The callback holds the run's containers but not the run,
         so the run and its `emits` form no reference cycle.
         """
-        row_of, pending, duplicates = self.row_of, self.pending, self.duplicates
+        row_of, pending, duplicates = self.work.row_of, self.pending, self.duplicates
         rng, is_distinguished = self.rng, self.is_distinguished
         n = len(cr.scheme)
 
@@ -314,9 +304,9 @@ class _ChaseRun:
 
     def _next(self) -> tuple[float, int, tuple[int, ...], tuple[int, ...]] | None:
         """The pending entry at the top of the heap; stale entries are dropped."""
-        pending = self.pending
+        pending, row_of = self.pending, self.work.row_of
         while pending:
-            if pending[0][3] not in self.row_of:
+            if pending[0][3] not in row_of:
                 return pending[0]
             self.duplicates[0] += 1
             heapq.heappop(pending)
@@ -326,7 +316,7 @@ class _ChaseRun:
         """Apply pending applications until a stop rule holds; returns the stop reason."""
         work, variables, is_distinguished = self.work, self.variables, self.is_distinguished
         while True:
-            if stop_at_distinguished and self.goal in self.row_of:
+            if stop_at_distinguished and self.goal in work.row_of:
                 return "distinguished"
             for rid in range(self.indexed, len(work.rows)):
                 self._index_row(rid)
@@ -346,11 +336,8 @@ class _ChaseRun:
             cr = self.compiled[rule_idx]
             row = cr.produce(work, selection, tuple([variables[c] for c in pattern]))
             # Unchecked: every cell comes from a checked row, and `row_of` says the pattern is new.
-            rid = len(work.rows)
-            work.rows.append(row)
-            self.patterns.append(pattern)
+            rid = work.append(row, pattern)
             self.producer.append(rule_idx)
-            self.row_of[pattern] = rid
             self.steps.append(ChaseStep(cr.rule, selection, row, rid))
             self.max_dist = max(self.max_dist, dist)
 
@@ -389,9 +376,10 @@ def chase(
 
     Passing the trace of an earlier call instead of a tableau continues that
     call's run where it stopped, with the same constraints and order: the
-    pending applications and indexes carry over, the earlier trace keeps its
-    final tableau, and the new trace starts from it and holds only the new
-    steps.  A trace can be continued once.
+    pending applications and indexes carry over, and the run appends to its
+    own tableau, the new trace's final.  The earlier trace's final becomes a
+    copy holding exactly the rows it stopped with; the new trace starts from
+    that copy and holds only the new steps.  A trace can be continued once.
 
     Raises ChaseRowLimitError when the tableau would exceed `max_rows`.
     """
@@ -415,7 +403,8 @@ def chase(
         state = _ChaseRun(t, rules, rng)
     else:
         t._run = None
-        initial, state.work = state.work, state.work.copy()
+        # The run, and the indexes its join callbacks hold, stay on `state.work`.
+        initial = t.final = state.work.copy()
     first_step, duplicates = len(state.steps), state.duplicates[0]
     stop_reason = state.run(stop_at_distinguished, stop_when_no_gain, max_rows)
     return ChaseTrace(

@@ -36,7 +36,6 @@ from dataclasses import dataclass, field
 from .chase import DEFAULT_MAX_ROWS, JRule, Verdict, implies
 from .errors import (
     ChaseRowLimitError,
-    DomainTooLargeError,
     GajdChaseError,
     NotHypertreeError,
     ProblemParseError,
@@ -355,7 +354,7 @@ def main(argv: list[str] | None = None) -> int:
     except ChaseRowLimitError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
-    except (ProblemParseError, DomainTooLargeError, GajdChaseError, OSError) as exc:
+    except (GajdChaseError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except UnicodeDecodeError as exc:

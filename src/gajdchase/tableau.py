@@ -84,9 +84,12 @@ class Row:
 class Tableau:
     """An ordered set of rows over a scheme, with the emission expression `psi`.
 
-    Rows keep insertion order for reproducible traces, and a pattern index,
-    derived from `rows` when read, enforces set semantics.  The chase appends
-    the rows it has checked to `rows` directly; they are indexed if asked for.
+    Rows keep insertion order for reproducible traces.  `codes` maps each
+    variable to a small int in first-seen row order, `patterns` holds each
+    row's cells as codes, and `row_of`, the one pattern index, enforces set
+    semantics; the chase and `run` join on these.  Every row enters through
+    `append`, which keeps the four in step: `add_row` checks and codes a row
+    first, and the chase appends the rows it has checked itself.
     `psi` is given either as an expression or as a function that builds it;
     the function is called on the first read of `psi`, and its result kept.
     A copy takes the function along, so a tableau whose `psi` nothing reads,
@@ -99,7 +102,9 @@ class Tableau:
         self.scheme = scheme
         self._psi = psi
         self.rows: list[Row] = []
-        self._index: dict[tuple[Variable, ...], int] = {}
+        self.codes: dict[Variable, int] = {}
+        self.patterns: list[tuple[int, ...]] = []
+        self.row_of: dict[tuple[int, ...], int] = {}
 
     @property
     def psi(self) -> RationalExpression:
@@ -110,18 +115,16 @@ class Tableau:
     def __len__(self) -> int:
         return len(self.rows)
 
-    def _pattern_index(self) -> dict[tuple[Variable, ...], int]:
-        # Rows are never removed and their patterns are unique, so the index holds the first len(index) rows.
-        index, rows = self._index, self.rows
-        for rid in range(len(index), len(rows)):
-            index[rows[rid].cells] = rid
-        return index
+    def code(self, cells: Sequence[Variable]) -> tuple[int, ...]:
+        """The coded pattern of `cells`; a variable in no row codes as -1, which no row holds."""
+        codes = self.codes
+        return tuple([codes.get(v, -1) for v in cells])
 
     def has_pattern(self, cells: tuple[Variable, ...]) -> bool:
-        return cells in self._pattern_index()
+        return self.code(cells) in self.row_of
 
     def row_id(self, cells: tuple[Variable, ...]) -> int:
-        return self._pattern_index()[cells]
+        return self.row_of[self.code(cells)]
 
     def add_row(self, row: Row) -> int:
         if len(row.cells) != len(self.scheme):
@@ -131,10 +134,20 @@ class Tableau:
                 raise ValueError(f"variable {var.render()} does not belong in column {attr}")
             if var.distinguished and var.index != position:
                 raise ValueError(f"distinguished variable {var.render()} is outside its own column")
-        if self.has_pattern(row.cells):
+        codes = self.codes
+        # A duplicate's variables all have codes already, so it adds none.
+        pattern = tuple([codes.setdefault(v, len(codes)) for v in row.cells])
+        if pattern in self.row_of:
             raise ValueError(f"duplicate row pattern {row.render_pattern()}")
+        return self.append(row, pattern)
+
+    def append(self, row: Row, pattern: tuple[int, ...]) -> int:
+        """Append `row`, whose cells code to the new `pattern`, without checks; returns its row id."""
+        rid = len(self.rows)
         self.rows.append(row)
-        return len(self.rows) - 1
+        self.patterns.append(pattern)
+        self.row_of[pattern] = rid
+        return rid
 
     def distinguished_row(self) -> tuple[Variable, ...]:
         return tuple(distinguished_for(self.scheme, a) for a in self.scheme)
@@ -142,7 +155,8 @@ class Tableau:
     def copy(self) -> "Tableau":
         """A tableau with the same rows; they were checked when added here, so they are not checked again."""
         t = Tableau(self.scheme, self._psi)
-        t.rows = self.rows.copy()
+        t.rows, t.patterns = self.rows.copy(), self.patterns.copy()
+        t.codes, t.row_of = self.codes.copy(), self.row_of.copy()
         return t
 
     def render(self) -> str:
@@ -305,27 +319,23 @@ def run(t: Tableau, rel: WeightedRelation) -> WeightedRelation:
 
     Valuations are materialized by an indexed join of the rows over the
     relation's positive-weight tuples (zero-weight tuples count as absent):
-    each row is a position of one `JoinPlan`, built per call with a slot
-    per variable, and its tuples are indexed on the columns whose variables
-    an earlier row already binds, in support order, so valuations come out
-    in the order of a nested loop over the support.  No position is fixed,
-    so each row binds the variables no earlier row binds and checks nothing
-    the index lookup has not matched.  The output deduplicates
-    distinguished tuples: a later valuation of a tuple is compared with the
-    first only when their weights differ, and if they disagree beyond
-    `WEIGHT_TOL` the input violates the marginal-consistency contract and
-    an error is raised.
+    each row's coded pattern is a position of one `JoinPlan`, built per
+    call, whose slots are the variables' codes, and its tuples are indexed
+    on the columns whose variables an earlier row already binds, in support
+    order, so valuations come out in the order of a nested loop over the
+    support.  No position is fixed, so each row binds the variables no
+    earlier row binds and checks nothing the index lookup has not matched.
+    The output deduplicates distinguished tuples: a later valuation of a
+    tuple is compared with the first only when their weights differ, and if
+    they disagree beyond `WEIGHT_TOL` the input violates the
+    marginal-consistency contract and an error is raised.
     """
     if rel.scheme != t.scheme:
         raise SchemeError(
             f"relation scheme {rel.scheme.render()} does not match tableau scheme {t.scheme.render()}"
         )
     support = [key for key, w in rel.items() if w > 0.0]
-    rows = t.rows
-    slot_of: dict[Variable, int] = {}
-    for row in rows:
-        for v in row.cells:
-            slot_of.setdefault(v, len(slot_of))
+    slot_of = t.codes
     for v in t.distinguished_row():
         if v not in slot_of:
             raise ValueError(f"distinguished variable {v.render()} appears in no row")
@@ -334,7 +344,7 @@ def run(t: Tableau, rel: WeightedRelation) -> WeightedRelation:
     for v in psi_vars:
         if v not in slot_of:
             raise ValueError(f"emission variable {v.render()} appears in no row")
-    plan = JoinPlan([tuple(slot_of[v] for v in row.cells) for row in rows])
+    plan = JoinPlan(t.patterns)
     by_keys: dict[tuple[int, ...], dict[tuple, list[tuple[str, ...]]]] = {}
     for i, keys in enumerate(plan.keys):
         if keys not in by_keys:

@@ -87,17 +87,24 @@ class TestTableauInvariants:
         clone.add_row(Row(tuple(clone.distinguished_row()), RationalExpression.of()))
         assert len(t) == 3 and len(clone) == 4
         assert contains_distinguished_row(clone) and not contains_distinguished_row(t)
+        codes, row_of = dict(t.codes), dict(t.row_of)
+        fresh = Variable(False, 7, "A1")
+        cells = (fresh,) + clone.rows[0].cells[1:]
+        assert clone.add_row(Row(cells, RationalExpression.of())) == 4
+        assert clone.has_pattern(cells) and not t.has_pattern(cells)
+        assert fresh in clone.codes and t.codes == codes and t.row_of == row_of
 
 
 class TestTableau:
     def test_index_catches_up_with_appended_rows(self, chain4):
-        # The chase appends its rows to `rows` without `add_row`; the pattern
-        # index must catch up with them whenever it is read.
+        # The chase appends its rows through `append`, without `add_row`'s
+        # checks; the coded index must hold them, and a continued run must
+        # leave the earlier trace's final tableau as it stopped.
         target, left, right = chain4
         prefix = chase(build_tr(target), [left, right], stop_when_no_gain=True)
         first = prefix.steps[-1].produced
         assert prefix.final.row_id(first.cells) == len(prefix.final) - 1
-        # The continuation appends to a copy of the prefix's final tableau, taken after that read.
+        # The continuation keeps appending to the run's tableau; the prefix's final becomes a copy.
         closure = chase(prefix, [left, right])
         final = closure.final
         last = closure.steps[-1].produced
@@ -111,6 +118,14 @@ class TestTableau:
         extra = Row((first.cells[0],) + last.cells[1:], RationalExpression.of())
         assert final.add_row(extra) == final.row_id(extra.cells) == len(clone)
         assert not clone.has_pattern(extra.cells) and clone.add_row(extra) == len(clone) - 1
+
+    def test_pattern_with_a_variable_in_no_row(self, chain4):
+        target, _, _ = chain4
+        t = build_tr(target)
+        cells = (Variable(False, 7, "A1"),) + t.rows[0].cells[1:]
+        assert not t.has_pattern(cells)
+        with pytest.raises(KeyError):
+            t.row_id(cells)
 
 
 def brute_join(plan, projections, fixed=None):
