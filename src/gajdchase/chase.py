@@ -60,7 +60,8 @@ import heapq
 import random
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Iterable, Sequence
+from operator import itemgetter
+from typing import Callable, Iterable, Sequence
 
 from .errors import ChaseRowLimitError, SchemeError
 from .hypergraph import AttributeSet
@@ -181,15 +182,28 @@ def _as_rules(constraints: Iterable[Gajd | JRule]) -> tuple[JRule, ...]:
     return tuple(rules)
 
 
+def _getter(cols: Sequence[int]) -> Callable[[Sequence], tuple]:
+    """A function reading the tuple of `cols` from a sequence; one column gives a 1-tuple, none `()`."""
+    if len(cols) > 1:
+        return itemgetter(*cols)
+    if cols:
+        c = cols[0]
+        return lambda cells: (cells[c],)
+    return lambda cells: ()
+
+
 class _CompiledRule:
     """A rule over one scheme: edge columns in certificate order and their indexes.
 
     `seen` and `index` hold projections of the run tableau's coded patterns
     (`Tableau.patterns`).  A join result is the pattern followed by its least
-    selection.  `produce` makes the rule's row for a selection, and
-    `expression` builds that row's weight expression when it is read; the
-    chase and `ChaseTrace.replay` both use them.  A rule over another scheme
-    is a SchemeError.
+    selection.  `reads` holds, per position, the two functions that read a
+    coded pattern, built once here (`_getter`): its projection onto the edge
+    and its index key, its cells on the interaction set, next to that
+    position's `seen` set and index.  `produce` makes the rule's row for a
+    selection, and `expression` builds that row's weight expression when it
+    is read; the chase and `ChaseTrace.replay` both use them.  A rule over
+    another scheme is a SchemeError.
     """
 
     def __init__(self, rule: JRule, scheme: AttributeSet):
@@ -205,9 +219,14 @@ class _CompiledRule:
         # distinct projection followed by the first row id carrying it, which the plan
         # binds to slot n + i; no other position names that slot, so it is never checked.
         n = len(scheme)
-        self.plan = JoinPlan([cols + (n + i,) for i, cols in enumerate(self.cols)])
+        self.plan = plan = JoinPlan([cols + (n + i,) for i, cols in enumerate(self.cols)])
         self.seen: list[set[tuple[int, ...]]] = [set() for _ in self.cols]
         self.index: list[dict[tuple[int, ...], list[tuple[int, ...]]]] = [{} for _ in self.cols]
+        # Per position: a coded pattern's edge projection, and its index key, read by one call each.
+        self.reads = tuple(
+            (_getter(cols), _getter([cols[c] for c in key]), self.seen[pos], self.index[pos])
+            for pos, (cols, key) in enumerate(zip(self.cols, plan.keys))
+        )
 
     def produce(self, t: Tableau, selection: Sequence[int], pattern: tuple[Variable, ...]) -> Row:
         """The row at `pattern` produced from the selected rows of `t`; its expression is built when read."""
@@ -265,6 +284,8 @@ class _ChaseRun:
     def _index_row(self, rid: int) -> None:
         """Index each new edge projection of row `rid` and join it with those indexed before it.
 
+        Per rule position, the compiled `reads` give the projection and the
+        key in one call each, with the `seen` set and index they go into.
         The rule that produced the row is skipped: on each of its edges the
         row carries the projection of the row selected there, which is
         already indexed, so it brings that rule nothing new.
@@ -273,13 +294,14 @@ class _ChaseRun:
         for rule_idx, (cr, emit) in enumerate(zip(self.compiled, self.emits)):
             if rule_idx == producer:
                 continue
-            for pos, cols in enumerate(cr.cols):
-                proj = tuple([cells[c] for c in cols])
-                if proj not in cr.seen[pos]:
-                    cr.seen[pos].add(proj)
+            plan, indexes = cr.plan, cr.index
+            for pos, (project, key_of, seen, index) in enumerate(cr.reads):
+                proj = project(cells)
+                if proj not in seen:
+                    seen.add(proj)
                     entry = proj + (rid,)
-                    cr.index[pos].setdefault(cr.plan.key(pos, proj), []).append(entry)
-                    join(cr.plan, cr.index, emit, (pos, entry))
+                    index.setdefault(key_of(cells), []).append(entry)
+                    join(plan, indexes, emit, (pos, entry))
 
     def _consider(self, rule_idx: int, cr: _CompiledRule):
         """Rule `rule_idx`'s join callback: count a result that is already a row, queue any other.
@@ -466,36 +488,51 @@ def _atom_at(scheme: AttributeSet, row: Row, over: AttributeSet) -> MarginalAtom
 
 
 def _marginalize_expr(
-    expr: RationalExpression,
+    exps: dict[MarginalAtom, int],
     row: Row,
     scheme: AttributeSet,
     onto: AttributeSet,
     rewrites: list[AtomRewrite],
-) -> RationalExpression | None:
-    """Sum the row's pattern variables outside `onto` out of `expr`, atom by atom.
+) -> bool:
+    """Sum the row's pattern variables outside `onto` out of `exps`, atom by atom.
 
-    Succeeds only when each summed variable occurs in exactly one numerator
-    atom instance and nowhere else; the sum then slides inside that atom and
-    restricts it.  Returns None when any variable resists, in which case the
-    caller falls back to the unexpanded marginal atom.
+    `exps` maps each atom of a quotient to its signed exponent: positive in
+    the numerator, negative in the denominator, 0 where the two cancel.  A
+    summed variable must sit in exactly one atom with a nonzero exponent,
+    and that exponent must be 1; the sum then slides inside that atom and
+    restricts it, and the rewrite is appended to `rewrites`.  Returns False
+    as soon as a variable resists, leaving `exps` and the rewrites made so
+    far as they are; the caller then falls back to the unexpanded marginal
+    atom.
     """
-    current = expr
-    for a in scheme:
+    for a, v in zip(scheme, row.cells):
         if a in onto:
             continue
-        v = row.cells[scheme.index(a)]
-        in_den = sum(1 for at in current.denominator if v in at.pattern)
-        holders = [i for i, at in enumerate(current.numerator) if v in at.pattern]
-        if in_den or len(holders) != 1:
-            return None
-        i = holders[0]
-        atom = current.numerator[i]
-        restricted = restrict_atom(atom, atom.over - AttributeSet([a]))
-        rewrites.append(AtomRewrite(atom, restricted, v))
-        num = list(current.numerator)
-        num[i] = restricted
-        current = RationalExpression.of(num, current.denominator)
-    return current
+        holder = None
+        for atom, e in exps.items():
+            if e and v in atom.pattern:
+                if holder is not None or e != 1:
+                    return False
+                holder = atom
+        if holder is None:
+            return False
+        restricted = restrict_atom(holder, holder.over - AttributeSet([a]))
+        rewrites.append(AtomRewrite(holder, restricted, v))
+        exps[holder] = 0
+        exps[restricted] = exps.get(restricted, 0) + 1
+    return True
+
+
+def _quotient(exps: dict[MarginalAtom, int]) -> RationalExpression:
+    """The canonical quotient of atoms raised to their signed exponents."""
+    num: list[MarginalAtom] = []
+    den: list[MarginalAtom] = []
+    for atom, e in exps.items():
+        if e > 0:
+            num.extend([atom] * e)
+        elif e < 0:
+            den.extend([atom] * -e)
+    return RationalExpression.of(num, den)
 
 
 def factorization_for(trace: ChaseTrace) -> tuple[RationalExpression, tuple[AtomRewrite, ...]]:
@@ -508,39 +545,58 @@ def factorization_for(trace: ChaseTrace) -> tuple[RationalExpression, tuple[Atom
     satisfying the constraints it evaluates to the relation's weight.
     """
     final = trace.final
-    scheme = final.scheme
     wd = final.distinguished_row()
     if not final.has_pattern(wd):
         raise ValueError("the final tableau has no all-distinguished row")
     derivations = {step.produced_id: step for step in trace.steps}
     rewrites: list[AtomRewrite] = []
     memo: dict[tuple[int, AttributeSet], RationalExpression] = {}
-
-    def expr_for(rid: int, onto: AttributeSet) -> RationalExpression:
-        key = (rid, onto)
-        if key in memo:
-            return memo[key]
-        row = final.rows[rid]
-        step = derivations.get(rid)
-        if step is None:
-            result = RationalExpression.atom(_atom_at(scheme, row, onto))
-        else:
-            e = RationalExpression.of()
-            for edge, k in zip(step.rule.gajd.edges_in_order, step.selection):
-                e = e * expr_for(k, edge)
-            e = e * RationalExpression.of((), [_atom_at(scheme, row, s) for s in step.rule.gajd.interactions])
-            if onto == scheme:
-                result = e
-            else:
-                reduced = _marginalize_expr(e, row, scheme, onto, rewrites)
-                result = reduced if reduced is not None else RationalExpression.atom(
-                    _atom_at(scheme, row, onto)
-                )
-        memo[key] = result
-        return result
-
-    expression = expr_for(final.row_id(wd), scheme)
+    expression = _expand(final.row_id(wd), final.scheme, final, derivations, memo, rewrites)
     return expression, tuple(rewrites)
+
+
+def _expand(
+    rid: int,
+    onto: AttributeSet,
+    final: Tableau,
+    derivations: dict[int, ChaseStep],
+    memo: dict[tuple[int, AttributeSet], RationalExpression],
+    rewrites: list[AtomRewrite],
+) -> RationalExpression:
+    """The expression of row `rid` marginalized onto `onto`, memoized per `(rid, onto)`.
+
+    A derived row's quotient is kept as a map from atoms to signed
+    exponents while it is assembled: each selected row's expansion adds its
+    exponents, and each interaction atom subtracts one.  The map is made
+    canonical once, when its memo entry is stored.
+    """
+    key = (rid, onto)
+    result = memo.get(key)
+    if result is not None:
+        return result
+    scheme = final.scheme
+    row = final.rows[rid]
+    step = derivations.get(rid)
+    if step is None:
+        result = RationalExpression.atom(_atom_at(scheme, row, onto))
+    else:
+        gajd = step.rule.gajd
+        exps: dict[MarginalAtom, int] = {}
+        for edge, k in zip(gajd.edges_in_order, step.selection):
+            sub = _expand(k, edge, final, derivations, memo, rewrites)
+            for atom in sub.numerator:
+                exps[atom] = exps.get(atom, 0) + 1
+            for atom in sub.denominator:
+                exps[atom] = exps.get(atom, 0) - 1
+        for s in gajd.interactions:
+            atom = _atom_at(scheme, row, s)
+            exps[atom] = exps.get(atom, 0) - 1
+        if onto == scheme or _marginalize_expr(exps, row, scheme, onto, rewrites):
+            result = _quotient(exps)
+        else:
+            result = RationalExpression.atom(_atom_at(scheme, row, onto))
+    memo[key] = result
+    return result
 
 
 def implies(

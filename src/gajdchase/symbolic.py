@@ -8,7 +8,11 @@ every operation and no polynomial machinery is needed.
 
 Canonical form: common atoms are cancelled between numerator and denominator
 and each side is sorted by a total structural order, which makes printing
-deterministic and equality structural.
+deterministic and equality structural.  `RationalExpression.of` builds it
+once per expression: it counts atoms only when the two sides share one, and
+sorts each side once.  An atom computes its hash and its sort key the first
+time either is used and keeps them, so sorting and hashing an atom again
+costs one attribute read.
 """
 
 from __future__ import annotations
@@ -16,6 +20,7 @@ from __future__ import annotations
 import warnings
 from collections import Counter
 from dataclasses import dataclass
+from operator import attrgetter
 from typing import Iterable, Mapping
 
 from .errors import SchemeError, ZeroDenominatorWarning
@@ -66,7 +71,12 @@ def distinguished_for(scheme: AttributeSet, column: str) -> Variable:
 
 @dataclass(frozen=True)
 class MarginalAtom:
-    """phi over an attribute subset, at the variables in `pattern` (one per column, in order)."""
+    """phi over an attribute subset, at the variables in `pattern` (one per column, in order).
+
+    `sort_key`, the atom's place in the total structural order (attribute
+    set, then its variables' sort keys), and the hash are computed on first
+    use and kept in the instance dict; equality compares the two fields.
+    """
 
     over: AttributeSet
     pattern: tuple[Variable, ...]
@@ -78,16 +88,28 @@ class MarginalAtom:
             if var.column != attr:
                 raise ValueError(f"variable {var.render()} belongs to column {var.column}, not {attr}")
 
+    def __hash__(self) -> int:
+        return self._hash
+
+    def __getattr__(self, name: str):
+        # Reached only while `name` is not in the instance dict: the hash and
+        # the sort key are computed on first use and kept there, so every
+        # later read is a plain attribute lookup.
+        if name == "_hash":
+            value = hash((self.over, self.pattern))
+        elif name == "sort_key":
+            value = (self.over.members, tuple([v.sort_key for v in self.pattern]))
+        else:
+            raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
+        self.__dict__[name] = value
+        return value
+
     @classmethod
     def from_cells(cls, over: AttributeSet, cells: Mapping[str, Variable]) -> "MarginalAtom":
         return cls(over, tuple(cells[a] for a in over))
 
     def render(self) -> str:
         return "phi(" + ",".join(v.render() for v in self.pattern) + ")"
-
-    @property
-    def sort_key(self) -> tuple:
-        return (self.over.members, tuple(v.sort_key for v in self.pattern))
 
 
 def restrict_atom(atom: MarginalAtom, to: AttributeSet) -> MarginalAtom:
@@ -104,11 +126,7 @@ def restrict_atom(atom: MarginalAtom, to: AttributeSet) -> MarginalAtom:
     return MarginalAtom(to, tuple(keep[a] for a in to))
 
 
-def _sorted_atoms(atoms: Counter) -> tuple[MarginalAtom, ...]:
-    out: list[MarginalAtom] = []
-    for atom in sorted(atoms, key=lambda a: a.sort_key):
-        out.extend([atom] * atoms[atom])
-    return tuple(out)
+_SORT_KEY = attrgetter("sort_key")
 
 
 @dataclass(frozen=True)
@@ -120,10 +138,15 @@ class RationalExpression:
 
     @classmethod
     def of(cls, numerator: Iterable[MarginalAtom] = (), denominator: Iterable[MarginalAtom] = ()) -> "RationalExpression":
-        num = Counter(numerator)
-        den = Counter(denominator)
-        common = num & den
-        return cls(_sorted_atoms(num - common), _sorted_atoms(den - common))
+        num = list(numerator)
+        den = list(denominator)
+        if num and den and not set(num).isdisjoint(den):
+            n, d = Counter(num), Counter(den)
+            common = n & d
+            num, den = list((n - common).elements()), list((d - common).elements())
+        num.sort(key=_SORT_KEY)
+        den.sort(key=_SORT_KEY)
+        return cls(tuple(num), tuple(den))
 
     @classmethod
     def atom(cls, atom: MarginalAtom) -> "RationalExpression":

@@ -268,7 +268,8 @@ def join(
     out in the lexicographic order of the choices.  `binding` is a list
     indexed by slot and is reused between calls.  With `fixed=(p, proj)`
     position p takes only `proj`, which is bound first; positions before p
-    then also check the slots p shares with them.
+    then also check the slots p shares with them.  A plan with no position
+    but the fixed one emits once.
 
     Each position runs the steps `plan.steps` fixed for it: look the bucket
     up on the key slots, and for each projection in it compare the check
@@ -277,6 +278,11 @@ def join(
     positions after it, and the next candidate at that position, or at any
     earlier one, assigns it again before they run, so a stale value is
     never read; when `emit` runs, every slot holds the current choice's value.
+
+    The recursion is the module-level `_extend`, which takes everything it
+    reads as arguments, so a call builds no closure and leaves no reference
+    cycle behind: `emit` and the state it holds are freed when the call
+    returns.
     """
     binding: list = [None] * plan.width
     skip = -1
@@ -285,33 +291,37 @@ def join(
         for slot, v in zip(plan.slots[skip], proj):
             binding[slot] = v
     steps = plan.steps(skip)
-    last = len(steps)
+    if steps:
+        _extend(steps, 0, indexes, binding, emit)
+    else:
+        emit(binding)
 
-    def extend(d: int) -> None:
-        if d == last:
-            emit(binding)
-            return
-        i, key_slots, binds, checks = steps[d]
-        bucket = indexes[i].get(tuple([binding[s] for s in key_slots]))
-        if not bucket:
-            return
-        d += 1
-        for proj in bucket:
-            for c, s in checks:
-                if proj[c] != binding[s]:
-                    break
+
+def _extend(
+    steps: tuple[tuple[int, tuple, tuple, tuple], ...],
+    d: int,
+    indexes: Sequence[Mapping[tuple, Sequence[tuple]]],
+    binding: list,
+    emit: Callable[[list], None],
+) -> None:
+    """Run `steps[d]` for each candidate of its bucket; at the last step, emit each consistent one."""
+    i, key_slots, binds, checks = steps[d]
+    bucket = indexes[i].get(tuple([binding[s] for s in key_slots]))
+    if not bucket:
+        return
+    d += 1
+    last = d == len(steps)
+    for proj in bucket:
+        for c, s in checks:
+            if proj[c] != binding[s]:
+                break
+        else:
+            for c, s in binds:
+                binding[s] = proj[c]
+            if last:
+                emit(binding)
             else:
-                for c, s in binds:
-                    binding[s] = proj[c]
-                extend(d)
-
-    try:
-        extend(0)
-    finally:
-        # `extend` refers to itself.  Emptying its cell breaks that cycle, so
-        # `emit` and the state it holds are freed now, not by the cyclic
-        # garbage collector.
-        del extend
+                _extend(steps, d, indexes, binding, emit)
 
 
 def run(t: Tableau, rel: WeightedRelation) -> WeightedRelation:

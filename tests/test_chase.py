@@ -10,7 +10,7 @@ from gajdchase.errors import ChaseRowLimitError, SchemeError
 from gajdchase.hypergraph import AttributeSet
 from gajdchase.oracle import fold_axes, project_onto, random_positive
 from gajdchase.prelation import DomainSpec, Gajd, relation_from_domains, satisfies
-from gajdchase.symbolic import MarginalAtom, RationalExpression, distinguished_for, evaluate
+from gajdchase.symbolic import MarginalAtom, RationalExpression, distinguished_for, evaluate, restrict_atom
 from gajdchase.tableau import Row, Tableau, build_tr, run
 from conftest import (
     contains_distinguished_row,
@@ -512,6 +512,104 @@ class TestImplies:
         target, left, _ = chain4
         with pytest.raises(ChaseRowLimitError):
             implies([JRule("C1", left)], target, max_rows=4)
+
+
+def reference_factorization(trace):
+    """`factorization_for` as a recursion over canonical quotients, re-cancelled after every product.
+
+    Returns the expression, the rewrites, and how many `(row, edge)`
+    expansions fell back to the unexpanded atom.
+    """
+    final = trace.final
+    scheme = final.scheme
+    derivations = {step.produced_id: step for step in trace.steps}
+    rewrites = []
+    memo = {}
+    fallbacks = [0]
+
+    def atom_at(row, over):
+        return MarginalAtom.from_cells(over, dict(zip(scheme, row.cells)))
+
+    def marginalize(expr, row, onto):
+        current = expr
+        for a in scheme:
+            if a in onto:
+                continue
+            v = row.cells[scheme.index(a)]
+            in_den = sum(1 for at in current.denominator if v in at.pattern)
+            holders = [i for i, at in enumerate(current.numerator) if v in at.pattern]
+            if in_den or len(holders) != 1:
+                return None
+            i = holders[0]
+            atom = current.numerator[i]
+            restricted = restrict_atom(atom, atom.over - AttributeSet([a]))
+            rewrites.append(chase_module.AtomRewrite(atom, restricted, v))
+            num = list(current.numerator)
+            num[i] = restricted
+            current = RationalExpression.of(num, current.denominator)
+        return current
+
+    def expr_for(rid, onto):
+        key = (rid, onto)
+        if key in memo:
+            return memo[key]
+        row = final.rows[rid]
+        step = derivations.get(rid)
+        if step is None:
+            result = RationalExpression.atom(atom_at(row, onto))
+        else:
+            e = RationalExpression.of()
+            for edge, k in zip(step.rule.gajd.edges_in_order, step.selection):
+                e = e * expr_for(k, edge)
+            e = e * RationalExpression.of((), [atom_at(row, s) for s in step.rule.gajd.interactions])
+            if onto == scheme:
+                result = e
+            else:
+                result = marginalize(e, row, onto)
+                if result is None:
+                    fallbacks[0] += 1
+                    result = RationalExpression.atom(atom_at(row, onto))
+        memo[key] = result
+        return result
+
+    expression = expr_for(final.row_id(final.distinguished_row()), scheme)
+    return expression, tuple(rewrites), fallbacks[0]
+
+
+def chain_positive(n):
+    """The chain {A1 A2}..{An-1 An} given every two-way split {A1..Ak}{Ak..An}, k = 2..n-1: implied."""
+    attrs = [f"A{i}" for i in range(1, n + 1)]
+    target = Gajd.from_edges([attrs[i : i + 2] for i in range(n - 1)])
+    return [Gajd.from_edges([attrs[:k], attrs[k - 1 :]]) for k in range(2, n)], target
+
+
+class TestFactorizationExact:
+    """`factorization_for`, on signed exponent maps, gives the reference's expression and rewrites."""
+
+    def check(self, constraints, target):
+        verdict = implies(constraints, target)
+        if not verdict.holds:
+            return None
+        expression, rewrites, fallbacks = reference_factorization(verdict.trace)
+        assert chase_module.factorization_for(verdict.trace) == (expression, rewrites)
+        return len(rewrites), fallbacks
+
+    def test_census_positives(self):
+        from test_census_golden import census_problems
+
+        seen = []
+        for problem in census_problems():
+            query = problem.queries[0]
+            seen.append(self.check(problem.rules_for(query), query.target))
+        positives = [x for x in seen if x is not None]
+        assert len(positives) >= 10
+        # Both branches are exercised: expansions that rewrite, and ones that fall back.
+        assert sum(r for r, _ in positives) > 0 and sum(f for _, f in positives) > 0
+
+    @pytest.mark.parametrize("n", range(4, 11))
+    def test_chain_positives(self, n):
+        constraints, target = chain_positive(n)
+        assert self.check(constraints, target) is not None
 
 
 def _satisfying_relation(constraints, attrs, seed):

@@ -1,3 +1,4 @@
+import gc
 import random
 import subprocess
 import sys
@@ -243,6 +244,40 @@ class TestOnlyWhatIsPrinted:
         dom = DomainSpec.uniform(problem.attrs)
         run(build_tr(problem.queries[0].target), relation_from_domains(dom, [1.0 / 16] * 16))
         assert calls["eq5_expression"] == 1
+
+
+def cyclic_garbage_after(call) -> int:
+    """The objects the cyclic collector finds unreachable after `call()`, run with the collector off."""
+    gc.collect()
+    gc.disable()
+    try:
+        call()
+        return gc.collect()
+    finally:
+        gc.enable()
+
+
+class TestNoCyclicGarbage:
+    """What a query builds (memo, rewrites, tableaux, join state) is freed by reference counting."""
+
+    @pytest.mark.parametrize("text", [CHAIN4_PROBLEM, CHAIN4_NEGATIVE_PROBLEM], ids=["positive", "negative"])
+    def test_implies(self, text):
+        problem = parse(text)
+        assert cyclic_garbage_after(lambda: cmd_implies(problem, trace=True, factorize=True)) == 0
+
+    def test_verify(self):
+        problem = parse(TestMultipleQueries.TEXT)
+        # The first call may import numpy, whose import leaves cyclic garbage once.
+        cmd_verify(problem, seed=1, trials=2)
+        assert cyclic_garbage_after(lambda: cmd_verify(problem, seed=1, trials=2)) == 0
+
+    def test_tableau_run(self):
+        from gajdchase.prelation import DomainSpec, relation_from_domains
+        from gajdchase.tableau import build_tr, run
+
+        problem = parse(CHAIN4_PROBLEM)
+        rel = relation_from_domains(DomainSpec.uniform(problem.attrs), [1.0 / 16] * 16)
+        assert cyclic_garbage_after(lambda: run(build_tr(problem.queries[0].target), rel)) == 0
 
 
 class TestMultipleQueries:

@@ -1,3 +1,5 @@
+from collections import Counter
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -138,6 +140,49 @@ class TestRationalExpression:
         y = RationalExpression.of([PHI_A2A3], [PHI_A2])
         z = RationalExpression.of([], [PHI_A3])
         assert (x * y) * z == x * (y * z)
+
+
+def reference_of(numerator, denominator):
+    """Canonical form by multiset difference: Counters, cancelled, each distinct atom sorted then repeated."""
+
+    def sort_key(a):
+        return (a.over.members, tuple(v.sort_key for v in a.pattern))
+
+    def sorted_atoms(atoms):
+        out = []
+        for a in sorted(atoms, key=sort_key):
+            out.extend([a] * atoms[a])
+        return tuple(out)
+
+    num, den = Counter(numerator), Counter(denominator)
+    common = num & den
+    return sorted_atoms(num - common), sorted_atoms(den - common)
+
+
+# A small pool, so that draws repeat atoms and share them across the two
+# sides; `atom(A2)` is a second object equal to PHI_A2, and the atoms over
+# {A3 A4} differ only in the variable of A4.
+ATOM_POOL = [PHI_A1A2, PHI_A2A3, PHI_A3A4, PHI_A2, atom(A2), PHI_A3, atom(A3, B4), atom(B4), atom(A4)]
+atom_lists = st.lists(st.sampled_from(ATOM_POOL), max_size=7)
+
+
+class TestCanonicalFormExact:
+    """`RationalExpression.of` and `*` agree with the multiset-difference reference."""
+
+    @settings(deadline=None)
+    @given(atom_lists, atom_lists)
+    def test_of(self, num, den):
+        got = RationalExpression.of(num, den)
+        assert (got.numerator, got.denominator) == reference_of(num, den)
+
+    @settings(deadline=None)
+    @given(atom_lists, atom_lists, atom_lists, atom_lists)
+    def test_mul(self, num1, den1, num2, den2):
+        x, y = RationalExpression.of(num1, den1), RationalExpression.of(num2, den2)
+        got = x * y
+        assert (got.numerator, got.denominator) == reference_of(
+            x.numerator + y.numerator, x.denominator + y.denominator
+        )
 
 
 class TestEq5Expression:
