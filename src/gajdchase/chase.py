@@ -11,12 +11,14 @@ terminates, and the fixpoint is independent of application order.
 
 A rule's step is the classical chase step for a join dependency: the
 natural join of the rows' distinct projections onto the rule's edges.  The
-edges are joined in certificate order, so each one is looked up on its
-interaction set with the edges before it (Yannakakis's acyclic join), and
-the join is semi-naive: a new row is joined only where one of its edge
-projections is new.  Each new projection is joined with the projections
-indexed before it as soon as it is indexed, before the row's next one, so a
-result comes out exactly once per run, at the last new projection it uses.
+join from an edge visits the others in certificate order and looks each up
+on every column already bound: its interaction set with the edges before it
+(Yannakakis's acyclic join), plus, for an edge before the start, what it
+shares with the start's edge, so no candidate is ever compared.  The join
+is semi-naive: a new row is joined only where one of its edge projections
+is new.  Each new projection is joined with the projections indexed before
+it as soon as it is indexed, before the row's next one, so a result comes
+out exactly once per run, at the last new projection it uses.
 A produced row is not indexed for the rule that produced it: on each of that
 rule's edges it carries the projection of a row already indexed there.
 Each index entry carries the first row id with its projection, so the join
@@ -60,8 +62,7 @@ import heapq
 import random
 from dataclasses import dataclass, field
 from functools import cached_property
-from operator import itemgetter
-from typing import Callable, Iterable, Sequence
+from typing import Iterable, Sequence
 
 from .errors import ChaseRowLimitError, SchemeError
 from .hypergraph import AttributeSet
@@ -73,7 +74,7 @@ from .symbolic import (
     eq5_expression,
     restrict_atom,
 )
-from .tableau import JoinPlan, Row, Tableau, build_tr, join
+from .tableau import JoinPlan, Row, Tableau, build_tr, getter, join
 
 DEFAULT_MAX_ROWS = 100_000
 
@@ -182,28 +183,19 @@ def _as_rules(constraints: Iterable[Gajd | JRule]) -> tuple[JRule, ...]:
     return tuple(rules)
 
 
-def _getter(cols: Sequence[int]) -> Callable[[Sequence], tuple]:
-    """A function reading the tuple of `cols` from a sequence; one column gives a 1-tuple, none `()`."""
-    if len(cols) > 1:
-        return itemgetter(*cols)
-    if cols:
-        c = cols[0]
-        return lambda cells: (cells[c],)
-    return lambda cells: ()
-
-
 class _CompiledRule:
     """A rule over one scheme: edge columns in certificate order and their indexes.
 
-    `seen` and `index` hold projections of the run tableau's coded patterns
-    (`Tableau.patterns`).  A join result is the pattern followed by its least
-    selection.  `reads` holds, per position, the two functions that read a
-    coded pattern, built once here (`_getter`): its projection onto the edge
-    and its index key, its cells on the interaction set, next to that
-    position's `seen` set and index.  `produce` makes the rule's row for a
-    selection, and `expression` builds that row's weight expression when it
-    is read; the chase and `ChaseTrace.replay` both use them.  A rule over
-    another scheme is a SchemeError.
+    `index` holds projections of the run tableau's coded patterns
+    (`Tableau.patterns`), each followed by its first row id, one index per
+    entry of `plan.keyed`; a two-edge rule keeps one per position, both on
+    the separator.  A join result is the pattern followed by its least
+    selection.  `reads` holds, per position, the reader of a coded pattern's
+    edge projection, the projections met so far, and the position's indexes,
+    each with the reader of its key (`tableau.getter`, built once here).
+    `produce` makes the rule's row for a selection, and `expression` builds
+    that row's weight expression when it is read; the chase and
+    `ChaseTrace.replay` both use them.  A rule over another scheme is a SchemeError.
     """
 
     def __init__(self, rule: JRule, scheme: AttributeSet):
@@ -214,19 +206,16 @@ class _CompiledRule:
             )
         self.rule = rule
         self.scheme = scheme
-        self.cols = tuple(tuple(scheme.index(a) for a in edge) for edge in rule.gajd.edges_in_order)
-        # Per position: the edge projections met so far, and interaction-set key -> each
-        # distinct projection followed by the first row id carrying it, which the plan
-        # binds to slot n + i; no other position names that slot, so it is never checked.
+        column = {a: c for c, a in enumerate(scheme)}
+        self.cols = tuple(tuple([column[a] for a in edge]) for edge in rule.gajd.edges_in_order)
+        # Position i binds its row id to slot n + i; a join starts at a new projection's position.
         n = len(scheme)
-        self.plan = plan = JoinPlan([cols + (n + i,) for i, cols in enumerate(self.cols)])
-        self.seen: list[set[tuple[int, ...]]] = [set() for _ in self.cols]
-        self.index: list[dict[tuple[int, ...], list[tuple[int, ...]]]] = [{} for _ in self.cols]
-        # Per position: a coded pattern's edge projection, and its index key, read by one call each.
-        self.reads = tuple(
-            (_getter(cols), _getter([cols[c] for c in key]), self.seen[pos], self.index[pos])
-            for pos, (cols, key) in enumerate(zip(self.cols, plan.keys))
-        )
+        self.plan = plan = JoinPlan([cols + (n + i,) for i, cols in enumerate(self.cols)], range(len(self.cols)))
+        self.index: list[dict[object, list[tuple[int, ...]]]] = [{} for _ in plan.keyed]
+        inserts: list[list] = [[] for _ in self.cols]
+        for (pos, key), index in zip(plan.keyed, self.index):
+            inserts[pos].append((getter([self.cols[pos][c] for c in key], True), index))
+        self.reads = tuple((getter(cols, False), set(), tuple(ins)) for cols, ins in zip(self.cols, inserts))
 
     def produce(self, t: Tableau, selection: Sequence[int], pattern: tuple[Variable, ...]) -> Row:
         """The row at `pattern` produced from the selected rows of `t`; its expression is built when read."""
@@ -284,23 +273,24 @@ class _ChaseRun:
     def _index_row(self, rid: int) -> None:
         """Index each new edge projection of row `rid` and join it with those indexed before it.
 
-        Per rule position, the compiled `reads` give the projection and the
-        key in one call each, with the `seen` set and index they go into.
-        The rule that produced the row is skipped: on each of its edges the
-        row carries the projection of the row selected there, which is
-        already indexed, so it brings that rule nothing new.
+        Per rule position, the compiled `reads` give the projection, the
+        `seen` set, and the position's indexes with their key readers; a new
+        projection enters them all before the join from its position.  The
+        rule that produced the row is skipped: on each of its edges the row
+        carries the projection of a row already indexed there.
         """
         cells, producer = self.work.patterns[rid], self.producer[rid]
         for rule_idx, (cr, emit) in enumerate(zip(self.compiled, self.emits)):
             if rule_idx == producer:
                 continue
             plan, indexes = cr.plan, cr.index
-            for pos, (project, key_of, seen, index) in enumerate(cr.reads):
+            for pos, (project, seen, inserts) in enumerate(cr.reads):
                 proj = project(cells)
                 if proj not in seen:
                     seen.add(proj)
                     entry = proj + (rid,)
-                    index.setdefault(key_of(cells), []).append(entry)
+                    for key_of, index in inserts:
+                        index.setdefault(key_of(cells), []).append(entry)
                     join(plan, indexes, emit, (pos, entry))
 
     def _consider(self, rule_idx: int, cr: _CompiledRule):
@@ -314,13 +304,13 @@ class _ChaseRun:
         rng, is_distinguished = self.rng, self.is_distinguished
         n = len(cr.scheme)
 
-        def emit(binding: list) -> None:
-            pattern = tuple(binding[:n])
+        def emit(binding: tuple) -> None:
+            pattern = binding[:n]
             if pattern in row_of:
                 duplicates[0] += 1
                 return
             key = rng.random() if rng is not None else -sum([is_distinguished[v] for v in pattern])
-            heapq.heappush(pending, (key, rule_idx, tuple(binding[n:]), pattern))
+            heapq.heappush(pending, (key, rule_idx, binding[n:], pattern))
 
         return emit
 
@@ -376,10 +366,10 @@ def chase(
     """Apply derivation rules to (a copy of) `t` until a stop condition holds.
 
     Each rule is applied as a natural join of the rows' distinct projections
-    onto its edges, taken in certificate order with one index per
-    interaction set, and semi-naively: a new row is joined only where one of
-    its edge projections is new, each new projection with those indexed
-    before it, so each result comes out once per rule.  Each result that is
+    onto its edges, taken in certificate order with each edge looked up on
+    every column already bound, and semi-naively: a new row is joined only
+    where one of its edge projections is new, each new projection with
+    those indexed before it, so each result comes out once per rule.  Each result that is
     not yet a row becomes one pending application, whose selection takes,
     at each edge, the smallest row id with that projection.  That is the
     lexicographically least selection producing the pattern, and a later row

@@ -156,6 +156,8 @@ class RationalExpression:
         return not self.numerator and not self.denominator
 
     def __mul__(self, other: "RationalExpression") -> "RationalExpression":
+        """The canonical product; `chase._expand` adds signed exponents instead, and the
+        reference expansion that `tests/test_chase.py` checks it against multiplies with this."""
         return RationalExpression.of(
             self.numerator + other.numerator, self.denominator + other.denominator
         )

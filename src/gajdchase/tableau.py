@@ -20,6 +20,7 @@ distinguished tuple agree and raises otherwise.
 from __future__ import annotations
 
 import itertools
+from operator import itemgetter
 from typing import Callable, Mapping, Sequence
 
 from .errors import SchemeError, TableauInconsistencyError
@@ -194,134 +195,134 @@ def build_tr(g: Gajd) -> Tableau:
     return t
 
 
+def getter(cols: Sequence[int], scalar: bool) -> Callable[[Sequence], object]:
+    """An `operator.itemgetter` of the entries at `cols` of a tuple, as a tuple (`()` for none).
+
+    With `scalar`, one column reads as its value itself, as index keys are read.
+    """
+    if len(cols) > 1 or (cols and scalar):
+        return itemgetter(*cols)
+    return itemgetter(slice(cols[0], cols[0] + 1) if cols else slice(0, 0))
+
+
 class JoinPlan:
     """Positions joined in a fixed order, each binding one projection to slots.
 
     A projection at position i is a tuple with one component per entry of
     `slots[i]`, which names the slot (a column, a variable) that component
-    binds; one position never names a slot twice.  `keys[i]` lists the
-    components whose slots an earlier position binds, so that position's
-    index maps the values at `keys[i]` to the projections carrying them.
-    For the edges of a hypertree in certificate order the keys are the
-    interaction sets, which makes the join Yannakakis's acyclic join.
+    binds; one position never names a slot twice, and the slots named are
+    0 .. `width` - 1.  A join starts at one of `starts`: a position whose
+    projection is given (see `join`), or None.  Its probe visits the other
+    positions in index order and looks each up on all its components whose
+    slots the start or an earlier position binds, so no candidate is ever
+    compared.  After the start that key is the position's interaction set
+    with the positions before it, which for a hypertree's edges in
+    certificate order makes this Yannakakis's acyclic join; before the
+    start it also holds what the position shares with the start.
 
-    Which slots a position binds is fixed by the plan, so `steps(skip)`
-    works the join's control flow out once per fixed position `skip` (-1
-    for none) and keeps it: for each position but `skip`, in order, the
-    position, its key slots, the `(component, slot)` pairs it binds and the
-    pairs it checks.  A key component is matched by the index lookup and
-    needs neither.  Every other component binds its slot, except where the
-    slot is one that `skip` binds: `skip` is bound first, so a position
-    before it checks those components instead.  At a position after `skip`
-    they are key components, so such a position binds all its others.
+    `keyed` lists each distinct `(position, key components)` the probes of
+    `starts` read, and the caller keeps one index per entry, in that order,
+    mapping the components' values (`getter(components, True)`) to the
+    projections carrying them, in insertion order.  `probes` keeps each
+    start's probe (see `probe`), built on its first join.
     """
 
-    __slots__ = ("slots", "keys", "width", "_split", "_steps")
+    __slots__ = ("slots", "width", "keyed", "_lookups", "probes")
 
-    def __init__(self, slots: Sequence[Sequence[int]]):
-        self.slots = tuple(tuple(comp) for comp in slots)
-        keys = []
-        seen: set[int] = set()
-        for comp in self.slots:
-            keys.append(tuple(c for c, slot in enumerate(comp) if slot in seen))
-            seen.update(comp)
-        self.keys = tuple(keys)
-        self.width = max(seen, default=-1) + 1
-        # Per position: its key slots, and the `(component, slot)` pairs off its key.
-        self._split = tuple(
-            (tuple(comp[c] for c in k), tuple((c, slot) for c, slot in enumerate(comp) if c not in k))
-            for comp, k in zip(self.slots, self.keys)
-        )
-        self._steps: dict[int, tuple] = {}
+    def __init__(self, slots: Sequence[Sequence[int]], starts: Sequence[int | None]):
+        self.slots = tuple(map(tuple, slots))
+        named = set().union(*self.slots)
+        self.width = len(named)
+        if named != set(range(self.width)):
+            raise ValueError("the slots of a join plan must be 0, 1, ... with none left out")
+        keyed: dict[tuple[int, tuple[int, ...]], int] = {}
+        self._lookups: dict[int | None, tuple[int, ...]] = {}
+        for start in starts:
+            bound = set(self.slots[start]) if start is not None else set()
+            lookups = []
+            for i, comp in enumerate(self.slots):
+                if i != start:
+                    key = (i, tuple([c for c, slot in enumerate(comp) if slot in bound]))
+                    lookups.append(keyed.setdefault(key, len(keyed)))
+                    bound.update(comp)
+            self._lookups[start] = tuple(lookups)
+        self.keyed = tuple(keyed)
+        self.probes: dict[int | None, tuple[tuple, Callable]] = {}
 
-    def key(self, i: int, proj: Sequence) -> tuple:
-        """The index key of projection `proj` at position `i`."""
-        return tuple([proj[c] for c in self.keys[i]])
+    def probe(self, start: int | None) -> tuple[tuple[tuple[int, Callable], ...], Callable]:
+        """The steps of the join from `start`, and the reader of its binding.
 
-    def steps(self, skip: int) -> tuple[tuple[int, tuple, tuple, tuple], ...]:
-        """Per position but `skip`: `(position, key slots, bind pairs, check pairs)`; see the class."""
-        steps = self._steps.get(skip)
-        if steps is None:
+        A join carries its chosen projections as one concatenated tuple, the
+        start's first.  A step is the number of the index it looks up and the
+        getter of its key from that tuple; the reader gets the binding, each
+        slot's value in slot order, from the complete tuple.
+        """
+        probe = self.probes.get(start)
+        if probe is None:
+            slots, keyed = self.slots, self.keyed
+            # The slot of each component of the chosen tuple; a slot's value is read at its first.
+            layout = slots[start] if start is not None else ()
             steps = []
-            for i, (key_slots, free) in enumerate(self._split):
-                if i < skip:
-                    fixed = self.slots[skip]
-                    binds = tuple(pair for pair in free if pair[1] not in fixed)
-                    checks = tuple(pair for pair in free if pair[1] in fixed)
-                    steps.append((i, key_slots, binds, checks))
-                elif i > skip:
-                    steps.append((i, key_slots, free, ()))
-            steps = self._steps[skip] = tuple(steps)
-        return steps
+            for k in self._lookups[start]:
+                i, key = keyed[k]
+                comp = slots[i]
+                steps.append((k, getter([layout.index(comp[c]) for c in key], True)))
+                layout += comp
+            probe = self.probes[start] = (tuple(steps), getter(list(map(layout.index, range(self.width))), False))
+        return probe
 
 
 def join(
     plan: JoinPlan,
-    indexes: Sequence[Mapping[tuple, Sequence[tuple]]],
-    emit: Callable[[list], None],
+    indexes: Sequence[Mapping[object, Sequence[tuple]]],
+    emit: Callable[[tuple], None],
     fixed: tuple[int, tuple] | None = None,
 ) -> None:
     """Call `emit(binding)` once per consistent choice of one projection per position.
 
-    `indexes[i]` maps a key of position i (see `JoinPlan`) to its projections;
-    choices are made position by position, in index order, so results come
-    out in the lexicographic order of the choices.  `binding` is a list
-    indexed by slot and is reused between calls.  With `fixed=(p, proj)`
-    position p takes only `proj`, which is bound first; positions before p
-    then also check the slots p shares with them.  A plan with no position
-    but the fixed one emits once.
-
-    Each position runs the steps `plan.steps` fixed for it: look the bucket
-    up on the key slots, and for each projection in it compare the check
-    pairs, assign the bind pairs and go on to the next position.  No slot is
-    reset after a candidate.  A slot a position binds is read only by the
-    positions after it, and the next candidate at that position, or at any
-    earlier one, assigns it again before they run, so a stale value is
-    never read; when `emit` runs, every slot holds the current choice's value.
+    `indexes[k]` is the index of `plan.keyed[k]`; choices are made position
+    by position, in index order, so results come out in the lexicographic
+    order of the choices.  `binding` is a tuple with the value of each slot.
+    With `fixed=(p, proj)` position p takes only `proj`, and the join runs
+    the probe of start p; otherwise that of start None.  A plan with no
+    position but the fixed one emits once.
 
     The recursion is the module-level `_extend`, which takes everything it
     reads as arguments, so a call builds no closure and leaves no reference
     cycle behind: `emit` and the state it holds are freed when the call
     returns.
     """
-    binding: list = [None] * plan.width
-    skip = -1
-    if fixed is not None:
-        skip, proj = fixed
-        for slot, v in zip(plan.slots[skip], proj):
-            binding[slot] = v
-    steps = plan.steps(skip)
+    start, chosen = fixed if fixed is not None else (None, ())
+    steps, read = plan.probes.get(start) or plan.probe(start)
     if steps:
-        _extend(steps, 0, indexes, binding, emit)
+        _extend(steps, 0, indexes, chosen, read, emit)
     else:
-        emit(binding)
+        emit(read(chosen))
 
 
 def _extend(
-    steps: tuple[tuple[int, tuple, tuple, tuple], ...],
+    steps: tuple[tuple[int, Callable], ...],
     d: int,
-    indexes: Sequence[Mapping[tuple, Sequence[tuple]]],
-    binding: list,
-    emit: Callable[[list], None],
+    indexes: Sequence[Mapping[object, Sequence[tuple]]],
+    chosen: tuple,
+    read: Callable[[tuple], tuple],
+    emit: Callable[[tuple], None],
 ) -> None:
-    """Run `steps[d]` for each candidate of its bucket; at the last step, emit each consistent one."""
-    i, key_slots, binds, checks = steps[d]
-    bucket = indexes[i].get(tuple([binding[s] for s in key_slots]))
+    """Extend `chosen` by each projection in the bucket of `steps[d]`; emit at the last step.
+
+    The key holds every slot a projection there shares with `chosen`, so all are consistent.
+    """
+    k, key = steps[d]
+    bucket = indexes[k].get(key(chosen))
     if not bucket:
         return
     d += 1
-    last = d == len(steps)
-    for proj in bucket:
-        for c, s in checks:
-            if proj[c] != binding[s]:
-                break
-        else:
-            for c, s in binds:
-                binding[s] = proj[c]
-            if last:
-                emit(binding)
-            else:
-                _extend(steps, d, indexes, binding, emit)
+    if d == len(steps):
+        for proj in bucket:
+            emit(read(chosen + proj))
+    else:
+        for proj in bucket:
+            _extend(steps, d, indexes, chosen + proj, read, emit)
 
 
 def run(t: Tableau, rel: WeightedRelation) -> WeightedRelation:
@@ -330,12 +331,13 @@ def run(t: Tableau, rel: WeightedRelation) -> WeightedRelation:
     Valuations are materialized by an indexed join of the rows over the
     relation's positive-weight tuples (zero-weight tuples count as absent):
     each row's coded pattern is a position of one `JoinPlan`, built per
-    call, whose slots are the variables' codes, and its tuples are indexed
-    on the columns whose variables an earlier row already binds, in support
-    order, so valuations come out in the order of a nested loop over the
-    support.  No position is fixed, so each row binds the variables no
-    earlier row binds and checks nothing the index lookup has not matched.
-    The output deduplicates distinguished tuples: a later valuation of a
+    call with the one start None, whose slots are the variables' codes.
+    Each row's tuples are indexed on the columns whose variables an earlier
+    row already binds, in support order, one index per distinct set of
+    columns, so valuations come out in the order of a nested loop over the
+    support.  The emission key (the values of `psi`'s variables) and the
+    distinguished tuple are read from each binding by getters built once
+    per call.  The output deduplicates distinguished tuples: a later valuation of a
     tuple is compared with the first only when their weights differ, and if
     they disagree beyond `WEIGHT_TOL` the input violates the
     marginal-consistency contract and an error is raised.
@@ -354,28 +356,31 @@ def run(t: Tableau, rel: WeightedRelation) -> WeightedRelation:
     for v in psi_vars:
         if v not in slot_of:
             raise ValueError(f"emission variable {v.render()} appears in no row")
-    plan = JoinPlan(t.patterns)
-    by_keys: dict[tuple[int, ...], dict[tuple, list[tuple[str, ...]]]] = {}
-    for i, keys in enumerate(plan.keys):
-        if keys not in by_keys:
-            index: dict[tuple, list[tuple[str, ...]]] = {}
+    plan = JoinPlan(t.patterns, (None,))
+    # Every position joins the support, so positions keyed on the same columns share one index.
+    by_cols: dict[tuple[int, ...], dict[object, list[tuple[str, ...]]]] = {}
+    indexes = []
+    for _, cols in plan.keyed:
+        index = by_cols.get(cols)
+        if index is None:
+            index = by_cols[cols] = {}
+            key_of = getter(cols, True)
             for tup in support:
-                index.setdefault(plan.key(i, tup), []).append(tup)
-            by_keys[keys] = index
-    indexes = [by_keys[keys] for keys in plan.keys]
-    psi_slots = [slot_of[v] for v in psi_vars]
-    dist_slots = [slot_of[v] for v in t.distinguished_row()]
+                index.setdefault(key_of(tup), []).append(tup)
+        indexes.append(index)
+    psi_key = getter([slot_of[v] for v in psi_vars], False)
+    dist_of = getter([slot_of[v] for v in t.distinguished_row()], False)
     marginal_cache: dict[AttributeSet, WeightedRelation] = {}
     value_cache: dict[tuple[str, ...], float] = {}
     results: dict[tuple[str, ...], float] = {}
 
-    def emit(binding: list) -> None:
-        key = tuple([binding[s] for s in psi_slots])
+    def emit(binding: tuple) -> None:
+        key = psi_key(binding)
         value = value_cache.get(key)
         if value is None:
             value = evaluate(psi, rel, dict(zip(psi_vars, key)), marginal_cache)
             value_cache[key] = value
-        dist = tuple([binding[s] for s in dist_slots])
+        dist = dist_of(binding)
         seen = results.setdefault(dist, value)
         if seen != value and abs(seen - value) > WEIGHT_TOL * max(1.0, abs(seen), abs(value)):
             raise TableauInconsistencyError(

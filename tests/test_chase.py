@@ -1,4 +1,5 @@
 import collections
+import hashlib
 import itertools
 import random
 
@@ -296,6 +297,57 @@ class TestChase:
         prefix = chase(build_tr(target), [JRule("C1", left)], stop_when_no_gain=True)
         with pytest.raises(ValueError):
             chase(prefix, [JRule("C2", right)])
+
+
+class TestJoinOrderPinned:
+    """Values measured before the join looked every position up on all its bound slots.
+
+    The join's results must come out in the same order, so seeded chases draw
+    the same keys and every step, row id and duplicate count stays put.
+    """
+
+    @staticmethod
+    def digest(trace):
+        h = hashlib.sha256()
+        for step in trace.steps:
+            h.update(f"{step.selection} {step.produced.render_pattern()}\n".encode())
+        return h.hexdigest()[:16]
+
+    @pytest.mark.parametrize(
+        "family, pinned",
+        [
+            (
+                "independence5",
+                [(620, 5, "8bdf86af897c0522"), (620, 5, "a7cad6c4999c4e1b"), (620, 5, "d5b07b0e3f13739b")],
+            ),
+            ("chain4", [(5, 11, "c8757bcc3106ab79"), (5, 11, "bfdcf00dcec14cb1"), (5, 11, "5d8ec7de3b40f817")]),
+        ],
+    )
+    def test_seeded_chases(self, family, pinned, chain4):
+        if family == "chain4":
+            target, *rules = rules_for(chain4)
+        else:
+            edges, given = independence_family(5)
+            target, rules = Gajd.from_edges(edges), [JRule("G", Gajd.from_edges(given[0]))]
+        got = []
+        for k in range(3):
+            trace = chase(build_tr(target), rules, rng=random.Random(k))
+            got.append((len(trace.steps), trace.duplicates, self.digest(trace)))
+        assert got == pinned
+
+    def test_chain_family_with_one_split_dropped(self):
+        # The chains workload's shape: {A1 A2}..{An-1 An} given all two-way splits but one.
+        got = {}
+        for n in range(4, 10):
+            constraints, target = chain_positive(n)
+            duplicates = rows = 0
+            for drop in range(len(constraints)):
+                verdict = implies(constraints[:drop] + constraints[drop + 1 :], target)
+                assert not verdict.holds
+                duplicates += verdict.trace.duplicates + verdict.closure_trace.duplicates
+                rows += len(verdict.closure_trace.final)
+            got[n] = (duplicates, rows)
+        assert got == {4: (6, 10), 5: (38, 26), 6: (124, 52), 7: (300, 90), 8: (610, 142), 9: (1106, 210)}
 
 
 class TestImplies:

@@ -14,7 +14,7 @@ from gajdchase.symbolic import (
     distinguished_for,
     evaluate,
 )
-from gajdchase.tableau import JoinPlan, Row, Tableau, build_tr, join, run
+from gajdchase.tableau import JoinPlan, Row, Tableau, build_tr, getter, join, run
 from conftest import contains_distinguished_row, covering_hypertrees, identity_tableau, positive_relation
 
 
@@ -150,12 +150,15 @@ def brute_join(plan, projections, fixed=None):
 
 class TestJoin:
     def _emitted(self, plan, projections, fixed=None):
-        indexes = [{} for _ in plan.slots]
-        for i, projs in enumerate(projections):
-            for proj in projs:
-                indexes[i].setdefault(plan.key(i, proj), []).append(proj)
+        # One index per entry of `plan.keyed`, filled in the order of `projections`.
+        indexes = []
+        for i, key in plan.keyed:
+            index, key_of = {}, getter(key, True)
+            for proj in projections[i]:
+                index.setdefault(key_of(proj), []).append(proj)
+            indexes.append(index)
         out = []
-        join(plan, indexes, lambda binding: out.append(tuple(binding)), fixed)
+        join(plan, indexes, out.append, fixed)
         return out
 
     def test_matches_nested_loop_on_random_plans(self):
@@ -163,7 +166,10 @@ class TestJoin:
         shared_fixed = results = 0
         for _ in range(400):
             width = rng.randint(1, 5)
-            plan = JoinPlan([rng.sample(range(width), rng.randint(1, width)) for _ in range(rng.randint(1, 4))])
+            drawn = [rng.sample(range(width), rng.randint(1, width)) for _ in range(rng.randint(1, 4))]
+            # A plan names every slot below its width, so the slots drawn are numbered in order.
+            named = sorted({slot for comp in drawn for slot in comp})
+            plan = JoinPlan([[named.index(slot) for slot in comp] for comp in drawn], [None, *range(len(drawn))])
             projections = []
             for slots in plan.slots:
                 pool = list(itertools.product(range(3), repeat=len(slots)))
@@ -179,15 +185,27 @@ class TestJoin:
                     assert self._emitted(plan, projections, fixed) == brute_join(plan, projections, fixed)
         assert shared_fixed > 100 and results > 300
 
-    def test_fixed_position_checks_earlier_positions(self):
-        # A cycle: with the last position fixed, the first two check the slots it binds.
-        plan = JoinPlan([(0, 1), (1, 2), (2, 0)])
+    def test_fixed_position_looks_earlier_positions_up_on_its_slots(self):
+        # A cycle: with the last position fixed, the first two are looked up on the slots it
+        # binds as well as on those the positions before them bind, so each bucket holds only
+        # projections consistent with the fixed one.
+        plan = JoinPlan([(0, 1), (1, 2), (2, 0)], [None, 2])
+        assert plan.keyed == ((0, ()), (1, (0,)), (2, (0, 1)), (0, (0,)), (1, (0, 1)))
         projections = [[(0, 0), (0, 1), (1, 1)], [(0, 0), (1, 0), (1, 1)], [(0, 0), (1, 1), (0, 1)]]
         fixed = (2, (1, 1))
         assert self._emitted(plan, projections, fixed) == brute_join(plan, projections, fixed) == [(1, 1, 1)]
         assert self._emitted(plan, projections) == brute_join(plan, projections) == [
             (0, 0, 0), (0, 1, 0), (1, 1, 0), (1, 1, 1)
         ]
+
+    def test_two_edge_rule_keeps_one_index_per_position_on_the_separator(self):
+        # The chase's plan for edges {A B} {B C}: columns 0-2, then each position's row id slot.
+        plan = JoinPlan([(0, 1, 3), (1, 2, 4)], range(2))
+        assert plan.keyed == ((1, (0,)), (0, (1,)))
+
+    def test_every_slot_below_the_width_is_named(self):
+        with pytest.raises(ValueError):
+            JoinPlan([(0, 2)], [None])
 
 
 class TestRun:
