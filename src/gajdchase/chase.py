@@ -184,15 +184,14 @@ def _as_rules(constraints: Iterable[Gajd | JRule]) -> tuple[JRule, ...]:
 
 
 class _CompiledRule:
-    """A rule over one scheme: edge columns in certificate order and their indexes.
+    """A rule over one scheme: edge columns in certificate order and their join plan.
 
-    `index` holds projections of the run tableau's coded patterns
-    (`Tableau.patterns`), each followed by its first row id, one index per
-    entry of `plan.keyed`; a two-edge rule keeps one per position, both on
-    the separator.  A join result is the pattern followed by its least
-    selection.  `reads` holds, per position, the reader of a coded pattern's
-    edge projection, the projections met so far, and the position's indexes,
-    each with the reader of its key (`tableau.getter`, built once here).
+    The plan's indexes hold projections of the run tableau's coded patterns
+    (`Tableau.patterns`), each followed by its first row id; a two-edge rule
+    keeps one per position, both on the separator.  A join result is the
+    pattern followed by its least selection.  `reads` holds, per position,
+    the reader of a coded pattern's edge projection (`tableau.getter`, built
+    once here), the projections met so far, and the plan's `inserts` there.
     `produce` makes the rule's row for a selection, and `expression` builds
     that row's weight expression when it is read; the chase and
     `ChaseTrace.replay` both use them.  A rule over another scheme is a SchemeError.
@@ -211,11 +210,7 @@ class _CompiledRule:
         # Position i binds its row id to slot n + i; a join starts at a new projection's position.
         n = len(scheme)
         self.plan = plan = JoinPlan([cols + (n + i,) for i, cols in enumerate(self.cols)], range(len(self.cols)))
-        self.index: list[dict[object, list[tuple[int, ...]]]] = [{} for _ in plan.keyed]
-        inserts: list[list] = [[] for _ in self.cols]
-        for (pos, key), index in zip(plan.keyed, self.index):
-            inserts[pos].append((getter([self.cols[pos][c] for c in key], True), index))
-        self.reads = tuple((getter(cols, False), set(), tuple(ins)) for cols, ins in zip(self.cols, inserts))
+        self.reads = tuple((getter(cols, False), set(), ins) for cols, ins in zip(self.cols, plan.inserts))
 
     def produce(self, t: Tableau, selection: Sequence[int], pattern: tuple[Variable, ...]) -> Row:
         """The row at `pattern` produced from the selected rows of `t`; its expression is built when read."""
@@ -274,24 +269,25 @@ class _ChaseRun:
         """Index each new edge projection of row `rid` and join it with those indexed before it.
 
         Per rule position, the compiled `reads` give the projection, the
-        `seen` set, and the position's indexes with their key readers; a new
-        projection enters them all before the join from its position.  The
-        rule that produced the row is skipped: on each of its edges the row
-        carries the projection of a row already indexed there.
+        `seen` set, and the plan's inserts there; a new projection, followed
+        by `rid`, enters each of the position's indexes under the key read
+        from that entry, before the join from its position.  The rule that
+        produced the row is skipped: on each of its edges the row carries the
+        projection of a row already indexed there.
         """
         cells, producer = self.work.patterns[rid], self.producer[rid]
         for rule_idx, (cr, emit) in enumerate(zip(self.compiled, self.emits)):
             if rule_idx == producer:
                 continue
-            plan, indexes = cr.plan, cr.index
+            plan = cr.plan
             for pos, (project, seen, inserts) in enumerate(cr.reads):
                 proj = project(cells)
                 if proj not in seen:
                     seen.add(proj)
                     entry = proj + (rid,)
                     for key_of, index in inserts:
-                        index.setdefault(key_of(cells), []).append(entry)
-                    join(plan, indexes, emit, (pos, entry))
+                        index.setdefault(key_of(entry), []).append(entry)
+                    join(plan, emit, (pos, entry))
 
     def _consider(self, rule_idx: int, cr: _CompiledRule):
         """Rule `rule_idx`'s join callback: count a result that is already a row, queue any other.

@@ -209,29 +209,16 @@ def evaluate(
     """Numeric value of `expr` against a concrete joint under a variable binding.
 
     Each atom evaluates to the marginal of `joint` over its attribute set at
-    the bound value tuple.  A zero in the denominator makes the result 0 and
-    raises ZeroDenominatorWarning (the positivity assumption was violated).
+    the bound value tuple; `marginalize` checks the set, once per cache.  A
+    zero in the denominator makes the result 0 and raises
+    ZeroDenominatorWarning (the positivity assumption was violated).
     """
     cache = marginal_cache if marginal_cache is not None else {}
-
-    def atom_value(atom: MarginalAtom) -> float:
-        if not atom.over <= joint.scheme:
-            raise SchemeError(f"atom over {atom.over.render()} exceeds the joint scheme {joint.scheme.render()}")
-        marg = cache.get(atom.over)
-        if marg is None:
-            marg = marginalize(joint, atom.over)
-            cache[atom.over] = marg
-        try:
-            key = tuple(binding[v] for v in atom.pattern)
-        except KeyError as exc:
-            raise KeyError(f"unbound variable {exc.args[0]!r} in {atom.render()}") from None
-        return marg.weight(key)
-
     value = 1.0
     for atom in expr.numerator:
-        value *= atom_value(atom)
+        value *= _atom_value(atom, joint, binding, cache)
     for atom in expr.denominator:
-        d = atom_value(atom)
+        d = _atom_value(atom, joint, binding, cache)
         if d == 0.0:
             warnings.warn(
                 f"zero marginal under {atom.render()}; expression value defined as 0",
@@ -241,3 +228,20 @@ def evaluate(
             return 0.0
         value /= d
     return value
+
+
+def _atom_value(
+    atom: MarginalAtom,
+    joint: WeightedRelation,
+    binding: Mapping[Variable, str],
+    cache: dict[AttributeSet, WeightedRelation],
+) -> float:
+    """The marginal of `joint` over `atom.over` at the atom's bound values, marginalized once per cache."""
+    marg = cache.get(atom.over)
+    if marg is None:
+        marg = cache[atom.over] = marginalize(joint, atom.over)
+    try:
+        key = tuple([binding[v] for v in atom.pattern])
+    except KeyError as exc:
+        raise KeyError(f"unbound variable {exc.args[0]!r} in {atom.render()}") from None
+    return marg.weight(key)

@@ -221,13 +221,15 @@ class JoinPlan:
     start it also holds what the position shares with the start.
 
     `keyed` lists each distinct `(position, key components)` the probes of
-    `starts` read, and the caller keeps one index per entry, in that order,
-    mapping the components' values (`getter(components, True)`) to the
-    projections carrying them, in insertion order.  `probes` keeps each
+    `starts` read, and `indexes` one index per entry, in that order, mapping
+    the components' values to the projections carrying them, in insertion
+    order; so a plan holds one join's data.  A projection added at position
+    i goes into each index of `inserts[i]` under the key its reader there
+    takes from the projection, as the probes read keys.  `probes` keeps each
     start's probe (see `probe`), built on its first join.
     """
 
-    __slots__ = ("slots", "width", "keyed", "_lookups", "probes")
+    __slots__ = ("slots", "width", "keyed", "indexes", "inserts", "_lookups", "probes")
 
     def __init__(self, slots: Sequence[Sequence[int]], starts: Sequence[int | None]):
         self.slots = tuple(map(tuple, slots))
@@ -247,6 +249,11 @@ class JoinPlan:
                     bound.update(comp)
             self._lookups[start] = tuple(lookups)
         self.keyed = tuple(keyed)
+        self.indexes: tuple[dict[object, list[tuple]], ...] = tuple([{} for _ in keyed])
+        inserts: list[list] = [[] for _ in self.slots]
+        for (i, key), index in zip(keyed, self.indexes):
+            inserts[i].append((getter(key, True), index))
+        self.inserts = tuple(map(tuple, inserts))
         self.probes: dict[int | None, tuple[tuple, Callable]] = {}
 
     def probe(self, start: int | None) -> tuple[tuple[tuple[int, Callable], ...], Callable]:
@@ -272,20 +279,16 @@ class JoinPlan:
         return probe
 
 
-def join(
-    plan: JoinPlan,
-    indexes: Sequence[Mapping[object, Sequence[tuple]]],
-    emit: Callable[[tuple], None],
-    fixed: tuple[int, tuple] | None = None,
-) -> None:
+def join(plan: JoinPlan, emit: Callable[[tuple], None], fixed: tuple[int, tuple] | None = None) -> None:
     """Call `emit(binding)` once per consistent choice of one projection per position.
 
-    `indexes[k]` is the index of `plan.keyed[k]`; choices are made position
+    The choices at each position are the projections in its indexes
+    (`plan.indexes`, filled through `plan.inserts`); they are made position
     by position, in index order, so results come out in the lexicographic
-    order of the choices.  `binding` is a tuple with the value of each slot.
-    With `fixed=(p, proj)` position p takes only `proj`, and the join runs
-    the probe of start p; otherwise that of start None.  A plan with no
-    position but the fixed one emits once.
+    order of the choices, each position's in insertion order.  `binding` is
+    a tuple with the value of each slot.  With `fixed=(p, proj)` position p
+    takes only `proj`, and the join runs the probe of start p; otherwise
+    that of start None.  A plan with no position but the fixed one emits once.
 
     The recursion is the module-level `_extend`, which takes everything it
     reads as arguments, so a call builds no closure and leaves no reference
@@ -295,7 +298,7 @@ def join(
     start, chosen = fixed if fixed is not None else (None, ())
     steps, read = plan.probes.get(start) or plan.probe(start)
     if steps:
-        _extend(steps, 0, indexes, chosen, read, emit)
+        _extend(steps, 0, plan.indexes, chosen, read, emit)
     else:
         emit(read(chosen))
 
@@ -332,10 +335,9 @@ def run(t: Tableau, rel: WeightedRelation) -> WeightedRelation:
     relation's positive-weight tuples (zero-weight tuples count as absent):
     each row's coded pattern is a position of one `JoinPlan`, built per
     call with the one start None, whose slots are the variables' codes.
-    Each row's tuples are indexed on the columns whose variables an earlier
-    row already binds, in support order, one index per distinct set of
-    columns, so valuations come out in the order of a nested loop over the
-    support.  The emission key (the values of `psi`'s variables) and the
+    Every index of the plan holds the support in support order, so
+    valuations come out in the order of a nested loop over the support.
+    The emission key (the values of `psi`'s variables) and the
     distinguished tuple are read from each binding by getters built once
     per call.  The output deduplicates distinguished tuples: a later valuation of a
     tuple is compared with the first only when their weights differ, and if
@@ -357,17 +359,10 @@ def run(t: Tableau, rel: WeightedRelation) -> WeightedRelation:
         if v not in slot_of:
             raise ValueError(f"emission variable {v.render()} appears in no row")
     plan = JoinPlan(t.patterns, (None,))
-    # Every position joins the support, so positions keyed on the same columns share one index.
-    by_cols: dict[tuple[int, ...], dict[object, list[tuple[str, ...]]]] = {}
-    indexes = []
-    for _, cols in plan.keyed:
-        index = by_cols.get(cols)
-        if index is None:
-            index = by_cols[cols] = {}
-            key_of = getter(cols, True)
+    for inserts in plan.inserts:
+        for key_of, index in inserts:
             for tup in support:
                 index.setdefault(key_of(tup), []).append(tup)
-        indexes.append(index)
     psi_key = getter([slot_of[v] for v in psi_vars], False)
     dist_of = getter([slot_of[v] for v in t.distinguished_row()], False)
     marginal_cache: dict[AttributeSet, WeightedRelation] = {}
@@ -387,5 +382,5 @@ def run(t: Tableau, rel: WeightedRelation) -> WeightedRelation:
                 f"distinguished tuple {dist} received weights {seen} and {value}"
             )
 
-    join(plan, indexes, emit)
+    join(plan, emit)
     return WeightedRelation(t.scheme, results)

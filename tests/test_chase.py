@@ -195,14 +195,14 @@ class TestChase:
         emitted = collections.Counter()
         original = chase_module.join
 
-        def counting_join(plan, indexes, emit, fixed=None):
+        def counting_join(plan, emit, fixed=None):
             n = plan.width - len(plan.slots)  # the pattern's slots; the selection's follow them
 
             def counted(binding):
                 emitted[plan, tuple(binding[:n])] += 1
                 emit(binding)
 
-            original(plan, indexes, counted, fixed)
+            original(plan, counted, fixed)
 
         monkeypatch.setattr(chase_module, "join", counting_join)
         target, given = independence_family(5)

@@ -253,8 +253,14 @@ class TestEvaluate:
     def test_atom_outside_scheme_error(self):
         other = AttributeSet(["Z"])
         expr = RationalExpression.of([MarginalAtom(other, (distinguished_for(other, "Z"),))])
-        with pytest.raises(SchemeError):
-            evaluate(expr, self.joint, {distinguished_for(other, "Z"): "0"})
+        # Without a cache, and with a shared cache already warm with a marginal of this joint.
+        warm: dict = {}
+        a1 = MarginalAtom.from_cells(AttributeSet(["A1"]), {"A1": distinguished_for(self.scheme, "A1")})
+        evaluate(RationalExpression.of([a1]), self.joint, self.binding, warm)
+        assert list(warm) == [AttributeSet(["A1"])]
+        for cache in (None, warm):
+            with pytest.raises(SchemeError):
+                evaluate(expr, self.joint, {distinguished_for(other, "Z"): "0"}, cache)
 
     def test_zero_denominator_warns_and_returns_zero(self):
         from gajdchase.prelation import WeightedRelation

@@ -1,3 +1,4 @@
+import collections
 import itertools
 import random
 
@@ -14,7 +15,7 @@ from gajdchase.symbolic import (
     distinguished_for,
     evaluate,
 )
-from gajdchase.tableau import JoinPlan, Row, Tableau, build_tr, getter, join, run
+from gajdchase.tableau import JoinPlan, Row, Tableau, build_tr, join, run
 from conftest import contains_distinguished_row, covering_hypertrees, identity_tableau, positive_relation
 
 
@@ -149,22 +150,26 @@ def brute_join(plan, projections, fixed=None):
 
 
 class TestJoin:
+    @staticmethod
+    def _insert(plan, position, proj):
+        for key_of, index in plan.inserts[position]:
+            index.setdefault(key_of(proj), []).append(proj)
+
     def _emitted(self, plan, projections, fixed=None):
-        # One index per entry of `plan.keyed`, filled in the order of `projections`.
-        indexes = []
-        for i, key in plan.keyed:
-            index, key_of = {}, getter(key, True)
-            for proj in projections[i]:
-                index.setdefault(key_of(proj), []).append(proj)
-            indexes.append(index)
+        # The plan's own indexes, emptied and filled through `plan.inserts` in the order of `projections`.
+        for index in plan.indexes:
+            index.clear()
+        for position, projs in enumerate(projections):
+            for proj in projs:
+                self._insert(plan, position, proj)
         out = []
-        join(plan, indexes, out.append, fixed)
+        join(plan, out.append, fixed)
         return out
 
-    def test_matches_nested_loop_on_random_plans(self):
-        rng = random.Random(5)
-        shared_fixed = results = 0
-        for _ in range(400):
+    @staticmethod
+    def _random_plans(rng, count):
+        """Random plans over up to 5 slots and 4 positions, cyclic ones included, with projections."""
+        for _ in range(count):
             width = rng.randint(1, 5)
             drawn = [rng.sample(range(width), rng.randint(1, width)) for _ in range(rng.randint(1, 4))]
             # A plan names every slot below its width, so the slots drawn are numbered in order.
@@ -174,6 +179,12 @@ class TestJoin:
             for slots in plan.slots:
                 pool = list(itertools.product(range(3), repeat=len(slots)))
                 projections.append(rng.sample(pool, rng.randint(0, min(6, len(pool)))))
+            yield plan, projections
+
+    def test_matches_nested_loop_on_random_plans(self):
+        rng = random.Random(5)
+        shared_fixed = results = 0
+        for plan, projections in self._random_plans(rng, 400):
             expected = brute_join(plan, projections)
             assert self._emitted(plan, projections) == expected
             results += len(expected)
@@ -184,6 +195,23 @@ class TestJoin:
                     fixed = (p, proj)
                     assert self._emitted(plan, projections, fixed) == brute_join(plan, projections, fixed)
         assert shared_fixed > 100 and results > 300
+
+    def test_incremental_inserts_emit_each_result_once(self):
+        # Semi-naive evaluation: a projection joined with those inserted before it, right after
+        # its own insert, yields every result exactly once, at its last projection inserted.
+        order = random.Random(6)
+        results = 0
+        for plan, projections in self._random_plans(random.Random(5), 400):
+            arrivals = [(p, proj) for p, projs in enumerate(projections) for proj in projs]
+            order.shuffle(arrivals)
+            out = []
+            for p, proj in arrivals:
+                self._insert(plan, p, proj)
+                join(plan, out.append, (p, proj))
+            expected = brute_join(plan, projections)
+            assert collections.Counter(out) == collections.Counter(expected)
+            results += len(expected)
+        assert results > 300
 
     def test_fixed_position_looks_earlier_positions_up_on_its_slots(self):
         # A cycle: with the last position fixed, the first two are looked up on the slots it
@@ -202,6 +230,12 @@ class TestJoin:
         # The chase's plan for edges {A B} {B C}: columns 0-2, then each position's row id slot.
         plan = JoinPlan([(0, 1, 3), (1, 2, 4)], range(2))
         assert plan.keyed == ((1, (0,)), (0, (1,)))
+        assert len(plan.indexes) == 2 and [len(inserts) for inserts in plan.inserts] == [1, 1]
+        (key_a, index_a), = plan.inserts[0]
+        (key_b, index_b), = plan.inserts[1]
+        assert index_a is plan.indexes[1] and index_b is plan.indexes[0]
+        # Each key is the separator value B itself, read from a projection followed by its row id.
+        assert key_a((0, 1, 7)) == key_b((1, 2, 8)) == 1
 
     def test_every_slot_below_the_width_is_named(self):
         with pytest.raises(ValueError):
