@@ -14,9 +14,12 @@ scheme, in canonical order, so C order matches `DomainSpec.tuples()`.  A
 marginal is a sum over the other axes, kept as size-1 axes, and the monotone
 join is a broadcast product.  `fold_axes` turns a dependency into those axes
 once per call of the oracle, not once per sweep, and a sweep reuses the map
-its residual pass computed for the first constraint.  A counterexample is
-printed from its array; it becomes a `WeightedRelation` only when its
-`distribution` is read.
+its residual pass computed for the first constraint.  The fit computes only
+the residuals its stop test reads: a residual pass stops at the first
+residual above the tolerance, and computes every residual when all are at or
+below it and on the last allowed pass, so each residual it returns is
+computed fresh.  A counterexample is printed from its array; it becomes a
+`WeightedRelation` only when its `distribution` is read.
 """
 
 from __future__ import annotations
@@ -90,9 +93,10 @@ def random_positive(domains: DomainSpec, seed: int) -> ndarray:
     return mixed.reshape(tuple(len(domains.domains[a]) for a in domains.scheme))
 
 
-def _outside(scheme: AttributeSet, attrs: AttributeSet) -> tuple[int, ...]:
-    """The axes of the attributes of `scheme` not in `attrs`."""
-    return tuple(i for i, a in enumerate(scheme) if a not in attrs)
+def _outside(axis: dict[str, int], attrs: AttributeSet) -> tuple[int, ...]:
+    """The axes of `axis` (attribute to axis) that hold no attribute of `attrs`."""
+    inside = {axis[a] for a in attrs}
+    return tuple(i for i in range(len(axis)) if i not in inside)
 
 
 def fold_axes(scheme: AttributeSet, g: Gajd) -> Fold:
@@ -101,11 +105,13 @@ def fold_axes(scheme: AttributeSet, g: Gajd) -> Fold:
         raise SchemeError(
             f"joint scheme {scheme.render()} does not match constraint scheme {g.scheme.render()}"
         )
+    axis = {a: i for i, a in enumerate(scheme)}
     # By the twig equation an edge meets the earlier ones in its interaction-set member.
     fold = []
     for edge, shared in zip(g.edges_in_order, (AttributeSet(),) + g.interactions.members):
-        new = tuple(i for i, a in enumerate(scheme) if a in edge and a not in shared)
-        fold.append((_outside(scheme, edge), new))
+        held = shared.members
+        new = tuple(axis[a] for a in edge if a not in held)
+        fold.append((_outside(axis, edge), new))
     return tuple(fold)
 
 
@@ -144,21 +150,32 @@ def project_onto(
     A residual is measured against the constraint's map of the current
     joint, and a sweep starts by applying the first constraint's map to that
     same joint, so the sweep takes that map from the residual pass instead
-    of computing it again.
+    of computing it again.  Before another sweep, the residual pass computes
+    the maps in constraint order only up to the first residual above
+    `stop_tol` (the first map alone when there is no `stop_tol`), since the
+    stop test reads no further; it computes all of them when every one is
+    at or below `stop_tol`, and on the pass after the last allowed sweep.
     """
     current = p
-    maps = [mpj_map(current, f) for f in folds]
-    residuals: tuple[float, ...] = tuple(float(abs(current - m).max()) for m in maps)
-    for _ in range(sweeps):
-        if stop_tol is not None and all(r <= stop_tol for r in residuals):
-            break
+    left = sweeps  # sweeps still allowed after the residual pass
+    while True:
+        residuals: list[float] = []
+        for f in folds:
+            m = mpj_map(current, f)
+            if not residuals:
+                first = m
+            residuals.append(float(abs(current - m).max()))
+            # Negated so that a NaN residual fails, as it does in `all(r <= stop_tol ...)`.
+            if left > 0 and (stop_tol is None or not residuals[-1] <= stop_tol):
+                break
+        else:
+            # Every residual is computed: all at or below stop_tol, or no sweep left.
+            return current, tuple(residuals)
+        left -= 1
         for i, f in enumerate(folds):
-            current = maps[0] if i == 0 else mpj_map(current, f)
+            current = first if i == 0 else mpj_map(current, f)
             if current.min() <= 0.0:
                 raise AssertionError("projection produced a nonpositive weight from positive input")
-        maps = [mpj_map(current, f) for f in folds]
-        residuals = tuple(float(abs(current - m).max()) for m in maps)
-    return current, residuals
 
 
 @dataclass(frozen=True)
@@ -252,14 +269,15 @@ class CounterexampleReport:
         # Tuples sort by their labels, so the sorted order takes each axis's labels sorted.
         orders = [sorted(range(len(ls)), key=ls.__getitem__) for ls in labels]
         weights = self.joint[np.ix_(*orders)].ravel().tolist()
-        keys = iterproduct(*[[ls[i] for i in order] for ls, order in zip(labels, orders)])
-        lines = [
+        # One `%` call fills a template of row prefixes; "%.17g" formats as format(w, ".17g").
+        keys = iterproduct(*[[ls[i].replace("%", "%%") for i in order] for ls, order in zip(labels, orders)])
+        table = "\n".join(" ".join(key + ("%.17g",)) for key in keys) % tuple(weights)
+        return "\n".join([
             f"counterexample: seed={self.seed} trials_used={self.trials_used} "
             f"constraint_residuals=[{residuals}] target_residual={self.target_residual:.3e}",
             " ".join(list(scheme) + ["f"]),
-        ]
-        lines += [" ".join(key + (format(w, ".17g"),)) for key, w in zip(keys, weights)]
-        return "\n".join(lines)
+            table,
+        ])
 
 
 @dataclass(frozen=True)
@@ -316,7 +334,8 @@ def check_decomposition(g: Gajd, cfg: OracleConfig) -> DecompositionReport:
     """
     scheme = cfg.domains.scheme
     fold = fold_axes(scheme, g)
-    inter_axes = [_outside(scheme, s) for s in g.interactions]
+    axis = {a: i for i, a in enumerate(scheme)}
+    inter_axes = [_outside(axis, s) for s in g.interactions]
     worst_formula = 0.0
     worst_fixpoint = 0.0
     for seed in cfg.trial_seeds():

@@ -43,6 +43,7 @@ class DomainSpec:
     """Finite value domains, one label list per attribute."""
 
     domains: Mapping[str, tuple[str, ...]]
+    scheme: AttributeSet = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
         for attr, labels in self.domains.items():
@@ -50,6 +51,7 @@ class DomainSpec:
                 raise ValueError(f"domain of {attr} must be nonempty")
             if len(set(labels)) != len(labels):
                 raise ValueError(f"domain of {attr} has duplicate labels")
+        object.__setattr__(self, "scheme", AttributeSet(self.domains.keys()))
 
     @classmethod
     def uniform(cls, attrs: Iterable[str], size: int = 2) -> "DomainSpec":
@@ -59,10 +61,6 @@ class DomainSpec:
     def with_sizes(cls, attrs: Iterable[str], sizes: Mapping[str, int]) -> "DomainSpec":
         """Labels `0..size-1` per attribute; an attribute missing from `sizes` gets two."""
         return cls({a: tuple(str(i) for i in range(sizes.get(a, 2))) for a in attrs})
-
-    @property
-    def scheme(self) -> AttributeSet:
-        return AttributeSet(self.domains.keys())
 
     def table_size(self) -> int:
         return math.prod(len(self.domains[a]) for a in self.scheme)

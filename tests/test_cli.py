@@ -203,6 +203,14 @@ class TestCmdVerify:
         assert code == 0
         assert "IMPLIES: yes" in out and "status=pass" in out
 
+    def test_golden_mixed_verdicts(self, golden_dir):
+        # Three soundness reports and two counterexample tables over a 2x3x2x2
+        # table, every query fitted to two constraints.
+        problem = parse((golden_dir / "verify_mixed.gajd").read_text())
+        code, out = cmd_verify(problem, seed=3, trials=8)
+        assert code == 0
+        assert out == (golden_dir / "verify_mixed_verify.txt").read_text()
+
 
 class TestOnlyWhatIsPrinted:
     """The factorization and a tableau's `psi` are built only for output that prints them."""

@@ -106,21 +106,29 @@ class TestProjectOnto:
         with pytest.raises(SchemeError):
             fold_axes(DOM3.scheme, target)
 
-    def test_equals_the_loop_that_recomputed_every_map(self, monkeypatch):
+    def test_equals_the_loop_that_recomputed_every_map(self, monkeypatch, chain4):
         def reference(p, folds, sweeps, stop_tol):
-            # Reference: every map computed afresh, as `satisfies` does; also returns the sweeps run.
+            # Reference: every map computed afresh, as `satisfies` does; also returns every pass's residuals.
             current = p
-            residuals = tuple(oracle.satisfies(current, f) for f in folds)
-            done = 0
+            passes = [tuple(oracle.satisfies(current, f) for f in folds)]
             for _ in range(sweeps):
-                if stop_tol is not None and all(r <= stop_tol for r in residuals):
+                if stop_tol is not None and all(r <= stop_tol for r in passes[-1]):
                     break
                 for f in folds:
                     current = oracle.mpj_map(current, f)
                     assert current.min() > 0.0
-                residuals = tuple(oracle.satisfies(current, f) for f in folds)
-                done += 1
-            return current, residuals, done
+                passes.append(tuple(oracle.satisfies(current, f) for f in folds))
+            return current, passes
+
+        def lazy_maps(passes, sweeps, stop_tol):
+            # Per residual pass, the maps up to and including the first residual the stop test
+            # fails, or all k when none fails or no sweep is left; a sweep reuses the first map.
+            k = len(passes[0])
+            total = (len(passes) - 1) * (k - 1)
+            for j, residuals in enumerate(passes):
+                failing = [i for i, r in enumerate(residuals) if stop_tol is None or not r <= stop_tol]
+                total += k if j == sweeps or not failing else failing[0] + 1
+            return total
 
         calls = [0]
         original = oracle.mpj_map
@@ -130,25 +138,51 @@ class TestProjectOnto:
             return original(p, fold)
 
         monkeypatch.setattr(oracle, "mpj_map", counted)
+        seen = {"exhausted": 0, "later fails": 0}
+
+        def check(p, folds, sweeps, stop_tol):
+            calls[0] = 0
+            expected, passes = reference(p, folds, sweeps, stop_tol)
+            k, done = len(folds), len(passes) - 1
+            assert calls[0] == 2 * k * (done + 1) - k
+            calls[0] = 0
+            got, residuals = project_onto(p, folds, sweeps, stop_tol=stop_tol)
+            assert calls[0] == lazy_maps(passes, sweeps, stop_tol)
+            assert np.array_equal(got, expected)
+            assert residuals == passes[-1]
+            if stop_tol is not None:
+                seen["exhausted"] += done == sweeps and max(residuals) > stop_tol
+                # Each pass before the last fails somewhere; count those where the first residual passed.
+                seen["later fails"] += sum(r[0] <= stop_tol for r in passes[:-1])
+            return done
+
         rng = random.Random(17)
         most_sweeps = 0
-        for case in range(40):
+        for case in range(60):
             attrs = [f"A{i + 1}" for i in range(rng.randint(3, 5))]
             dom = DomainSpec.with_sizes(attrs, {a: rng.randint(2, 3) for a in attrs[:2]})
             folds = [fold_axes(dom.scheme, random_hypertree(attrs, 3, rng)) for _ in range(rng.randint(1, 3))]
             p = random_positive(dom, seed=case)
-            sweeps, stop_tol = (oracle.IPF_SWEEPS, oracle.SAT_TOL) if case % 2 else (rng.randint(0, 4), None)
-            calls[0] = 0
-            expected, expected_residuals, done = reference(p, folds, sweeps, stop_tol)
-            k = len(folds)
-            assert calls[0] == 2 * k * (done + 1) - k
-            calls[0] = 0
-            got, residuals = project_onto(p, folds, sweeps, stop_tol=stop_tol)
-            assert calls[0] == k + done * (2 * k - 1)
-            assert np.array_equal(got, expected)
-            assert residuals == expected_residuals
-            most_sweeps = max(most_sweeps, done)
+            sweeps, stop_tol = [
+                (rng.randint(0, 4), None),
+                (oracle.IPF_SWEEPS, oracle.SAT_TOL),
+                (rng.randint(1, 3), oracle.SAT_TOL),
+            ][case % 3]
+            most_sweeps = max(most_sweeps, check(p, folds, sweeps, stop_tol))
+        # A joint already fixed by the first constraint's map, and not by the second's.
+        _, left, right = chain4
+        folds = [fold_axes(DOM4.scheme, g) for g in (left, right)]
+        p = original(random_positive(DOM4, seed=3), folds[0])
+        for sweeps in (0, 1, 2, oracle.IPF_SWEEPS):
+            check(p, folds, sweeps, oracle.SAT_TOL)
+        # A pair the fit needs more than three sweeps for, cut off after one to three.
+        dom = DomainSpec.with_sizes(["A1", "A2", "A3"], {"A2": 3})
+        cyclic = [Gajd.from_edges([["A1", "A2"], ["A2", "A3"]]), Gajd.from_edges([["A1", "A3"], ["A2", "A3"]])]
+        folds = [fold_axes(dom.scheme, g) for g in cyclic]
+        for sweeps in (1, 2, 3):
+            assert check(random_positive(dom, seed=sweeps), folds, sweeps, oracle.SAT_TOL) == sweeps
         assert most_sweeps >= 3
+        assert seen["exhausted"] >= 4 and seen["later fails"] >= 3
 
 
 class TestCheckSoundness:
@@ -230,6 +264,16 @@ class TestSearchCounterexample:
         assert found.render() == header + found.distribution.to_text().rstrip("\n")
         if max(sizes.values()) > 10:
             assert list(dom.tuples()) != sorted(dom.tuples())
+
+    def test_render_keeps_percent_signs_in_labels(self):
+        # Rows are filled in by one `%` call, so a label's own `%` must come through as written.
+        dom = DomainSpec({"A": ("5%", "%s", "%%"), "B": ("%(x)s", "%.17g"), "C": ("0", "1")})
+        target = Gajd.from_edges([["A", "B"], ["B", "C"]])
+        found = search_counterexample([], target, OracleConfig(domains=dom, seed=2, trials=3))
+        assert isinstance(found, CounterexampleReport)
+        table = found.render().split("\n", 1)[1]
+        assert table == found.distribution.to_text().rstrip("\n")
+        assert "5% %(x)s 0 " in table
 
 
 class TestCheckDecomposition:
