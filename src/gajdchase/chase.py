@@ -28,17 +28,16 @@ lexicographic order would meet that selection first, and later rows only
 get larger ids, so steps, row ids and weight expressions are the same as
 under that exhaustive enumeration.
 
-The variable universe is fixed by the initial tableau, so a run uses that
-tableau's coding of each variable as a small int (`Tableau.codes`): its
-patterns, projections, index keys, join bindings and pending applications
-are tuples of ints.  An applied application becomes a tableau row of
-`Variable` cells that keeps its rule and selected rows instead of a weight
-expression; the expression (`eq5_expression`, looked up on this module when
-called) is built the first time something reads it, such as a rendered step
-or tableau.  A negative verdict's closure is never rendered, so builds none.
-Likewise a positive verdict builds its factorization the first time it is
-read, so output that prints only the verdict, such as `verify`'s, never
-builds one.
+The run is coded from the first row: `build_tr` writes the target's rows as
+tuples of small ints, and its patterns, projections, index keys, join
+bindings and pending applications are tuples of them.  Its record is one
+application `(rule, selection)` per produced row id (`Tableau.sources`).
+Variables, rows, steps and weight expressions (`eq5_expression`, looked up
+on this module when called) are decoded from it the first time something
+reads them, such as a rendered step, and kept; `len(final)`, the stop
+reason and the duplicates need none.  Likewise a positive verdict builds its
+factorization the first time it is read, so output that prints only the
+verdict, such as `verify`'s, never builds one.
 
 The implication test builds the target's tableau and chases it under the
 constraint rules: the target is implied exactly when the all-distinguished
@@ -60,20 +59,14 @@ from __future__ import annotations
 
 import heapq
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable, Sequence
 
 from .errors import ChaseRowLimitError, SchemeError
 from .hypergraph import AttributeSet
 from .prelation import Gajd
-from .symbolic import (
-    MarginalAtom,
-    RationalExpression,
-    Variable,
-    eq5_expression,
-    restrict_atom,
-)
+from .symbolic import MarginalAtom, RationalExpression, Variable, eq5_expression, restrict_atom
 from .tableau import JoinPlan, Row, Tableau, build_tr, getter, join
 
 DEFAULT_MAX_ROWS = 100_000
@@ -111,23 +104,30 @@ class ChaseStep:
         }
 
 
-@dataclass
 class ChaseTrace:
     """A replayable derivation log: initial tableau, steps, final tableau.
 
-    `duplicates` counts the join results whose pattern was already a row
-    when they came out, each once per rule (including those met while
+    `steps` is a list, or the range of row ids of `final` that a run
+    appended, whose steps are decoded from `final.sources` on first read and
+    kept.  `duplicates` counts the join results whose pattern was already a
+    row when they came out, each once per rule (including those met while
     indexing the initial rows), and the stale pending applications: those
     whose pattern became a row, by another rule, before they came up.
     """
 
-    initial: Tableau
-    steps: list[ChaseStep]
-    final: Tableau
-    stop_reason: str
-    duplicates: int = 0
-    # The run that produced this trace, while it can still be continued.
-    _run: "_ChaseRun | None" = field(default=None, repr=False, compare=False)
+    def __init__(self, initial: Tableau, steps: Sequence[ChaseStep] | range, final: Tableau, stop_reason: str,
+                 duplicates: int = 0, _run: "_ChaseRun | None" = None):
+        self.initial, self._steps, self.final = initial, steps, final
+        self.stop_reason, self.duplicates = stop_reason, duplicates
+        self._run = _run  # the run that produced this trace, while it can still be continued
+
+    @property
+    def steps(self) -> Sequence[ChaseStep]:
+        steps = self._steps
+        if isinstance(steps, range):
+            rows, sources = (self.final.rows, self.final.sources) if steps else ((), ())
+            self._steps = steps = [ChaseStep(sources[k][0].rule, sources[k][1], rows[k], k) for k in steps]
+        return steps
 
     def render_steps(self) -> list[str]:
         return [step.render(i + 1) for i, step in enumerate(self.steps)]
@@ -167,7 +167,7 @@ class ChaseTrace:
             pattern = tuple(cells)
             if t.has_pattern(pattern):
                 raise ValueError(f"step {number}: the produced pattern is already a row")
-            row = cr.produce(t, selection, pattern)
+            row = Row(pattern, cr.expression(pattern, [t.rows[k].cells for k in selection]))
             if row != step.produced:
                 raise ValueError(f"step {number} produces {row.render_pattern()}, not the recorded row")
             rid = t.add_row(row)
@@ -177,10 +177,7 @@ class ChaseTrace:
 
 
 def _as_rules(constraints: Iterable[Gajd | JRule]) -> tuple[JRule, ...]:
-    rules = []
-    for c in constraints:
-        rules.append(c if isinstance(c, JRule) else JRule(c.render(), c))
-    return tuple(rules)
+    return tuple([c if isinstance(c, JRule) else JRule(c.render(), c) for c in constraints])
 
 
 class _CompiledRule:
@@ -192,9 +189,8 @@ class _CompiledRule:
     pattern followed by its least selection.  `reads` holds, per position,
     the reader of a coded pattern's edge projection (`tableau.getter`, built
     once here), the projections met so far, and the plan's `inserts` there.
-    `produce` makes the rule's row for a selection, and `expression` builds
-    that row's weight expression when it is read; the chase and
-    `ChaseTrace.replay` both use them.  A rule over another scheme is a SchemeError.
+    `expression` builds the weight of the rule's row for a selection, for
+    decoded rows and `ChaseTrace.replay`.  A rule over another scheme is a SchemeError.
     """
 
     def __init__(self, rule: JRule, scheme: AttributeSet):
@@ -212,10 +208,6 @@ class _CompiledRule:
         self.plan = plan = JoinPlan([cols + (n + i,) for i, cols in enumerate(self.cols)], range(len(self.cols)))
         self.reads = tuple((getter(cols, False), set(), ins) for cols, ins in zip(self.cols, plan.inserts))
 
-    def produce(self, t: Tableau, selection: Sequence[int], pattern: tuple[Variable, ...]) -> Row:
-        """The row at `pattern` produced from the selected rows of `t`; its expression is built when read."""
-        return Row(pattern, rule=self, selected=tuple([t.rows[k].cells for k in selection]))
-
     def expression(
         self, pattern: tuple[Variable, ...], selected: Sequence[tuple[Variable, ...]]
     ) -> RationalExpression:
@@ -230,14 +222,10 @@ class _ChaseRun:
     """The state of one chase: working tableau, compiled rules and pending applications.
 
     Every produced cell comes from a selected row, so the initial tableau's
-    variables are all the run will meet, and its tableau `work` has coded
-    them (`variables` decodes).  Everything the joins touch holds tuples of
-    those ints: `work.patterns` and `work.row_of`, the compiled rules'
-    projections and index keys, the join bindings and the pending entries.
-    Only an applied application is decoded into `Variable` cells and goes
-    through `work.append`, as a row whose weight expression is built when
-    something reads it.  The run keeps one `work` for its whole life: the
-    join callbacks hold its `row_of`.
+    variables, coded in `work.table`, are all the run will meet.  An applied
+    application is appended to `work` as its pattern and its record
+    `(compiled rule, selection)`, all the run keeps of it.  The run keeps one
+    `work` for its whole life: the join callbacks hold its `row_of`.
 
     `pending` is a heap of `(key, rule_index, selection, pattern)`, one
     entry per (rule, pattern) found while the pattern was not a row: the
@@ -248,18 +236,13 @@ class _ChaseRun:
     """
 
     def __init__(self, t: Tableau, rules: tuple[JRule, ...], rng: random.Random | None):
-        self.rules = rules
-        self.rng = rng
+        self.rules, self.rng = rules, rng
         self.work = work = t.copy()
         self.compiled = [_CompiledRule(rule, t.scheme) for rule in rules]
-        self.steps: list[ChaseStep] = []
         # The duplicates so far (see ChaseTrace): one item, which the `emits` count into.
         self.duplicates = [0]
-        self.variables = tuple(work.codes)
-        self.is_distinguished = [int(v.distinguished) for v in self.variables]
-        # By row id: the index of the rule that produced the row, -1 for an initial row.
-        self.producer = [-1] * len(work)
-        self.goal = work.code(work.distinguished_row())
+        self.is_distinguished = [int(distinguished) for distinguished, _, _ in work.table]
+        self.goal = work.goal()
         self.pending: list[tuple[float, int, tuple[int, ...], tuple[int, ...]]] = []
         self.emits = [self._consider(rule_idx, cr) for rule_idx, cr in enumerate(self.compiled)]
         self.max_dist = max((sum([self.is_distinguished[v] for v in p]) for p in work.patterns), default=0)
@@ -275,9 +258,10 @@ class _ChaseRun:
         produced the row is skipped: on each of its edges the row carries the
         projection of a row already indexed there.
         """
-        cells, producer = self.work.patterns[rid], self.producer[rid]
-        for rule_idx, (cr, emit) in enumerate(zip(self.compiled, self.emits)):
-            if rule_idx == producer:
+        cells, source = self.work.patterns[rid], self.work.sources[rid]
+        producer = source[0] if type(source) is tuple else None
+        for cr, emit in zip(self.compiled, self.emits):
+            if cr is producer:
                 continue
             plan = cr.plan
             for pos, (project, seen, inserts) in enumerate(cr.reads):
@@ -322,13 +306,13 @@ class _ChaseRun:
 
     def run(self, stop_at_distinguished: bool, stop_when_no_gain: bool, max_rows: int) -> str:
         """Apply pending applications until a stop rule holds; returns the stop reason."""
-        work, variables, is_distinguished = self.work, self.variables, self.is_distinguished
+        work, is_distinguished = self.work, self.is_distinguished
         while True:
             if stop_at_distinguished and self.goal in work.row_of:
                 return "distinguished"
-            for rid in range(self.indexed, len(work.rows)):
+            for rid in range(self.indexed, len(work)):
                 self._index_row(rid)
-            self.indexed = len(work.rows)
+            self.indexed = len(work)
             entry = self._next()
             if entry is None:
                 return "fixpoint"
@@ -337,16 +321,12 @@ class _ChaseRun:
             if stop_when_no_gain and dist <= self.max_dist:
                 return "no_gain"
             heapq.heappop(self.pending)
-            if len(work.rows) + 1 > max_rows:
+            if len(work) + 1 > max_rows:
                 raise ChaseRowLimitError(
                     f"chase exceeded the {max_rows}-row cap before terminating", limit=max_rows
                 )
-            cr = self.compiled[rule_idx]
-            row = cr.produce(work, selection, tuple([variables[c] for c in pattern]))
             # Unchecked: every cell comes from a checked row, and `row_of` says the pattern is new.
-            rid = work.append(row, pattern)
-            self.producer.append(rule_idx)
-            self.steps.append(ChaseStep(cr.rule, selection, row, rid))
+            work.append(pattern, (self.compiled[rule_idx], selection))
             self.max_dist = max(self.max_dist, dist)
 
 
@@ -413,16 +393,10 @@ def chase(
         t._run = None
         # The run, and the indexes its join callbacks hold, stay on `state.work`.
         initial = t.final = state.work.copy()
-    first_step, duplicates = len(state.steps), state.duplicates[0]
+    duplicates = state.duplicates[0]
     stop_reason = state.run(stop_at_distinguished, stop_when_no_gain, max_rows)
-    return ChaseTrace(
-        initial=initial,
-        steps=state.steps[first_step:],
-        final=state.work,
-        stop_reason=stop_reason,
-        duplicates=state.duplicates[0] - duplicates,
-        _run=state,
-    )
+    steps = range(len(initial), len(state.work))
+    return ChaseTrace(initial, steps, state.work, stop_reason, state.duplicates[0] - duplicates, state)
 
 
 @dataclass(frozen=True)
@@ -531,13 +505,13 @@ def factorization_for(trace: ChaseTrace) -> tuple[RationalExpression, tuple[Atom
     satisfying the constraints it evaluates to the relation's weight.
     """
     final = trace.final
-    wd = final.distinguished_row()
-    if not final.has_pattern(wd):
+    rid = final.row_of.get(final.goal())
+    if rid is None:
         raise ValueError("the final tableau has no all-distinguished row")
     derivations = {step.produced_id: step for step in trace.steps}
     rewrites: list[AtomRewrite] = []
     memo: dict[tuple[int, AttributeSet], RationalExpression] = {}
-    expression = _expand(final.row_id(wd), final.scheme, final, derivations, memo, rewrites)
+    expression = _expand(rid, final.scheme, final, derivations, memo, rewrites)
     return expression, tuple(rewrites)
 
 
@@ -610,11 +584,7 @@ def implies(
         closure = chase(trace, rules, stop_at_distinguished=True, max_rows=max_rows)
         if closure.stop_reason != "distinguished":
             return Verdict(False, trace, closure)
-        trace = ChaseTrace(
-            initial=trace.initial,
-            steps=trace.steps + closure.steps,
-            final=closure.final,
-            stop_reason=closure.stop_reason,
-            duplicates=trace.duplicates + closure.duplicates,
-        )
+        steps = range(len(trace.initial), len(closure.final))
+        duplicates = trace.duplicates + closure.duplicates
+        trace = ChaseTrace(trace.initial, steps, closure.final, closure.stop_reason, duplicates)
     return Verdict(True, trace)

@@ -30,6 +30,7 @@ import argparse
 import json
 import math
 import os
+import re
 import sys
 from dataclasses import dataclass, field
 
@@ -138,7 +139,7 @@ def parse(text: str) -> ProblemFile:
         if not line.strip():
             continue
         indent = len(line) - len(line.lstrip())
-        head, _, body = line.lstrip().partition(" ")
+        head, body = re.match(r"(\S+)\s?(.*)", line.lstrip()).groups()
         body_col = indent + len(head) + 2  # 1-based column where the body starts
         if head == "attrs":
             if attrs is not None:
@@ -191,12 +192,10 @@ def parse(text: str) -> ProblemFile:
                 raise ProblemParseError("query before attrs declaration", lineno)
             # An attribute may be named `given`, so the clause is looked for after the last brace.
             last = body.rfind("}") + 1
-            tail, sep, given_text = body[last:].partition(" given ")
-            edges_text = body[:last] + tail
-            if not sep and tail.rstrip().endswith(" given"):
-                raise ProblemParseError("given clause lists no constraints", lineno)
-            given = tuple(given_text.split())
-            if sep and not given:
+            clause = re.compile(r"\sgiven(?:\s|$)").search(body, last)
+            edges_text = body[: clause.start()] if clause else body
+            given = tuple(body[clause.end():].split()) if clause else ()
+            if clause and not given:
                 raise ProblemParseError("given clause lists no constraints", lineno)
             edges = _parse_edges(edges_text, attrs, lineno, body_col)
             if not edges:

@@ -25,7 +25,6 @@ computed fresh.  A counterexample is printed from its array; it becomes a
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import product as iterproduct
 from typing import TYPE_CHECKING, Iterator, Sequence
 
 # numpy is imported inside the functions that use it, so that importing the
@@ -270,8 +269,12 @@ class CounterexampleReport:
         orders = [sorted(range(len(ls)), key=ls.__getitem__) for ls in labels]
         weights = self.joint[np.ix_(*orders)].ravel().tolist()
         # One `%` call fills a template of row prefixes; "%.17g" formats as format(w, ".17g").
-        keys = iterproduct(*[[ls[i].replace("%", "%%") for i in order] for ls, order in zip(labels, orders)])
-        table = "\n".join(" ".join(key + ("%.17g",)) for key in keys) % tuple(weights)
+        # The template is built column by column, from the last axis's labels to the first's.
+        columns = [[ls[i].replace("%", "%%") for i in order] for ls, order in zip(labels, orders)]
+        rows = [label + " %.17g" for label in columns[-1]]
+        for column in reversed(columns[:-1]):
+            rows = [label + " " + row for label in column for row in rows]
+        table = "\n".join(rows) % tuple(weights)
         return "\n".join([
             f"counterexample: seed={self.seed} trials_used={self.trials_used} "
             f"constraint_residuals=[{residuals}] target_residual={self.target_residual:.3e}",

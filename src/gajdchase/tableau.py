@@ -9,6 +9,11 @@ the input relation with positive weight, and each admissible valuation emits
 the distinguished tuple with a weight given by the tableau's quotient
 expression over edge and interaction marginals.
 
+A tableau is kept coded, each variable a small int and each row a tuple of
+them; `build_tr` writes it so from the certificate.  `Variable` cells, `Row`s
+and weight expressions are decoded when first read, so a tableau that is
+only chased and counted builds none.
+
 For the tableau built from a dependency's hypertree the emitted weight
 depends only on the distinguished tuple, and the mapping coincides with the
 marginalize/product-join map of the same hypertree.  Arbitrary hand-built
@@ -19,7 +24,8 @@ distinguished tuple agree and raises otherwise.
 
 from __future__ import annotations
 
-import itertools
+from functools import partial
+from itertools import islice
 from operator import itemgetter
 from typing import Callable, Mapping, Sequence
 
@@ -34,37 +40,21 @@ WEIGHT_TOL = 1e-12  # relative disagreement that `run` allows between valuations
 class Row:
     """One tableau row: a variable per column plus its weight expression.
 
-    A row is either given its expression, or keeps where it came from: the
-    rule that produced it and the cells of the rows that rule selected.  The
-    expression of such a row is built on the first read of `weight_expr`, by
-    `rule.expression(cells, selected)`, and then kept.  The chase produces
-    its rows this way, so rows that are never rendered never build one.
-    Equality and hashing take the cells and the expression, as for a row
-    given its expression; comparing a row that has not built its expression
-    yet builds it.
+    The expression is given, or a function called on the first read of
+    `weight_expr`, whose result is kept.  Equality and hashing take the
+    cells and the expression, so comparing a row builds its expression.
     """
 
-    __slots__ = ("cells", "_expr", "_rule", "_selected")
+    __slots__ = ("cells", "_expr")
 
-    def __init__(
-        self,
-        cells: tuple[Variable, ...],
-        weight_expr: RationalExpression | None = None,
-        *,
-        rule=None,
-        selected: tuple[tuple[Variable, ...], ...] = (),
-    ):
-        if (weight_expr is None) == (rule is None):
-            raise ValueError("a row takes either its weight expression or the rule that builds it")
+    def __init__(self, cells: tuple[Variable, ...], weight_expr: RationalExpression | Callable[[], RationalExpression]):
         self.cells = cells
         self._expr = weight_expr
-        self._rule = rule
-        self._selected = selected
 
     @property
     def weight_expr(self) -> RationalExpression:
-        if self._expr is None:
-            self._expr = self._rule.expression(self.cells, self._selected)
+        if not isinstance(self._expr, RationalExpression):
+            self._expr = self._expr()
         return self._expr
 
     def __eq__(self, other: object) -> bool:
@@ -85,27 +75,31 @@ class Row:
 class Tableau:
     """An ordered set of rows over a scheme, with the emission expression `psi`.
 
-    Rows keep insertion order for reproducible traces.  `codes` maps each
-    variable to a small int in first-seen row order, `patterns` holds each
+    Rows keep insertion order for reproducible traces.  Each variable has a
+    code, a small int in first-seen row order; `table` holds each code's
+    `Variable` fields `(distinguished, index, column)`, `patterns` each
     row's cells as codes, and `row_of`, the one pattern index, enforces set
-    semantics; the chase and `run` join on these.  Every row enters through
-    `append`, which keeps the four in step: `add_row` checks and codes a row
-    first, and the chase appends the rows it has checked itself.
-    `psi` is given either as an expression or as a function that builds it;
-    the function is called on the first read of `psi`, and its result kept.
-    A copy takes the function along, so a tableau whose `psi` nothing reads,
-    such as the ones the chase works on, never builds it.
+    semantics.  `sources` holds what each row is decoded from: None for
+    `build_tr`'s rows (the full-scheme atom at their own pattern), the `Row`
+    given to `add_row`, or a chase application `(rule, selection)`, whose
+    expression `rule.expression` builds when read.  Rows enter through
+    `append`, after `add_row`'s checks or the chase's own.  `codes` and
+    `rows` are decoded on first read and kept, later rows on the next read.
+    `psi` is an expression or a function called on its first read, whose
+    result is kept; a copy takes the function along, so the tableaux the
+    chase works on never build it.
     """
 
     def __init__(self, scheme: AttributeSet, psi: RationalExpression | Callable[[], RationalExpression]):
         if len(scheme) == 0:
             raise ValueError("a tableau needs a nonempty scheme")
-        self.scheme = scheme
-        self._psi = psi
-        self.rows: list[Row] = []
-        self.codes: dict[Variable, int] = {}
+        self.scheme, self._psi = scheme, psi
+        self.table: list[tuple[bool, int, str]] = []
         self.patterns: list[tuple[int, ...]] = []
         self.row_of: dict[tuple[int, ...], int] = {}
+        self.sources: list = []
+        self._codes: dict[Variable, int] = {}
+        self._rows: list[Row] = []
 
     @property
     def psi(self) -> RationalExpression:
@@ -113,8 +107,31 @@ class Tableau:
             self._psi = self._psi()
         return self._psi
 
+    @property
+    def codes(self) -> dict[Variable, int]:
+        codes = self._codes
+        for code in range(len(codes), len(self.table)):
+            codes[Variable(*self.table[code])] = code
+        return codes
+
+    @property
+    def rows(self) -> list[Row]:
+        rows, patterns = self._rows, self.patterns
+        if len(rows) < len(patterns):
+            variables = list(self.codes)
+            for rid in range(len(rows), len(patterns)):
+                cells = tuple([variables[c] for c in patterns[rid]])
+                source = self.sources[rid]
+                if source is None:
+                    source = Row(cells, RationalExpression.atom(MarginalAtom(self.scheme, cells)))
+                elif not isinstance(source, Row):
+                    rule, selection = source
+                    source = Row(cells, partial(rule.expression, cells, tuple([rows[k].cells for k in selection])))
+                rows.append(source)
+        return rows
+
     def __len__(self) -> int:
-        return len(self.rows)
+        return len(self.patterns)
 
     def code(self, cells: Sequence[Variable]) -> tuple[int, ...]:
         """The coded pattern of `cells`; a variable in no row codes as -1, which no row holds."""
@@ -140,15 +157,21 @@ class Tableau:
         pattern = tuple([codes.setdefault(v, len(codes)) for v in row.cells])
         if pattern in self.row_of:
             raise ValueError(f"duplicate row pattern {row.render_pattern()}")
-        return self.append(row, pattern)
+        self.table += [(v.distinguished, v.index, v.column) for v in islice(codes, len(self.table), None)]
+        return self.append(pattern, row)
 
-    def append(self, row: Row, pattern: tuple[int, ...]) -> int:
-        """Append `row`, whose cells code to the new `pattern`, without checks; returns its row id."""
-        rid = len(self.rows)
-        self.rows.append(row)
+    def append(self, pattern: tuple[int, ...], source) -> int:
+        """Append the new coded `pattern`, decoded from `source` when read, without checks; returns its row id."""
+        rid = len(self.patterns)
         self.patterns.append(pattern)
+        self.sources.append(source)
         self.row_of[pattern] = rid
         return rid
+
+    def goal(self) -> tuple[int, ...]:
+        """The coded all-distinguished row; a column whose distinguished variable is in no row codes as -1."""
+        code_of = {entry: code for code, entry in enumerate(self.table)}
+        return tuple([code_of.get((True, i, a), -1) for i, a in enumerate(self.scheme, start=1)])
 
     def distinguished_row(self) -> tuple[Variable, ...]:
         return tuple(distinguished_for(self.scheme, a) for a in self.scheme)
@@ -156,8 +179,8 @@ class Tableau:
     def copy(self) -> "Tableau":
         """A tableau with the same rows; they were checked when added here, so they are not checked again."""
         t = Tableau(self.scheme, self._psi)
-        t.rows, t.patterns = self.rows.copy(), self.patterns.copy()
-        t.codes, t.row_of = self.codes.copy(), self.row_of.copy()
+        t.table, t.patterns, t.sources = self.table.copy(), self.patterns.copy(), self.sources.copy()
+        t.row_of, t._codes, t._rows = self.row_of.copy(), self._codes.copy(), self._rows.copy()
         return t
 
     def render(self) -> str:
@@ -179,19 +202,25 @@ def build_tr(g: Gajd) -> Tableau:
     The emission expression is the rule quotient (`eq5_expression`) at the
     distinguished row: one edge marginal per row over the interaction-set
     marginals.  It is built the first time `psi` is read.
+
+    The rows are written coded, in the first-seen order `add_row` codes.
     """
     scheme = g.scheme
-    dist = {a: distinguished_for(scheme, a) for a in scheme}
 
     def psi() -> RationalExpression:
+        dist = {a: distinguished_for(scheme, a) for a in scheme}
         return eq5_expression([(e, dist) for e in g.edges_in_order], [(s, dist) for s in g.interactions])
 
     t = Tableau(scheme, psi)
-    fresh = itertools.count(1)
+    codes: dict[tuple[bool, int, str], int] = {}  # each variable's `table` entry and its code
+    fresh = 0
     for edge in g.edges_in_order:
-        cells = tuple(dist[a] if a in edge else Variable(False, next(fresh), a) for a in scheme)
-        expr = RationalExpression.atom(MarginalAtom(scheme, cells))
-        t.add_row(Row(cells, expr))
+        cells = []
+        for c, a in enumerate(scheme.members):
+            fresh += a not in edge.members
+            cells.append((True, c + 1, a) if a in edge.members else (False, fresh, a))
+        t.append(tuple([codes.setdefault(v, len(codes)) for v in cells]), None)
+    t.table = list(codes)
     return t
 
 
@@ -349,10 +378,9 @@ def run(t: Tableau, rel: WeightedRelation) -> WeightedRelation:
             f"relation scheme {rel.scheme.render()} does not match tableau scheme {t.scheme.render()}"
         )
     support = [key for key, w in rel.items() if w > 0.0]
-    slot_of = t.codes
-    for v in t.distinguished_row():
-        if v not in slot_of:
-            raise ValueError(f"distinguished variable {v.render()} appears in no row")
+    slot_of, goal = t.codes, t.goal()
+    if -1 in goal:
+        raise ValueError(f"distinguished variable a{goal.index(-1) + 1} appears in no row")
     psi = t.psi
     psi_vars = psi.variables()
     for v in psi_vars:
@@ -364,7 +392,7 @@ def run(t: Tableau, rel: WeightedRelation) -> WeightedRelation:
             for tup in support:
                 index.setdefault(key_of(tup), []).append(tup)
     psi_key = getter([slot_of[v] for v in psi_vars], False)
-    dist_of = getter([slot_of[v] for v in t.distinguished_row()], False)
+    dist_of = getter(goal, False)
     marginal_cache: dict[AttributeSet, WeightedRelation] = {}
     value_cache: dict[tuple[str, ...], float] = {}
     results: dict[tuple[str, ...], float] = {}

@@ -11,7 +11,7 @@ from gajdchase.errors import ChaseRowLimitError, SchemeError
 from gajdchase.hypergraph import AttributeSet
 from gajdchase.oracle import fold_axes, project_onto, random_positive
 from gajdchase.prelation import DomainSpec, Gajd, relation_from_domains, satisfies
-from gajdchase.symbolic import MarginalAtom, RationalExpression, distinguished_for, evaluate, restrict_atom
+from gajdchase.symbolic import MarginalAtom, RationalExpression, Variable, distinguished_for, evaluate, restrict_atom
 from gajdchase.tableau import Row, Tableau, build_tr, run
 from conftest import (
     contains_distinguished_row,
@@ -564,6 +564,67 @@ class TestImplies:
         target, left, _ = chain4
         with pytest.raises(ChaseRowLimitError):
             implies([JRule("C1", left)], target, max_rows=4)
+
+
+class TestDecodeOnRead:
+    """A run keeps coded patterns and its record; `Variable`s, `Row`s and `ChaseStep`s are made when read."""
+
+    @pytest.fixture
+    def made(self, monkeypatch):
+        counts = collections.Counter()
+        for cls in (Variable, Row, ChaseStep):
+
+            def counted(obj, *args, _name=cls.__name__, _init=cls.__init__, **kwargs):
+                counts[_name] += 1
+                _init(obj, *args, **kwargs)
+
+            monkeypatch.setattr(cls, "__init__", counted)
+        return counts
+
+    @staticmethod
+    def census_negative():
+        """The first seeded census query whose verdict is no, whose prefix takes no step and whose closure does."""
+        rng = random.Random(41)
+        while True:
+            attrs = [f"A{i}" for i in range(1, rng.randint(5, 7) + 1)]
+            target, *constraints = [random_hypertree(attrs, 4, rng) for _ in range(3)]
+            verdict = implies(constraints, target)
+            if not verdict.holds and not verdict.trace.steps and verdict.closure_trace.steps:
+                return constraints, target
+
+    def test_negative_decodes_only_what_is_read(self, made):
+        constraints, target = self.census_negative()
+        made.clear()
+        verdict = implies(constraints, target)
+        prefix, closure = verdict.trace, verdict.closure_trace
+        final = closure.final
+        assert len(final) > len(closure.initial) == len(prefix.final) == len(target.hypergraph.edges)
+        assert prefix.steps == [] and prefix.render_steps() == []
+        assert made == {}
+        steps = closure.steps
+        assert made == {"Variable": len(final.table), "Row": len(final), "ChaseStep": len(steps)}
+        assert closure.steps is steps and final.rows is final.rows and final.codes is final.codes
+        assert made["Row"] == len(final) and made["ChaseStep"] == len(steps)
+        # The decoded rows and steps equal an eager reference, row id by row id.
+        rows = final.rows
+        assert [final.code(row.cells) for row in rows] == final.patterns
+        assert [step.produced for step in steps] == rows[len(closure.initial):]
+        assert [step.produced_id for step in steps] == list(range(len(closure.initial), len(final)))
+        fresh = Tableau(final.scheme, final.psi)
+        for i, row in enumerate(rows):
+            assert fresh.add_row(row) == i
+        assert fresh.patterns == final.patterns and fresh.table == final.table
+        for row in rows[: len(closure.initial)]:
+            assert row.weight_expr == RationalExpression.atom(MarginalAtom(final.scheme, row.cells))
+        replayed = closure.replay()
+        assert replayed.rows == rows
+
+    def test_positive_decodes_nothing_until_read(self, chain4, made):
+        target, left, right = chain4
+        verdict = implies([JRule("C1", left), JRule("C2", right)], target)
+        assert verdict.holds and made == {}
+        assert [s.produced.render_pattern() for s in verdict.trace.steps] == ["(a1,a2,a3,b4)", "(a1,a2,a3,a4)"]
+        assert made["ChaseStep"] == 2 and made["Row"] == len(verdict.trace.final) == 5
 
 
 def reference_factorization(trace):

@@ -81,6 +81,32 @@ class TestParse:
         problem = parse("attrs A given\ngajd C1 = {A} {given}\nquery {A given} given C1\n")
         assert problem.queries[0].given == ("C1",)
 
+    def test_tabs_separate_like_spaces(self):
+        spaced = "attrs A B C\ndomain A 3\ngajd C1 = {A B} {B C}\nquery {A B} {B C} given C1\n"
+        tabbed = "attrs\tA\tB C\ndomain\tA\t3\ngajd\tC1\t=\t{A\tB}\t{B C}\nquery\t{A B}\t{B C}\tgiven\tC1\n"
+        assert parse(tabbed) == parse(spaced)
+        assert parse(tabbed).render() == spaced
+
+    def test_tabs_around_given(self):
+        problem = parse("attrs A given\ngajd C1 = {A} {given}\nquery {A given}\tgiven C1\n")
+        assert problem.queries[0].given == ("C1",)
+        problem = parse("attrs\tA\tgiven\nquery\t{A\tgiven}\n")
+        assert [e.render() for e in problem.queries[0].target.hypergraph.edges] == ["{A given}"]
+        assert problem.queries[0].given == ()
+        with pytest.raises(ProblemParseError, match="given clause lists no constraints"):
+            parse("attrs A B\nquery {A B}\tgiven\n")
+        with pytest.raises(ProblemParseError, match="expected '{'"):
+            parse("attrs A B\ngajd C = {A} {B}\nquery {A B}given\tC\n")
+
+    def test_columns_after_tabs(self):
+        for text in ("attrs A B\nquery {A B} {Z}\n", "attrs A B\nquery\t{A B}\t{Z}\n"):
+            with pytest.raises(ProblemParseError) as excinfo:
+                parse(text)
+            assert (excinfo.value.line, excinfo.value.column) == (2, 13)
+        with pytest.raises(ProblemParseError) as excinfo:
+            parse("attrs A B\ngajd\tC\t=\t{A}\t{Z}\n")
+        assert (excinfo.value.line, excinfo.value.column) == (2, 14)
+
     def test_unknown_directive(self):
         with pytest.raises(ProblemParseError, match="directive"):
             parse("attrs A B\nfrobnicate {A}\n")
