@@ -11,7 +11,7 @@ and each side is sorted by a total structural order, which makes printing
 deterministic and equality structural.  `RationalExpression.of` builds it
 once per expression: it counts atoms only when the two sides share one, and
 sorts each side once.  An atom computes its hash and its sort key the first
-time either is used and keeps them, so sorting and hashing an atom again
+time each is used and keeps them, so sorting and hashing an atom again
 costs one attribute read.
 """
 
@@ -20,6 +20,7 @@ from __future__ import annotations
 import warnings
 from collections import Counter
 from dataclasses import dataclass
+from functools import cached_property
 from operator import attrgetter
 from typing import Iterable, Mapping
 
@@ -74,8 +75,9 @@ class MarginalAtom:
     """phi over an attribute subset, at the variables in `pattern` (one per column, in order).
 
     `sort_key`, the atom's place in the total structural order (attribute
-    set, then its variables' sort keys), and the hash are computed on first
-    use and kept in the instance dict; equality compares the two fields.
+    set, then its variables' sort keys), and the hash are cached properties,
+    computed on first use and kept in the instance dict; equality compares
+    the two fields.
     """
 
     over: AttributeSet
@@ -91,18 +93,13 @@ class MarginalAtom:
     def __hash__(self) -> int:
         return self._hash
 
-    def __getattr__(self, name: str):
-        # Reached only while `name` is not in the instance dict: the hash and
-        # the sort key are computed on first use and kept there, so every
-        # later read is a plain attribute lookup.
-        if name == "_hash":
-            value = hash((self.over, self.pattern))
-        elif name == "sort_key":
-            value = (self.over.members, tuple([v.sort_key for v in self.pattern]))
-        else:
-            raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
-        self.__dict__[name] = value
-        return value
+    @cached_property
+    def _hash(self) -> int:
+        return hash((self.over, self.pattern))
+
+    @cached_property
+    def sort_key(self) -> tuple:
+        return (self.over.members, tuple([v.sort_key for v in self.pattern]))
 
     @classmethod
     def from_cells(cls, over: AttributeSet, cells: Mapping[str, Variable]) -> "MarginalAtom":

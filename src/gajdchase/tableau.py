@@ -249,16 +249,22 @@ class JoinPlan:
     certificate order makes this Yannakakis's acyclic join; before the
     start it also holds what the position shares with the start.
 
-    `keyed` lists each distinct `(position, key components)` the probes of
-    `starts` read, and `indexes` one index per entry, in that order, mapping
-    the components' values to the projections carrying them, in insertion
-    order; so a plan holds one join's data.  A projection added at position
-    i goes into each index of `inserts[i]` under the key its reader there
-    takes from the projection, as the probes read keys.  `probes` keeps each
-    start's probe (see `probe`), built on its first join.
+    The plan is compiled whole when it is built, in one walk over each
+    start's positions.  `keyed` lists each distinct `(position, key
+    components)` the probes read, and `indexes` one index per entry, in that
+    order, mapping the components' values to the projections carrying them,
+    in insertion order; so a plan holds one join's data.  A projection added
+    at position i goes into each index of `inserts[i]` under the key its
+    reader there takes from the projection, as the probes read keys.
+
+    `probes` maps each start to its steps and the reader of its binding.  A
+    join carries its chosen projections as one concatenated tuple, the
+    start's first.  A step is the index it looks up and the getter of its
+    key from that tuple; the reader gets the binding, each slot's value in
+    slot order, from the complete tuple.
     """
 
-    __slots__ = ("slots", "width", "keyed", "indexes", "inserts", "_lookups", "probes")
+    __slots__ = ("slots", "width", "keyed", "indexes", "inserts", "probes")
 
     def __init__(self, slots: Sequence[Sequence[int]], starts: Sequence[int | None]):
         self.slots = tuple(map(tuple, slots))
@@ -266,46 +272,25 @@ class JoinPlan:
         self.width = len(named)
         if named != set(range(self.width)):
             raise ValueError("the slots of a join plan must be 0, 1, ... with none left out")
-        keyed: dict[tuple[int, tuple[int, ...]], int] = {}
-        self._lookups: dict[int | None, tuple[int, ...]] = {}
+        keyed: dict[tuple[int, tuple[int, ...]], dict[object, list[tuple]]] = {}
+        self.probes: dict[int | None, tuple[tuple, Callable]] = {}
         for start in starts:
-            bound = set(self.slots[start]) if start is not None else set()
-            lookups = []
+            # The slot of each component of the chosen tuple; a slot's value is read at its first.
+            layout = self.slots[start] if start is not None else ()
+            steps = []
             for i, comp in enumerate(self.slots):
                 if i != start:
-                    key = (i, tuple([c for c, slot in enumerate(comp) if slot in bound]))
-                    lookups.append(keyed.setdefault(key, len(keyed)))
-                    bound.update(comp)
-            self._lookups[start] = tuple(lookups)
+                    key = tuple([c for c, slot in enumerate(comp) if slot in layout])
+                    index = keyed.setdefault((i, key), {})
+                    steps.append((index, getter([layout.index(comp[c]) for c in key], True)))
+                    layout += comp
+            self.probes[start] = (tuple(steps), getter(list(map(layout.index, range(self.width))), False))
         self.keyed = tuple(keyed)
-        self.indexes: tuple[dict[object, list[tuple]], ...] = tuple([{} for _ in keyed])
+        self.indexes = tuple(keyed.values())
         inserts: list[list] = [[] for _ in self.slots]
-        for (i, key), index in zip(keyed, self.indexes):
+        for (i, key), index in keyed.items():
             inserts[i].append((getter(key, True), index))
         self.inserts = tuple(map(tuple, inserts))
-        self.probes: dict[int | None, tuple[tuple, Callable]] = {}
-
-    def probe(self, start: int | None) -> tuple[tuple[tuple[int, Callable], ...], Callable]:
-        """The steps of the join from `start`, and the reader of its binding.
-
-        A join carries its chosen projections as one concatenated tuple, the
-        start's first.  A step is the number of the index it looks up and the
-        getter of its key from that tuple; the reader gets the binding, each
-        slot's value in slot order, from the complete tuple.
-        """
-        probe = self.probes.get(start)
-        if probe is None:
-            slots, keyed = self.slots, self.keyed
-            # The slot of each component of the chosen tuple; a slot's value is read at its first.
-            layout = slots[start] if start is not None else ()
-            steps = []
-            for k in self._lookups[start]:
-                i, key = keyed[k]
-                comp = slots[i]
-                steps.append((k, getter([layout.index(comp[c]) for c in key], True)))
-                layout += comp
-            probe = self.probes[start] = (tuple(steps), getter(list(map(layout.index, range(self.width))), False))
-        return probe
 
 
 def join(plan: JoinPlan, emit: Callable[[tuple], None], fixed: tuple[int, tuple] | None = None) -> None:
@@ -316,8 +301,9 @@ def join(plan: JoinPlan, emit: Callable[[tuple], None], fixed: tuple[int, tuple]
     by position, in index order, so results come out in the lexicographic
     order of the choices, each position's in insertion order.  `binding` is
     a tuple with the value of each slot.  With `fixed=(p, proj)` position p
-    takes only `proj`, and the join runs the probe of start p; otherwise
-    that of start None.  A plan with no position but the fixed one emits once.
+    takes only `proj`, and the join runs the probe of start p, built with
+    the plan; otherwise that of start None.  A plan with no position but
+    the fixed one emits once.
 
     The recursion is the module-level `_extend`, which takes everything it
     reads as arguments, so a call builds no closure and leaves no reference
@@ -325,27 +311,27 @@ def join(plan: JoinPlan, emit: Callable[[tuple], None], fixed: tuple[int, tuple]
     returns.
     """
     start, chosen = fixed if fixed is not None else (None, ())
-    steps, read = plan.probes.get(start) or plan.probe(start)
+    steps, read = plan.probes[start]
     if steps:
-        _extend(steps, 0, plan.indexes, chosen, read, emit)
+        _extend(steps, 0, chosen, read, emit)
     else:
         emit(read(chosen))
 
 
 def _extend(
-    steps: tuple[tuple[int, Callable], ...],
+    steps: tuple[tuple[Mapping[object, Sequence[tuple]], Callable], ...],
     d: int,
-    indexes: Sequence[Mapping[object, Sequence[tuple]]],
     chosen: tuple,
     read: Callable[[tuple], tuple],
     emit: Callable[[tuple], None],
 ) -> None:
     """Extend `chosen` by each projection in the bucket of `steps[d]`; emit at the last step.
 
-    The key holds every slot a projection there shares with `chosen`, so all are consistent.
+    The step holds its index and its key reader; the key holds every slot a
+    projection there shares with `chosen`, so all are consistent.
     """
-    k, key = steps[d]
-    bucket = indexes[k].get(key(chosen))
+    index, key = steps[d]
+    bucket = index.get(key(chosen))
     if not bucket:
         return
     d += 1
@@ -354,7 +340,7 @@ def _extend(
             emit(read(chosen + proj))
     else:
         for proj in bucket:
-            _extend(steps, d, indexes, chosen + proj, read, emit)
+            _extend(steps, d, chosen + proj, read, emit)
 
 
 def run(t: Tableau, rel: WeightedRelation) -> WeightedRelation:

@@ -4,6 +4,8 @@ Renaming attributes, reordering or repeating the constraints, and adding one
 act on the chase's input, its tableau's coding and its rule order, but not
 on the implication problem, so the verdict and the size of the fixpoint
 that certifies a "no" stay put, and an added constraint keeps a "yes".
+Implication is also transitive: what follows from the constraints together
+with an implied target follows from the constraints alone.
 """
 
 import random
@@ -66,3 +68,13 @@ def test_adding_a_constraint_keeps_yes(census):
             assert outcome([spare] + constraints, target)[0]
             kept += 1
     assert kept >= 5
+
+
+def test_implication_is_transitive(census):
+    # If C implies T1 and C with T1 implies T2, then C implies T2; here T1 is the target and T2 the spare.
+    chained = 0
+    for _, target, constraints, spare, (holds, _) in census:
+        if holds and implies(constraints + [target], spare).holds:
+            assert implies(constraints, spare).holds
+            chained += 1
+    assert chained >= 10

@@ -237,6 +237,18 @@ class TestJoin:
         # Each key is the separator value B itself, read from a projection followed by its row id.
         assert key_a((0, 1, 7)) == key_b((1, 2, 8)) == 1
 
+    def test_plan_is_compiled_whole_when_built(self):
+        # Every start's probe is built with the plan, and each step reads one of the plan's indexes.
+        for plan, _ in self._random_plans(random.Random(7), 100):
+            starts = [None, *range(len(plan.slots))]
+            assert list(plan.probes) == starts
+            for start in starts:
+                steps, _ = plan.probes[start]
+                assert len(steps) == len(plan.slots) - (start is not None)
+                assert all(any(index is own for own in plan.indexes) for index, _ in steps)
+        plan = JoinPlan([(0, 1, 3), (1, 2, 4)], range(2))
+        assert [[index is plan.indexes[0] for index, _ in plan.probes[p][0]] for p in range(2)] == [[True], [False]]
+
     def test_every_slot_below_the_width_is_named(self):
         with pytest.raises(ValueError):
             JoinPlan([(0, 2)], [None])
