@@ -84,6 +84,7 @@ MUTANTS = (
             "tests/test_census_golden.py::test_census_chase_counts",
             "tests/test_chase.py::TestFactorizationExact::test_census_positives",
             "tests/test_metamorphic.py::test_implication_is_transitive",
+            "tests/test_census_golden.py::test_each_rule_emits_each_fixpoint_row_once",
         ),
     ),
     Mutant(
@@ -114,12 +115,23 @@ MUTANTS = (
     ),
     Mutant(
         "shared-prefix-off-by-one",
-        "_shared(h, cert.ordering[i], cert.ordering[:i])",
-        "_shared(h, cert.ordering[i], cert.ordering[:i - 1])",
+        "        shared.append(AttributeSet._of(needed))\n        prefix.update(cand._members)\n",
+        "        shared.append(AttributeSet._of(needed))\n        prefix.update(edges[i - 1]._members)\n",
         (
             "tests/test_hypergraph.py::TestInteractionSet::test_chain_values",
             "tests/test_hypergraph.py::TestInteractionSet::test_certificate_rule_against_brute_force",
+            "tests/test_certificate_golden.py::test_certificates_golden",
             "tests/test_differential.py::test_every_single_constraint_query_agrees_with_the_decider",
+        ),
+    ),
+    Mutant(
+        "union-operator-unsorted",
+        "return AttributeSet._of(tuple(sorted({*self._members, *other._members})))",
+        "return AttributeSet._of(self._members + tuple([n for n in other._members if n not in self._members]))",
+        (
+            "tests/test_hypergraph.py::TestAttributeSet::test_derived_sets_match_constructed_ones",
+            "tests/test_prelation.py::TestMpjMap::test_certificate_choice_does_not_change_output",
+            "tests/test_tableau.py::TestRun::test_matches_mpj_map_across_small_hypertrees",
         ),
     ),
 )

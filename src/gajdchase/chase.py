@@ -191,6 +191,8 @@ class _CompiledRule:
     once here), the projections met so far, and the plan's `inserts` there.
     `expression` builds the weight of the rule's row for a selection, for
     decoded rows and `ChaseTrace.replay`.  A rule over another scheme is a SchemeError.
+    `compile` builds the plan and `reads`; a run calls it before its first
+    join, so a run that stops before joining, and a replay, build no plan.
     """
 
     def __init__(self, rule: JRule, scheme: AttributeSet):
@@ -203,8 +205,10 @@ class _CompiledRule:
         self.scheme = scheme
         column = {a: c for c, a in enumerate(scheme)}
         self.cols = tuple(tuple([column[a] for a in edge]) for edge in rule.gajd.edges_in_order)
+
+    def compile(self) -> None:
         # Position i binds its row id to slot n + i; a join starts at a new projection's position.
-        n = len(scheme)
+        n = len(self.scheme)
         self.plan = plan = JoinPlan([cols + (n + i,) for i, cols in enumerate(self.cols)], range(len(self.cols)))
         self.reads = tuple((getter(cols, False), set(), ins) for cols, ins in zip(self.cols, plan.inserts))
 
@@ -310,6 +314,9 @@ class _ChaseRun:
         while True:
             if stop_at_distinguished and self.goal in work.row_of:
                 return "distinguished"
+            if not self.indexed:
+                for cr in self.compiled:
+                    cr.compile()
             for rid in range(self.indexed, len(work)):
                 self._index_row(rid)
             self.indexed = len(work)

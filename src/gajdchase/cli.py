@@ -22,17 +22,23 @@ Subcommands:
 Exit codes: 0 all queries answered, 1 expectation or soundness failure,
 2 usage or parse error, 3 chase row cap exceeded.  The cap defaults to
 100000 rows and can be overridden with the GAJD_CHASE_MAX_ROWS variable.
+
+`implies` and `tableau` load only the chase and the layers below it.  The
+numeric oracle, and numpy with it, is imported by the first `verify` or
+`ProblemFile.domains()`, and json by the first `--trace-json`.  The module
+attributes `check_soundness` and `search_counterexample` delegate to the
+oracle's functions, and `cmd_verify` looks them up here when it calls them.
 """
 
 from __future__ import annotations
 
 import argparse
-import json
 import math
 import os
 import re
 import sys
 from dataclasses import dataclass, field
+from typing import TYPE_CHECKING, Sequence
 
 from .chase import DEFAULT_MAX_ROWS, JRule, Verdict, implies
 from .errors import (
@@ -42,9 +48,11 @@ from .errors import (
     ProblemParseError,
 )
 from .hypergraph import AttributeSet
-from .oracle import OracleConfig, check_soundness, check_table_cells, search_counterexample
 from .prelation import DomainSpec, Gajd
 from .tableau import build_tr
+
+if TYPE_CHECKING:
+    from .oracle import CounterexampleReport, NotFound, OracleConfig, SoundnessReport
 
 ENV_MAX_ROWS = "GAJD_CHASE_MAX_ROWS"
 
@@ -64,6 +72,8 @@ class ProblemFile:
 
     def domains(self) -> DomainSpec:
         """The declared domains; a joint table over the oracle's cap is refused before any label is built."""
+        from .oracle import check_table_cells
+
         check_table_cells(math.prod(self.domain_sizes.get(a, 2) for a in self.attrs))
         return DomainSpec.with_sizes(self.attrs, self.domain_sizes)
 
@@ -256,6 +266,8 @@ def cmd_implies(
                 final = verdict.closure_trace.final
                 out.append(f"closure: fixpoint with {len(final)} rows, no all-distinguished row")
         if trace_json:
+            import json
+
             for record in verdict.trace.records():
                 out.append(json.dumps(record, sort_keys=True))
         out.append(f"IMPLIES: {'yes' if verdict.holds else 'no'}")
@@ -264,6 +276,22 @@ def cmd_implies(
         if expect is not None and (expect == "yes") != verdict.holds:
             exit_code = 1
     return exit_code, "\n".join(out) + "\n"
+
+
+def check_soundness(constraints: Sequence[Gajd], target: Gajd, cfg: OracleConfig) -> SoundnessReport:
+    """`oracle.check_soundness`; the oracle is imported on the first call."""
+    from .oracle import check_soundness
+
+    return check_soundness(constraints, target, cfg)
+
+
+def search_counterexample(
+    constraints: Sequence[Gajd], target: Gajd, cfg: OracleConfig
+) -> CounterexampleReport | NotFound:
+    """`oracle.search_counterexample`; the oracle is imported on the first call."""
+    from .oracle import search_counterexample
+
+    return search_counterexample(constraints, target, cfg)
 
 
 def cmd_verify(
@@ -276,6 +304,8 @@ def cmd_verify(
         raise GajdChaseError("trials must be at least 1")
     if seed < 0:
         raise GajdChaseError(f"seed must be nonnegative, got {seed}")
+    from .oracle import OracleConfig
+
     max_rows = _max_rows_from_env()
     cfg = OracleConfig(domains=problem.domains(), seed=seed, trials=trials)
     out: list[str] = []

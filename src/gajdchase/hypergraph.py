@@ -9,6 +9,11 @@ together with a branching function, and the multiset of branch/twig
 intersections along it is the interaction set, which does not depend on the
 ordering chosen.  By the twig equation each intersection is what the twig
 shares with its prefix, so validating a certificate computes it.
+
+Recognition and validation walk an ordering with one running set of the
+prefix's attribute names.  Each overlap is a tuple of the candidate edge's
+names, in its sorted order, so the twig test compares tuples, and only the
+overlaps a certificate keeps become `AttributeSet`s.
 """
 
 from __future__ import annotations
@@ -27,7 +32,11 @@ class AttributeSet:
 
     Iteration order is the sorted name order, which fixes column order in
     relations and tableaux.  The empty set is allowed (it arises as the
-    intersection of disjoint edges).
+    intersection of disjoint edges).  The constructor checks and sorts the
+    names it is given.  `&`, `|`, `-` and `union` build their result from
+    their operands' names, which are checked already: `&` and `-` keep the
+    left operand's sorted order, `|` and `union` sort the merged names, and
+    none of them checks a name again.
     """
 
     __slots__ = ("_members",)
@@ -38,6 +47,13 @@ class AttributeSet:
             if not name or not name.isidentifier():
                 raise ValueError(f"attribute name must be an identifier, got {name!r}")
         self._members = tuple(names)
+
+    @classmethod
+    def _of(cls, names: tuple[str, ...]) -> "AttributeSet":
+        """The set of `names`, which are valid, distinct and sorted already."""
+        s = object.__new__(cls)
+        s._members = names
+        return s
 
     @property
     def members(self) -> tuple[str, ...]:
@@ -61,13 +77,14 @@ class AttributeSet:
         return hash(self._members)
 
     def __or__(self, other: "AttributeSet") -> "AttributeSet":
-        return AttributeSet(self._members + other._members)
+        return AttributeSet._of(tuple(sorted({*self._members, *other._members})))
 
     def __and__(self, other: "AttributeSet") -> "AttributeSet":
-        return AttributeSet(n for n in self._members if n in other)
+        return AttributeSet._of(_overlap(self, other._members))
 
     def __sub__(self, other: "AttributeSet") -> "AttributeSet":
-        return AttributeSet(n for n in self._members if n not in other)
+        theirs = other._members
+        return AttributeSet._of(tuple([n for n in self._members if n not in theirs]))
 
     def __le__(self, other: "AttributeSet") -> bool:
         return all(n in other for n in self._members)
@@ -83,10 +100,12 @@ class AttributeSet:
 
     @staticmethod
     def union(sets: Iterable["AttributeSet"]) -> "AttributeSet":
-        out: list[str] = []
-        for s in sets:
-            out.extend(s.members)
-        return AttributeSet(out)
+        return AttributeSet._of(tuple(sorted(set().union(*[s._members for s in sets]))))
+
+
+def _overlap(edge: AttributeSet, names) -> tuple[str, ...]:
+    """The names of `edge` that are in the container `names`, in the edge's sorted order."""
+    return tuple([n for n in edge._members if n in names])
 
 
 class Hypergraph:
@@ -124,11 +143,6 @@ class Hypergraph:
         return "".join(e.render() for e in self.edges)
 
 
-def _shared(h: Hypergraph, candidate: int, others: Iterable[int]) -> AttributeSet:
-    """What edge `candidate` shares with the union of the edges `others`: the twig equation's left side."""
-    return AttributeSet.union(h.edges[j] for j in others) & h.edges[candidate]
-
-
 class TwigResult(NamedTuple):
     is_twig: bool
     branch: int | None
@@ -148,9 +162,9 @@ def is_twig(h: Hypergraph, candidate: int, within: Iterable[int]) -> TwigResult:
         return TwigResult(True, None)
     cand = h.edges[candidate]
     others = [j for j in idx if j != candidate]
-    needed = _shared(h, candidate, others)
+    needed = _overlap(cand, set().union(*(h.edges[j]._members for j in others)))
     for j in others:
-        if (h.edges[j] & cand) == needed:
+        if _overlap(cand, h.edges[j]._members) == needed:
             return TwigResult(True, j)
     return TwigResult(False, None)
 
@@ -221,30 +235,36 @@ def validate_certificate(h: Hypergraph, cert: HypertreeCertificate) -> tuple[Att
     n = len(h.edges)
     if sorted(cert.ordering) != list(range(n)):
         raise InvalidCertificateError("ordering is not a permutation of the edge indices")
+    edges = [h.edges[e] for e in cert.ordering]
+    prefix = set(edges[0]._members)
     shared = []
     for i in range(1, n):
-        needed = _shared(h, cert.ordering[i], cert.ordering[:i])
-        if (h.edges[cert.ordering[cert.branching[i]]] & h.edges[cert.ordering[i]]) != needed:
+        cand = edges[i]
+        needed = _overlap(cand, prefix)
+        if _overlap(cand, edges[cert.branching[i]]._members) != needed:
             raise InvalidCertificateError(
                 f"edge at position {i} is not a twig of its prefix with the recorded branch"
             )
-        shared.append(needed)
+        shared.append(AttributeSet._of(needed))
+        prefix.update(cand._members)
     return tuple(shared)
 
 
 def _try_ordering(h: Hypergraph, ordering: tuple[int, ...]) -> HypertreeCertificate | None:
     """Build a certificate for a fixed ordering, choosing the smallest valid branch per position."""
-    n = len(ordering)
-    branching: list[int | None] = [None] * n
-    for i in range(1, n):
-        cand = h.edges[ordering[i]]
-        needed = _shared(h, ordering[i], ordering[:i])
+    edges = [h.edges[e] for e in ordering]
+    prefix = set(edges[0]._members)
+    branching: list[int | None] = [None] * len(edges)
+    for i in range(1, len(edges)):
+        cand = edges[i]
+        needed = _overlap(cand, prefix)
         for j in range(i):
-            if (h.edges[ordering[j]] & cand) == needed:
+            if _overlap(cand, edges[j]._members) == needed:
                 branching[i] = j
                 break
         else:
             return None
+        prefix.update(cand._members)
     return HypertreeCertificate(ordering, tuple(branching))
 
 

@@ -13,9 +13,10 @@ Regenerate (only when a change to the traces is intended) with
 
 import random
 
-from gajdchase.chase import implies
+from gajdchase.chase import chase, implies
 from gajdchase.cli import ProblemFile, Query, cmd_implies
 from gajdchase.hypergraph import AttributeSet
+from gajdchase.tableau import build_tr
 from conftest import GOLDEN_DIR, random_hypertree
 
 GOLDEN = GOLDEN_DIR / "census_traces.txt"
@@ -70,6 +71,30 @@ def test_census_chase_counts():
             closure_dups += verdict.closure_trace.duplicates
             closure_rows += len(verdict.closure_trace.final)
     assert (verdict_dups, closure_dups, closure_rows) == (340, 240, 390)
+
+
+def test_each_rule_emits_each_fixpoint_row_once():
+    # Every fixpoint row is a join result of every rule (select it on each
+    # edge), and each comes out once per rule and run.  Each result is a
+    # duplicate or a pending application, and a pending one is either applied
+    # or dropped as a duplicate, so the duplicates are R * |F| - (|F| - |T0|)
+    # for R rules, fixpoint F and initial tableau T0.
+    negatives = 0
+    for problem in census_problems():
+        query = problem.queries[0]
+        rules = problem.rules_for(query)
+        verdict = implies(rules, query.target)
+        if verdict.holds:
+            continue
+        negatives += 1
+        closure = verdict.closure_trace
+        fixpoint, initial = len(closure.final), len(verdict.trace.initial)
+        expected = len(rules) * fixpoint - (fixpoint - initial)
+        assert verdict.trace.duplicates + closure.duplicates == expected
+        for rng in (None, random.Random(0)):
+            fresh = chase(build_tr(query.target), rules, rng=rng)
+            assert (len(fresh.final), fresh.duplicates) == (fixpoint, expected)
+    assert negatives > 20
 
 
 if __name__ == "__main__":

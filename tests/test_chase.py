@@ -292,6 +292,29 @@ class TestChase:
         with pytest.raises(ValueError):
             chase(prefix, rules)
 
+    def test_run_at_the_goal_compiles_no_plan_and_continues_like_a_fresh_chase(self, chain4, monkeypatch):
+        # The target's tableau already holds the all-distinguished row, from its full edge.
+        target = Gajd.from_edges([["A1"], ["A2"], ["A3", "A4"], ["A1", "A2", "A3", "A4"]])
+        _, left, right = chain4
+        rules = [JRule("C1", left), JRule("C2", right)]
+        plans = []
+
+        class CountingPlan(chase_module.JoinPlan):
+            def __init__(self, *args):
+                plans.append(self)
+                super().__init__(*args)
+
+        monkeypatch.setattr(chase_module, "JoinPlan", CountingPlan)
+        prefix = chase(build_tr(target), rules, stop_at_distinguished=True)
+        assert (prefix.stop_reason, len(prefix.steps), plans) == ("distinguished", 0, [])
+        continued = chase(prefix, rules)
+        assert len(plans) == len(rules)
+        fresh = chase(build_tr(target), rules)
+        assert len(continued.steps) > 0
+        assert continued.render_steps() == fresh.render_steps()
+        assert [r.cells for r in continued.final.rows] == [r.cells for r in fresh.final.rows]
+        assert continued.duplicates == fresh.duplicates
+
     def test_continue_requires_same_constraints(self, chain4):
         target, left, right = chain4
         prefix = chase(build_tr(target), [JRule("C1", left)], stop_when_no_gain=True)

@@ -460,17 +460,20 @@ class TestMain:
         assert "FACTORIZATION:" in result.stdout
 
     def test_numpy_loaded_only_by_the_oracle(self):
-        # The chase alone never imports numpy; the first verify does.
+        # `implies` loads neither the oracle nor numpy, nor json without --trace-json; the first verify
+        # loads the oracle and numpy.
         script = (
             "import sys\n"
+            "json_at_start = 'json' in sys.modules\n"
             "import gajdchase, gajdchase.cli as cli\n"
             f"problem = cli.parse({CHAIN4_PROBLEM!r})\n"
             "code, out = cli.cmd_implies(problem, trace=True, factorize=True)\n"
             "assert code == 0 and 'IMPLIES: yes' in out, out\n"
-            "assert 'numpy' not in sys.modules\n"
+            "assert 'gajdchase.oracle' not in sys.modules and 'numpy' not in sys.modules\n"
+            "assert json_at_start or 'json' not in sys.modules\n"
             "code, out = cli.cmd_verify(problem, trials=2)\n"
             "assert code == 0 and 'status=pass' in out, out\n"
-            "assert 'numpy' in sys.modules\n"
+            "assert 'gajdchase.oracle' in sys.modules and 'numpy' in sys.modules\n"
         )
         result = subprocess.run(
             [sys.executable, "-c", script], capture_output=True, text=True, env=subprocess_env()

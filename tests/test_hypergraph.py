@@ -43,6 +43,21 @@ class TestAttributeSet:
         assert (a & b) <= a
         assert not a <= b
 
+    def test_derived_sets_match_constructed_ones(self):
+        # `&`, `|`, `-` and `union` skip the constructor's name check; their results must not differ.
+        rng = random.Random(3)
+        names = ["b2", "A", "a", "B1", "c", "_x", "Z"]
+        for _ in range(200):
+            parts = [set(rng.sample(names, rng.randint(0, len(names)))) for _ in range(3)]
+            a, b, c = (AttributeSet(p) for p in parts)
+            for got, want in [
+                (a | b, parts[0] | parts[1]),
+                (a & b, parts[0] & parts[1]),
+                (a - b, parts[0] - parts[1]),
+                (AttributeSet.union([a, b, c]), set().union(*parts)),
+            ]:
+                assert got.members == AttributeSet(want).members and hash(got) == hash(AttributeSet(want))
+
     def test_empty_allowed(self):
         assert len(AttributeSet()) == 0
 
