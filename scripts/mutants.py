@@ -111,7 +111,10 @@ MUTANTS = (
         "continued-run-on-a-copy",
         "initial = t.final = state.work.copy()",
         "initial, state.work = state.work, state.work.copy()",
-        ("tests/test_census_golden.py::test_census_chase_counts",),
+        (
+            "tests/test_census_golden.py::test_census_chase_counts",
+            "tests/test_chase.py::TestImplies::test_continued_positive_counts_the_duplicates_of_a_fresh_chase",
+        ),
     ),
     Mutant(
         "shared-prefix-off-by-one",
@@ -123,6 +126,12 @@ MUTANTS = (
             "tests/test_certificate_golden.py::test_certificates_golden",
             "tests/test_differential.py::test_every_single_constraint_query_agrees_with_the_decider",
         ),
+    ),
+    Mutant(
+        "run-settles-at-every-first-valuation",
+        "    settles = all(v.distinguished for v in psi_vars)\n",
+        "    settles = True\n",
+        ("tests/test_tableau.py::TestRun::test_inconsistent_weights_detected",),
     ),
     Mutant(
         "union-operator-unsorted",

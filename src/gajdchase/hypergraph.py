@@ -8,19 +8,21 @@ single other edge, the *branch*.  A certificate records one such ordering
 together with a branching function, and the multiset of branch/twig
 intersections along it is the interaction set, which does not depend on the
 ordering chosen.  By the twig equation each intersection is what the twig
-shares with its prefix, so validating a certificate computes it.
+shares with its prefix, so the walk that builds or validates a certificate
+computes it.
 
-Recognition and validation walk an ordering with one running set of the
-prefix's attribute names.  Each overlap is a tuple of the candidate edge's
-names, in its sorted order, so the twig test compares tuples, and only the
-overlaps a certificate keeps become `AttributeSet`s.
+Recognition and validation make one walk (`_walk`) over an ordering with one
+running set of the prefix's attribute names.  Each overlap is a tuple of the
+candidate edge's names, in its sorted order, so the twig test compares
+tuples.  A certificate that recognition builds keeps the overlaps of its
+walk, so its interaction set is not walked for again.
 """
 
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass
-from typing import Iterable, Iterator, NamedTuple, Union
+from dataclasses import dataclass, field
+from typing import Callable, Iterable, Iterator, NamedTuple, Union
 
 from .errors import InvalidCertificateError
 
@@ -175,11 +177,16 @@ class HypertreeCertificate:
 
     `ordering` is a permutation of edge indices; position 0 is the root.
     `branching[i]` is the position (not edge index) of the branch chosen for
-    the edge at position i, with `branching[0]` always None.
+    the edge at position i, with `branching[0]` always None.  A certificate
+    that `find_certificate` builds keeps in `walked` the hypergraph it was
+    built for and each twig's overlap with its prefix there.
     """
 
     ordering: tuple[int, ...]
     branching: tuple[int | None, ...]
+    walked: tuple[Hypergraph, tuple[AttributeSet, ...]] | None = field(
+        default=None, init=False, compare=False, repr=False
+    )
 
     def __post_init__(self):
         n = len(self.ordering)
@@ -230,42 +237,54 @@ class InteractionSet:
         return f"InteractionSet({[list(m) for m in self.members]!r})"
 
 
+def _walk(
+    edges: list[AttributeSet], branches: Callable[[int], Iterable[int]]
+) -> tuple[list[int | None], list[AttributeSet]]:
+    """Test each edge after the first as a twig of its prefix, in the order given.
+
+    The branch of the edge at position i is the first position `branches(i)`
+    yields at which the edge's overlap equals its overlap with the prefix.
+    Returns the branching and the overlaps of the positions passed, so both
+    are shorter than `edges` when some edge has no branch.
+    """
+    prefix = set(edges[0]._members)
+    branching: list[int | None] = [None]
+    shared = []
+    for i in range(1, len(edges)):
+        cand = edges[i]
+        needed = _overlap(cand, prefix)
+        for j in branches(i):
+            if _overlap(cand, edges[j]._members) == needed:
+                branching.append(j)
+                break
+        else:
+            break  # no branch: the walk ends here
+        shared.append(AttributeSet._of(needed))
+        prefix.update(cand._members)
+    return branching, shared
+
+
 def validate_certificate(h: Hypergraph, cert: HypertreeCertificate) -> tuple[AttributeSet, ...]:
     """Each twig's overlap with its prefix, by replaying the twig test; raises InvalidCertificateError."""
     n = len(h.edges)
     if sorted(cert.ordering) != list(range(n)):
         raise InvalidCertificateError("ordering is not a permutation of the edge indices")
-    edges = [h.edges[e] for e in cert.ordering]
-    prefix = set(edges[0]._members)
-    shared = []
-    for i in range(1, n):
-        cand = edges[i]
-        needed = _overlap(cand, prefix)
-        if _overlap(cand, edges[cert.branching[i]]._members) != needed:
-            raise InvalidCertificateError(
-                f"edge at position {i} is not a twig of its prefix with the recorded branch"
-            )
-        shared.append(AttributeSet._of(needed))
-        prefix.update(cand._members)
+    passed, shared = _walk([h.edges[e] for e in cert.ordering], lambda i: (cert.branching[i],))
+    if len(passed) < n:
+        raise InvalidCertificateError(
+            f"edge at position {len(passed)} is not a twig of its prefix with the recorded branch"
+        )
     return tuple(shared)
 
 
 def _try_ordering(h: Hypergraph, ordering: tuple[int, ...]) -> HypertreeCertificate | None:
     """Build a certificate for a fixed ordering, choosing the smallest valid branch per position."""
-    edges = [h.edges[e] for e in ordering]
-    prefix = set(edges[0]._members)
-    branching: list[int | None] = [None] * len(edges)
-    for i in range(1, len(edges)):
-        cand = edges[i]
-        needed = _overlap(cand, prefix)
-        for j in range(i):
-            if _overlap(cand, edges[j]._members) == needed:
-                branching[i] = j
-                break
-        else:
-            return None
-        prefix.update(cand._members)
-    return HypertreeCertificate(ordering, tuple(branching))
+    branching, shared = _walk([h.edges[e] for e in ordering], range)
+    if len(branching) < len(ordering):
+        return None
+    cert = HypertreeCertificate(ordering, tuple(branching))
+    object.__setattr__(cert, "walked", (h, tuple(shared)))
+    return cert
 
 
 def find_certificate(h: Hypergraph) -> Union[HypertreeCertificate, NotHypertree]:
@@ -300,5 +319,13 @@ def find_certificate(h: Hypergraph) -> Union[HypertreeCertificate, NotHypertree]
 
 
 def interaction_set(cert: HypertreeCertificate, h: Hypergraph) -> InteractionSet:
-    """The branch ∩ twig intersections of a valid certificate, in certificate order."""
+    """The branch ∩ twig intersections of a certificate of `h`, in certificate order.
+
+    A certificate that `find_certificate(h)` built carries them from its
+    walk; any other is validated here, and raises InvalidCertificateError
+    when it is not a certificate of `h`.
+    """
+    walked = cert.walked
+    if walked is not None and walked[0] is h:
+        return InteractionSet(walked[1])
     return InteractionSet(validate_certificate(h, cert))

@@ -206,10 +206,11 @@ def monotone_join(p: WeightedRelation, q: WeightedRelation) -> WeightedRelation:
 class Gajd:
     """A generalized acyclic join dependency: a hypertree over the full scheme.
 
-    The certificate is validated at construction, so downstream code can rely
-    on the ordering and branching without re-checking.  The edges in
-    certificate order and the interaction set depend only on the certificate,
-    so they are computed there too, once.
+    A certificate passed in is validated at construction, and one found here
+    is valid as built, so downstream code can rely on the ordering and
+    branching without re-checking.  The edges in certificate order and the
+    interaction set depend only on the certificate, so they are computed
+    there too, once.
     """
 
     hypergraph: Hypergraph
@@ -229,7 +230,7 @@ class Gajd:
                 )
             cert = found
             object.__setattr__(self, "certificate", cert)
-        # interaction_set validates the certificate.
+        # interaction_set validates a certificate passed in; a found one carries its overlaps.
         object.__setattr__(self, "interactions", interaction_set(cert, self.hypergraph))
         object.__setattr__(self, "edges_in_order", tuple(self.hypergraph.edges[i] for i in cert.ordering))
 

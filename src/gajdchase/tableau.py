@@ -16,10 +16,12 @@ only chased and counted builds none.
 
 For the tableau built from a dependency's hypertree the emitted weight
 depends only on the distinguished tuple, and the mapping coincides with the
-marginalize/product-join map of the same hypertree.  Arbitrary hand-built
-tableaux may carry weight expressions that mention nondistinguished
-variables; the executor then checks that duplicate valuations of one
-distinguished tuple agree and raises otherwise.
+marginalize/product-join map of the same hypertree; the executor then
+settles each distinguished tuple at its first valuation and skips the later
+ones.  Arbitrary hand-built tableaux may carry emission expressions that
+mention nondistinguished variables; the executor then compares every later
+valuation of a distinguished tuple with the first and raises when they
+disagree.
 """
 
 from __future__ import annotations
@@ -354,10 +356,14 @@ def run(t: Tableau, rel: WeightedRelation) -> WeightedRelation:
     valuations come out in the order of a nested loop over the support.
     The emission key (the values of `psi`'s variables) and the
     distinguished tuple are read from each binding by getters built once
-    per call.  The output deduplicates distinguished tuples: a later valuation of a
-    tuple is compared with the first only when their weights differ, and if
-    they disagree beyond `WEIGHT_TOL` the input violates the
-    marginal-consistency contract and an error is raised.
+    per call.  The output holds each distinguished tuple once, with the
+    weight of its first valuation, in first-valuation order.  When every
+    variable `psi` reads is distinguished (as in every `build_tr` tableau)
+    the tuple fixes the weight, so a later valuation of a tuple already out
+    is skipped after one membership test.  Otherwise each later valuation
+    is evaluated and compared with the first, and if they disagree beyond
+    `WEIGHT_TOL` the input violates the marginal-consistency contract and
+    an error is raised.
     """
     if rel.scheme != t.scheme:
         raise SchemeError(
@@ -379,17 +385,21 @@ def run(t: Tableau, rel: WeightedRelation) -> WeightedRelation:
                 index.setdefault(key_of(tup), []).append(tup)
     psi_key = getter([slot_of[v] for v in psi_vars], False)
     dist_of = getter(goal, False)
+    # When psi reads distinguished variables only, a first valuation settles its tuple.
+    settles = all(v.distinguished for v in psi_vars)
     marginal_cache: dict[AttributeSet, WeightedRelation] = {}
     value_cache: dict[tuple[str, ...], float] = {}
     results: dict[tuple[str, ...], float] = {}
 
     def emit(binding: tuple) -> None:
+        dist = dist_of(binding)
+        if settles and dist in results:
+            return
         key = psi_key(binding)
         value = value_cache.get(key)
         if value is None:
             value = evaluate(psi, rel, dict(zip(psi_vars, key)), marginal_cache)
             value_cache[key] = value
-        dist = dist_of(binding)
         seen = results.setdefault(dist, value)
         if seen != value and abs(seen - value) > WEIGHT_TOL * max(1.0, abs(seen), abs(value)):
             raise TableauInconsistencyError(

@@ -475,6 +475,29 @@ class TestImplies:
         assert verdict.closure_trace is None
         assert verdict.factorization is not None
 
+    def test_continued_positive_counts_the_duplicates_of_a_fresh_chase(self):
+        # A positive whose prefix stops at no_gain continues the prefix's run
+        # to the goal; its duplicates are those of one deterministic chase to
+        # the goal.  Such queries are rare, so seeded ones are drawn until
+        # five qualify (the 258th draw is the fifth); the cap bounds the
+        # draws when a defect lets none qualify.
+        rng = random.Random(1)
+        qualified = 0
+        for _ in range(1000):
+            if qualified == 5:
+                break
+            attrs = [f"A{i}" for i in range(1, rng.choice((5, 6)) + 1)]
+            target = random_hypertree(attrs, 4, rng)
+            rules = [random_hypertree(attrs, 4, rng) for _ in range(2)]
+            prefix = chase(build_tr(target), rules, stop_at_distinguished=True, stop_when_no_gain=True)
+            verdict = implies(rules, target)
+            if prefix.stop_reason != "no_gain" or not verdict.holds:
+                continue
+            qualified += 1
+            fresh = chase(build_tr(target), rules, stop_at_distinguished=True)
+            assert verdict.trace.duplicates == fresh.duplicates
+        assert qualified == 5
+
     def test_subscheme_constraint_rejected(self, chain4):
         target, _, _ = chain4
         with pytest.raises(SchemeError, match="padding"):
