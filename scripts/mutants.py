@@ -12,8 +12,11 @@ and runs pytest on the copy, so the checkout is never edited.  `--mutant`
 runs the mutant's listed tests and fails unless each of them fails.
 `--all` runs the whole test suite under every mutant, but for the
 catalog's own self-test, reports the tests each one failed, and fails if a
-mutant survives (no test fails) or a listed test passes.  Tier-1 checks
-only the catalog (`tests/test_mutants.py`); the runs are made on demand.
+mutant survives (no test fails) or a listed test passes.  Each pytest run
+is stopped after `TIMEOUT_S` seconds; a mutant whose run is stopped, such
+as one under which a test loops forever, counts as killed, and `--all`
+reports it as `killed (timed out)`.  Tier-1 checks only the catalog
+(`tests/test_mutants.py`); the runs are made on demand.
 """
 
 from __future__ import annotations
@@ -30,6 +33,7 @@ from typing import NamedTuple
 ROOT = Path(__file__).resolve().parent.parent
 PACKAGE = Path("src") / "gajdchase"
 SELF_TEST = "tests/test_mutants.py"
+TIMEOUT_S = 600  # one pytest run; the whole suite takes about 20 s
 
 
 class Mutant(NamedTuple):
@@ -134,6 +138,18 @@ MUTANTS = (
         ("tests/test_tableau.py::TestRun::test_inconsistent_weights_detected",),
     ),
     Mutant(
+        "compiled-evaluator-multiplies-by-denominator",
+        "            v /= d\n",
+        "            v *= d\n",
+        (
+            "tests/test_tableau_run_golden.py::test_tableau_run_golden",
+            "tests/test_tableau.py::TestRun::test_matches_mpj_map_on_random_positive",
+            "tests/test_tableau.py::TestRun::test_zero_denominator_at_a_cross_row_pair_emits_zero",
+            "tests/test_acceptance.py::test_criterion_5_tableau_matches_fold",
+            "tests/test_chase.py::TestNumericAgreement::test_factorization_matches_weights",
+        ),
+    ),
+    Mutant(
         "union-operator-unsorted",
         "return AttributeSet._of(tuple(sorted({*self._members, *other._members})))",
         "return AttributeSet._of(self._members + tuple([n for n in other._members if n not in self._members]))",
@@ -163,14 +179,20 @@ def mutated_copy(mutant: Mutant, dest: Path) -> None:
     path.write_text(path.read_text().replace(mutant.snippet, mutant.replacement))
 
 
-def failed_tests(tree: Path, args: list[str]) -> list[str]:
-    """Run pytest in `tree` with `args` and return the ids of the tests that failed or errored."""
+def failed_tests(tree: Path, args: list[str]) -> list[str] | None:
+    """Run pytest in `tree` with `args` and return the ids of the tests that failed or errored.
+
+    None means the run took longer than `TIMEOUT_S` and was stopped.
+    """
     env = dict(os.environ, PYTHONPATH=str(tree / "src"))
-    out = subprocess.run(
-        [sys.executable, "-m", "pytest", "-q", "-rfE", "-p", "no:cacheprovider", "--continue-on-collection-errors",
-         *args],
-        cwd=tree, env=env, capture_output=True, text=True,
-    ).stdout
+    try:
+        out = subprocess.run(
+            [sys.executable, "-m", "pytest", "-q", "-rfE", "-p", "no:cacheprovider", "--continue-on-collection-errors",
+             *args],
+            cwd=tree, env=env, capture_output=True, text=True, timeout=TIMEOUT_S,
+        ).stdout
+    except subprocess.TimeoutExpired:
+        return None
     return [line.split(" ", 1)[1].split(" - ", 1)[0] for line in out.splitlines()
             if line.startswith(("FAILED ", "ERROR "))]
 
@@ -180,7 +202,7 @@ def missed(mutant: Mutant, failed: list[str]) -> list[str]:
     return [t for t in mutant.expected if t not in failed and t.split("::")[0] not in failed]
 
 
-def run_mutant(mutant: Mutant, args: list[str]) -> list[str]:
+def run_mutant(mutant: Mutant, args: list[str]) -> list[str] | None:
     with tempfile.TemporaryDirectory(prefix="mutant-") as tmp:
         tree = Path(tmp) / "tree"
         mutated_copy(mutant, tree)
@@ -198,7 +220,11 @@ def main(argv: list[str] | None = None) -> int:
         if args.mutant not in by_name:
             parser.error(f"unknown mutant {args.mutant!r}; the catalog holds {', '.join(by_name)}")
         mutant = by_name[args.mutant]
-        passed = missed(mutant, run_mutant(mutant, list(mutant.expected)))
+        failed = run_mutant(mutant, list(mutant.expected))
+        if failed is None:
+            print(f"{mutant.name}: killed (timed out)")
+            return 0
+        passed = missed(mutant, failed)
         print(f"{mutant.name}: {len(mutant.expected) - len(passed)} of {len(mutant.expected)} listed tests failed")
         for t in passed:
             print(f"  passed, expected to fail: {t}")
@@ -207,6 +233,9 @@ def main(argv: list[str] | None = None) -> int:
     for mutant in MUTANTS:
         # The catalog's self-test checks the unmutated source, so it is left out here.
         failed = run_mutant(mutant, ["--ignore", SELF_TEST])
+        if failed is None:
+            print(f"{mutant.name}: killed (timed out)", flush=True)
+            continue
         passed = missed(mutant, failed)
         status = "SURVIVED" if not failed else "killed"
         print(f"{mutant.name}: {status}, {len(failed)} failed", flush=True)

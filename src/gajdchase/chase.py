@@ -65,9 +65,9 @@ from typing import Iterable, Sequence
 
 from .errors import ChaseRowLimitError, SchemeError
 from .hypergraph import AttributeSet
-from .prelation import Gajd
+from .prelation import Gajd, getter
 from .symbolic import MarginalAtom, RationalExpression, Variable, eq5_expression, restrict_atom
-from .tableau import JoinPlan, Row, Tableau, build_tr, getter, join
+from .tableau import JoinPlan, Row, Tableau, build_tr, join
 
 DEFAULT_MAX_ROWS = 100_000
 
@@ -187,7 +187,7 @@ class _CompiledRule:
     (`Tableau.patterns`), each followed by its first row id; a two-edge rule
     keeps one per position, both on the separator.  A join result is the
     pattern followed by its least selection.  `reads` holds, per position,
-    the reader of a coded pattern's edge projection (`tableau.getter`, built
+    the reader of a coded pattern's edge projection (`prelation.getter`, built
     once here), the projections met so far, and the plan's `inserts` there.
     `expression` builds the weight of the rule's row for a selection, for
     decoded rows and `ChaseTrace.replay`.  A rule over another scheme is a SchemeError.

@@ -22,7 +22,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from itertools import product as iterproduct
-from typing import Iterable, Iterator, Mapping, NamedTuple
+from operator import itemgetter
+from typing import Callable, Iterable, Iterator, Mapping, NamedTuple, Sequence
 
 from .errors import SchemeError, NotHypertreeError
 from .hypergraph import (
@@ -145,16 +146,23 @@ def relation_from_domains(domains: DomainSpec, weights: Iterable[float]) -> Weig
     return WeightedRelation(domains.scheme, dict(zip(keys, ws)))
 
 
-def _projector(src: AttributeSet, dst: AttributeSet):
-    idx = [src.index(a) for a in dst]
-    return lambda key: tuple(key[i] for i in idx)
+def getter(cols: Sequence[int], scalar: bool) -> Callable[[Sequence], object]:
+    """An `operator.itemgetter` of the entries at `cols` of a tuple, as a tuple (`()` for none).
+
+    With `scalar`, one column reads as its value itself, as index keys are
+    read.  This is the package's one reader of tuple components: relation
+    keys, join projections and bindings, and atom keys are all read with it.
+    """
+    if len(cols) > 1 or (cols and scalar):
+        return itemgetter(*cols)
+    return itemgetter(slice(cols[0], cols[0] + 1) if cols else slice(0, 0))
 
 
 def marginalize(rel: WeightedRelation, onto: AttributeSet) -> WeightedRelation:
     """Sum weights over the attributes outside `onto`; total mass is preserved."""
     if not onto <= rel.scheme:
         raise SchemeError(f"{onto.render()} is not a subset of {rel.scheme.render()}")
-    proj = _projector(rel.scheme, onto)
+    proj = getter([rel.scheme.index(a) for a in onto], False)
     acc: dict[ValueTuple, float] = {}
     for key, w in rel.items():
         p = proj(key)
@@ -166,23 +174,18 @@ def product_join(p: WeightedRelation, q: WeightedRelation) -> WeightedRelation:
     """Natural join of the tuple sets with pointwise multiplied weights."""
     shared = p.scheme & q.scheme
     out_scheme = p.scheme | q.scheme
-    proj_p = _projector(p.scheme, shared)
-    proj_q = _projector(q.scheme, shared)
+    proj_p = getter([p.scheme.index(a) for a in shared], False)
+    proj_q = getter([q.scheme.index(a) for a in shared], False)
     by_shared: dict[ValueTuple, list[tuple[ValueTuple, float]]] = {}
     for qk, qw in q.items():
         by_shared.setdefault(proj_q(qk), []).append((qk, qw))
-    pos: dict[str, tuple[int, int]] = {}
-    for a in out_scheme:
-        if a in p.scheme:
-            pos[a] = (0, p.scheme.index(a))
-        else:
-            pos[a] = (1, q.scheme.index(a))
-    layout = [pos[a] for a in out_scheme]
+    # An output key is read from the concatenation of the two keys, p's first.
+    width = len(p.scheme)
+    read = getter([p.scheme.index(a) if a in p.scheme else width + q.scheme.index(a) for a in out_scheme], False)
     rows: dict[ValueTuple, float] = {}
     for pk, pw in p.items():
         for qk, qw in by_shared.get(proj_p(pk), []):
-            key = tuple((pk, qk)[side][i] for side, i in layout)
-            rows[key] = pw * qw
+            rows[read(pk + qk)] = pw * qw
     return WeightedRelation(out_scheme, rows)
 
 

@@ -13,6 +13,12 @@ once per expression: it counts atoms only when the two sides share one, and
 sorts each side once.  An atom computes its hash and its sort key the first
 time each is used and keeps them, so sorting and hashing an atom again
 costs one attribute read.
+
+Numeric evaluation has one path, `compile_expression`: an expression is
+compiled against a joint once, each atom into its marginal table and a
+reader of its key from a binding tuple, and the result is called per
+binding.  `tableau.run` calls it once per run; `evaluate`, for a binding
+given as a mapping, compiles and calls it once.
 """
 
 from __future__ import annotations
@@ -22,11 +28,11 @@ from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
 from operator import attrgetter
-from typing import Iterable, Mapping
+from typing import Callable, Iterable, Mapping, Sequence
 
 from .errors import SchemeError, ZeroDenominatorWarning
 from .hypergraph import AttributeSet
-from .prelation import WeightedRelation, marginalize
+from .prelation import WeightedRelation, getter, marginalize
 
 
 @dataclass(frozen=True)
@@ -197,6 +203,62 @@ def eq5_expression(
     return RationalExpression.of(num, den)
 
 
+def compile_expression(
+    expr: RationalExpression,
+    joint: WeightedRelation,
+    slot_of: Mapping[Variable, int],
+    marginal_cache: dict[AttributeSet, WeightedRelation],
+) -> Callable[[Sequence[str]], float]:
+    """The numeric value of `expr` against `joint`, as a function of a binding tuple.
+
+    The binding holds each variable's value at its slot in `slot_of`.  Each
+    atom is compiled once, in expression order, into its marginal table
+    (`marginalize(joint, atom.over)`, once per attribute set and cache) and
+    a `prelation.getter` of its key from the binding; a variable with no
+    slot raises KeyError.  The function multiplies the numerator atoms'
+    marginals into 1.0 and then divides by the denominator's, in that
+    order.  A zero in the denominator makes the value 0 and raises
+    ZeroDenominatorWarning (the positivity assumption was violated).
+    """
+    num = tuple([_compile_atom(atom, joint, slot_of, marginal_cache) for atom in expr.numerator])
+    den = tuple([(*_compile_atom(atom, joint, slot_of, marginal_cache), atom) for atom in expr.denominator])
+
+    def value(binding: Sequence[str]) -> float:
+        v = 1.0
+        for weight, key in num:
+            v *= weight(key(binding), 0.0)
+        for weight, key, atom in den:
+            d = weight(key(binding), 0.0)
+            if d == 0.0:
+                warnings.warn(
+                    f"zero marginal under {atom.render()}; expression value defined as 0",
+                    ZeroDenominatorWarning,
+                    stacklevel=2,
+                )
+                return 0.0
+            v /= d
+        return v
+
+    return value
+
+
+def _compile_atom(
+    atom: MarginalAtom,
+    joint: WeightedRelation,
+    slot_of: Mapping[Variable, int],
+    cache: dict[AttributeSet, WeightedRelation],
+) -> tuple[Callable[[tuple, float], float], Callable[[Sequence[str]], tuple]]:
+    """The weight lookup (`dict.get`) of the marginal over `atom.over` and the getter of the atom's key from a binding."""
+    marg = cache.get(atom.over)
+    if marg is None:
+        marg = cache[atom.over] = marginalize(joint, atom.over)
+    try:
+        cols = [slot_of[v] for v in atom.pattern]
+    except KeyError as exc:
+        raise KeyError(f"unbound variable {exc.args[0]!r} in {atom.render()}") from None
+    return marg._rows.get, getter(cols, False)  # the marginal's own table, only read
+
+
 def evaluate(
     expr: RationalExpression,
     joint: WeightedRelation,
@@ -208,37 +270,9 @@ def evaluate(
     Each atom evaluates to the marginal of `joint` over its attribute set at
     the bound value tuple; `marginalize` checks the set, once per cache.  A
     zero in the denominator makes the result 0 and raises
-    ZeroDenominatorWarning (the positivity assumption was violated).
+    ZeroDenominatorWarning.  This compiles `expr` over the binding's
+    variables (`compile_expression`) and calls the result once.
     """
+    slot_of = {v: i for i, v in enumerate(binding)}
     cache = marginal_cache if marginal_cache is not None else {}
-    value = 1.0
-    for atom in expr.numerator:
-        value *= _atom_value(atom, joint, binding, cache)
-    for atom in expr.denominator:
-        d = _atom_value(atom, joint, binding, cache)
-        if d == 0.0:
-            warnings.warn(
-                f"zero marginal under {atom.render()}; expression value defined as 0",
-                ZeroDenominatorWarning,
-                stacklevel=2,
-            )
-            return 0.0
-        value /= d
-    return value
-
-
-def _atom_value(
-    atom: MarginalAtom,
-    joint: WeightedRelation,
-    binding: Mapping[Variable, str],
-    cache: dict[AttributeSet, WeightedRelation],
-) -> float:
-    """The marginal of `joint` over `atom.over` at the atom's bound values, marginalized once per cache."""
-    marg = cache.get(atom.over)
-    if marg is None:
-        marg = cache[atom.over] = marginalize(joint, atom.over)
-    try:
-        key = tuple([binding[v] for v in atom.pattern])
-    except KeyError as exc:
-        raise KeyError(f"unbound variable {exc.args[0]!r} in {atom.render()}") from None
-    return marg.weight(key)
+    return compile_expression(expr, joint, slot_of, cache)(tuple([binding[v] for v in slot_of]))

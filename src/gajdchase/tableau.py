@@ -14,8 +14,11 @@ them; `build_tr` writes it so from the certificate.  `Variable` cells, `Row`s
 and weight expressions are decoded when first read, so a tableau that is
 only chased and counted builds none.
 
-For the tableau built from a dependency's hypertree the emitted weight
-depends only on the distinguished tuple, and the mapping coincides with the
+The executor, `run`, compiles the emission expression once per call
+(`symbolic.compile_expression`): each atom becomes its marginal table and a
+reader of its key from the join's int-coded binding.  For the tableau built
+from a dependency's hypertree the emitted weight depends only on the
+distinguished tuple, and the mapping coincides with the
 marginalize/product-join map of the same hypertree; the executor then
 settles each distinguished tuple at its first valuation and skips the later
 ones.  Arbitrary hand-built tableaux may carry emission expressions that
@@ -28,13 +31,13 @@ from __future__ import annotations
 
 from functools import partial
 from itertools import islice
-from operator import itemgetter
 from typing import Callable, Mapping, Sequence
 
 from .errors import SchemeError, TableauInconsistencyError
 from .hypergraph import AttributeSet
-from .prelation import Gajd, WeightedRelation
-from .symbolic import MarginalAtom, RationalExpression, Variable, distinguished_for, eq5_expression, evaluate
+from .prelation import Gajd, WeightedRelation, getter
+from .symbolic import MarginalAtom, RationalExpression, Variable, compile_expression, distinguished_for, eq5_expression
+from .symbolic import evaluate  # perfbench's wrap point tableau.evaluate (span symbolic.evaluate); run never calls it
 
 WEIGHT_TOL = 1e-12  # relative disagreement that `run` allows between valuations of one tuple
 
@@ -226,16 +229,6 @@ def build_tr(g: Gajd) -> Tableau:
     return t
 
 
-def getter(cols: Sequence[int], scalar: bool) -> Callable[[Sequence], object]:
-    """An `operator.itemgetter` of the entries at `cols` of a tuple, as a tuple (`()` for none).
-
-    With `scalar`, one column reads as its value itself, as index keys are read.
-    """
-    if len(cols) > 1 or (cols and scalar):
-        return itemgetter(*cols)
-    return itemgetter(slice(cols[0], cols[0] + 1) if cols else slice(0, 0))
-
-
 class JoinPlan:
     """Positions joined in a fixed order, each binding one projection to slots.
 
@@ -354,16 +347,19 @@ def run(t: Tableau, rel: WeightedRelation) -> WeightedRelation:
     call with the one start None, whose slots are the variables' codes.
     Every index of the plan holds the support in support order, so
     valuations come out in the order of a nested loop over the support.
-    The emission key (the values of `psi`'s variables) and the
-    distinguished tuple are read from each binding by getters built once
-    per call.  The output holds each distinguished tuple once, with the
-    weight of its first valuation, in first-valuation order.  When every
-    variable `psi` reads is distinguished (as in every `build_tr` tableau)
-    the tuple fixes the weight, so a later valuation of a tuple already out
-    is skipped after one membership test.  Otherwise each later valuation
-    is evaluated and compared with the first, and if they disagree beyond
-    `WEIGHT_TOL` the input violates the marginal-consistency contract and
-    an error is raised.
+    `psi` is compiled once per call (`symbolic.compile_expression`): each
+    atom reads its key from the coded binding and looks it up in its
+    marginal of `rel`, so a valuation is evaluated as `symbolic.evaluate`
+    would, bit for bit, with no per-valuation dict.  The distinguished
+    tuple is read from each binding by a getter built once per call.  The
+    output holds each distinguished tuple once, with the weight of its
+    first valuation, in first-valuation order.  When every variable `psi`
+    reads is distinguished (as in every `build_tr` tableau) the tuple fixes
+    the weight, so a later valuation of a tuple already out is skipped
+    after one membership test.  Otherwise each later valuation is evaluated
+    and compared with the first, and if they disagree beyond `WEIGHT_TOL`
+    the input violates the marginal-consistency contract and an error is
+    raised.
     """
     if rel.scheme != t.scheme:
         raise SchemeError(
@@ -383,23 +379,17 @@ def run(t: Tableau, rel: WeightedRelation) -> WeightedRelation:
         for key_of, index in inserts:
             for tup in support:
                 index.setdefault(key_of(tup), []).append(tup)
-    psi_key = getter([slot_of[v] for v in psi_vars], False)
+    value_of = compile_expression(psi, rel, slot_of, {})
     dist_of = getter(goal, False)
     # When psi reads distinguished variables only, a first valuation settles its tuple.
     settles = all(v.distinguished for v in psi_vars)
-    marginal_cache: dict[AttributeSet, WeightedRelation] = {}
-    value_cache: dict[tuple[str, ...], float] = {}
     results: dict[tuple[str, ...], float] = {}
 
     def emit(binding: tuple) -> None:
         dist = dist_of(binding)
         if settles and dist in results:
             return
-        key = psi_key(binding)
-        value = value_cache.get(key)
-        if value is None:
-            value = evaluate(psi, rel, dict(zip(psi_vars, key)), marginal_cache)
-            value_cache[key] = value
+        value = value_of(binding)
         seen = results.setdefault(dist, value)
         if seen != value and abs(seen - value) > WEIGHT_TOL * max(1.0, abs(seen), abs(value)):
             raise TableauInconsistencyError(

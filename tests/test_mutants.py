@@ -2,11 +2,13 @@
 
 The mutants themselves run on demand (`python3 scripts/mutants.py --all`);
 here each snippet must still occur exactly once in `src/gajdchase`, and each
-listed test must still exist.
+listed test must still exist.  The runner's timeout is checked with a
+stand-in for `subprocess.run` that times out at once, so no test hangs.
 """
 
 import ast
 import importlib.util
+import subprocess
 from pathlib import Path
 
 import pytest
@@ -48,3 +50,18 @@ def test_catalog_names_existing_tests():
             for part in parts:
                 node = defined(node.body, part)
                 assert node is not None, test_id
+
+
+def test_a_run_that_times_out_counts_as_a_kill(monkeypatch, capsys):
+    def hang(cmd, **kwargs):
+        assert kwargs["timeout"] == MUTANTS.TIMEOUT_S
+        raise subprocess.TimeoutExpired(cmd, kwargs["timeout"])
+
+    monkeypatch.setattr(MUTANTS.subprocess, "run", hang)
+    monkeypatch.setattr(MUTANTS, "mutated_copy", lambda mutant, dest: None)
+    assert MUTANTS.main(["--all"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert lines == [f"{m.name}: killed (timed out)" for m in MUTANTS.MUTANTS]
+    mutant = MUTANTS.MUTANTS[0]
+    assert MUTANTS.main(["--mutant", mutant.name]) == 0
+    assert capsys.readouterr().out == f"{mutant.name}: killed (timed out)\n"

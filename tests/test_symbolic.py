@@ -1,3 +1,4 @@
+import itertools
 from collections import Counter
 
 import pytest
@@ -6,11 +7,12 @@ from hypothesis import strategies as st
 
 from gajdchase.errors import SchemeError, ZeroDenominatorWarning
 from gajdchase.hypergraph import AttributeSet
-from gajdchase.prelation import DomainSpec
+from gajdchase.prelation import DomainSpec, marginalize
 from gajdchase.symbolic import (
     MarginalAtom,
     RationalExpression,
     Variable,
+    compile_expression,
     distinguished_for,
     eq5_expression,
     evaluate,
@@ -271,6 +273,22 @@ class TestEvaluate:
         expr = RationalExpression.of([], [MarginalAtom(scheme, (a1,))])
         with pytest.warns(ZeroDenominatorWarning):
             assert evaluate(expr, joint, {a1: "1"}) == 0.0
+
+    def test_compiled_expression_reads_its_slots(self):
+        # Slots in another order than the scheme's; the value is the
+        # marginals multiplied into 1.0 and then divided, in canonical order.
+        a = {c: distinguished_for(self.scheme, c) for c in self.scheme}
+        sets = [AttributeSet(["A1", "A2"]), AttributeSet(["A2", "A3"]), AttributeSet(["A2"])]
+        expr = RationalExpression.of([MarginalAtom.from_cells(o, a) for o in sets[:2]],
+                                     [MarginalAtom.from_cells(sets[2], a)])
+        slots = [a["A3"], a["A1"], a["A2"]]
+        cache: dict = {}
+        value = compile_expression(expr, self.joint, {v: i for i, v in enumerate(slots)}, cache)
+        assert set(cache) == set(sets)
+        m12, m23, m2 = (marginalize(self.joint, o) for o in sets)
+        for x3, x1, x2 in itertools.product("01", repeat=3):
+            expected = 1.0 * m12.weight((x1, x2)) * m23.weight((x2, x3)) / m2.weight((x2,))
+            assert value((x3, x1, x2)) == expected
 
     def test_empty_attribute_atom_is_total_mass(self):
         expr = RationalExpression.of([MarginalAtom(AttributeSet(), ())])

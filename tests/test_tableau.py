@@ -5,7 +5,7 @@ import random
 import pytest
 
 from gajdchase.chase import chase
-from gajdchase.errors import SchemeError, TableauInconsistencyError
+from gajdchase.errors import SchemeError, TableauInconsistencyError, ZeroDenominatorWarning
 from gajdchase.hypergraph import AttributeSet
 from gajdchase.prelation import DomainSpec, Gajd, WeightedRelation, mpj_map
 from gajdchase.symbolic import (
@@ -352,6 +352,29 @@ class TestRun:
         t.add_row(Row((b2, a2), RationalExpression.of([MarginalAtom(scheme, (b2, a2))])))
         rel = WeightedRelation(scheme, {k: 0.25 for k in itertools.product("01", repeat=2)})
         assert run(t, rel).max_abs_diff(rel) == 0.0
+
+    def test_zero_denominator_at_a_cross_row_pair_emits_zero(self):
+        # psi divides by the joint marginal at (a1, a2), which the two rows
+        # bind independently; the relation holds only (0,0) and (1,1), so
+        # the valuations that pair a1 and a2 across values divide by zero.
+        scheme = AttributeSet(["A", "B"])
+        a1 = distinguished_for(scheme, "A")
+        a2 = distinguished_for(scheme, "B")
+        b1 = Variable(False, 1, "B")
+        b2 = Variable(False, 2, "A")
+        psi = RationalExpression.of(
+            [MarginalAtom(AttributeSet(["A"]), (a1,)), MarginalAtom(AttributeSet(["B"]), (a2,))],
+            [MarginalAtom(scheme, (a1, a2))],
+        )
+        t = Tableau(scheme, psi)
+        t.add_row(Row((a1, b1), RationalExpression.of([MarginalAtom(scheme, (a1, b1))])))
+        t.add_row(Row((b2, a2), RationalExpression.of([MarginalAtom(scheme, (b2, a2))])))
+        rel = WeightedRelation(scheme, {("0", "0"): 0.25, ("1", "1"): 0.75, ("0", "1"): 0.0})
+        with pytest.warns(ZeroDenominatorWarning):
+            out = run(t, rel)
+        assert list(out.items()) == [
+            (("0", "0"), 0.25), (("0", "1"), 0.0), (("1", "0"), 0.0), (("1", "1"), 0.75)
+        ]
 
     def test_missing_distinguished_variable_rejected(self):
         scheme = AttributeSet(["A", "B"])
