@@ -132,10 +132,10 @@ MUTANTS = (
         ),
     ),
     Mutant(
-        "run-settles-at-every-first-valuation",
-        "    settles = all(v.distinguished for v in psi_vars)\n",
-        "    settles = True\n",
-        ("tests/test_tableau.py::TestRun::test_inconsistent_weights_detected",),
+        "run-accepts-any-psi-variable",
+        "        if v not in slot_of:\n",
+        "        if False:\n",
+        ("tests/test_tableau.py::TestRun::test_psi_reading_other_than_distinguished_variables_rejected",),
     ),
     Mutant(
         "compiled-evaluator-multiplies-by-denominator",

@@ -18,7 +18,6 @@ from .errors import (
     NotHypertreeError,
     ProblemParseError,
     SchemeError,
-    TableauInconsistencyError,
     ZeroDenominatorWarning,
 )
 from .prelation import Gajd
@@ -35,7 +34,6 @@ __all__ = [
     "NotHypertreeError",
     "ProblemParseError",
     "SchemeError",
-    "TableauInconsistencyError",
     "Verdict",
     "ZeroDenominatorWarning",
     "implies",

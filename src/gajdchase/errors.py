@@ -25,10 +25,6 @@ class InvalidCertificateError(GajdChaseError):
     """A tree construction certificate failed validation against its hypergraph."""
 
 
-class TableauInconsistencyError(GajdChaseError):
-    """Two valuations of the same distinguished tuple produced different weights."""
-
-
 class ChaseRowLimitError(GajdChaseError):
     """The chase exceeded the configured row cap before reaching a fixpoint."""
 

@@ -187,7 +187,7 @@ class SoundnessReport:
     failed: int
     worst_target_residual: float
     status: str  # "pass" | "fail" | "inconclusive"
-    failing_seeds: tuple[int, ...] = ()
+    failing_seeds: tuple[int, ...]
 
     def render(self) -> str:
         return (

@@ -16,15 +16,12 @@ only chased and counted builds none.
 
 The executor, `run`, compiles the emission expression once per call
 (`symbolic.compile_expression`): each atom becomes its marginal table and a
-reader of its key from the join's int-coded binding.  For the tableau built
-from a dependency's hypertree the emitted weight depends only on the
-distinguished tuple, and the mapping coincides with the
-marginalize/product-join map of the same hypertree; the executor then
-settles each distinguished tuple at its first valuation and skips the later
-ones.  Arbitrary hand-built tableaux may carry emission expressions that
-mention nondistinguished variables; the executor then compares every later
-valuation of a distinguished tuple with the first and raises when they
-disagree.
+reader of its key from the join's int-coded binding.  The expression may
+read distinguished variables only, so the emitted weight depends only on the
+distinguished tuple: the executor settles each tuple at its first valuation
+and skips the later ones.  For the tableau built from a dependency's
+hypertree the mapping coincides with the marginalize/product-join map of
+the same hypertree.
 """
 
 from __future__ import annotations
@@ -33,13 +30,11 @@ from functools import partial
 from itertools import islice
 from typing import Callable, Mapping, Sequence
 
-from .errors import SchemeError, TableauInconsistencyError
+from .errors import SchemeError
 from .hypergraph import AttributeSet
 from .prelation import Gajd, WeightedRelation, getter
 from .symbolic import MarginalAtom, RationalExpression, Variable, compile_expression, distinguished_for, eq5_expression
 from .symbolic import evaluate  # perfbench's wrap point tableau.evaluate (span symbolic.evaluate); run never calls it
-
-WEIGHT_TOL = 1e-12  # relative disagreement that `run` allows between valuations of one tuple
 
 
 class Row:
@@ -341,39 +336,38 @@ def _extend(
 def run(t: Tableau, rel: WeightedRelation) -> WeightedRelation:
     """Execute a tableau against a relation.
 
-    Valuations are materialized by an indexed join of the rows over the
-    relation's positive-weight tuples (zero-weight tuples count as absent):
-    each row's coded pattern is a position of one `JoinPlan`, built per
-    call with the one start None, whose slots are the variables' codes.
-    Every index of the plan holds the support in support order, so
-    valuations come out in the order of a nested loop over the support.
-    `psi` is compiled once per call (`symbolic.compile_expression`): each
-    atom reads its key from the coded binding and looks it up in its
-    marginal of `rel`, so a valuation is evaluated as `symbolic.evaluate`
-    would, bit for bit, with no per-valuation dict.  The distinguished
-    tuple is read from each binding by a getter built once per call.  The
-    output holds each distinguished tuple once, with the weight of its
-    first valuation, in first-valuation order.  When every variable `psi`
-    reads is distinguished (as in every `build_tr` tableau) the tuple fixes
-    the weight, so a later valuation of a tuple already out is skipped
-    after one membership test.  Otherwise each later valuation is evaluated
-    and compared with the first, and if they disagree beyond `WEIGHT_TOL`
-    the input violates the marginal-consistency contract and an error is
-    raised.
+    `psi` may read distinguished variables only, each in its own column, so
+    the distinguished tuple fixes the weight; any other variable raises
+    ValueError before any work.  Valuations are materialized by an indexed
+    join of the rows over the relation's positive-weight tuples (zero-weight
+    tuples count as absent): each row's coded pattern is a position of one
+    `JoinPlan`, built per call with the one start None, whose slots are the
+    variables' codes.  Every index of the plan holds the support in support
+    order, so valuations come out in the order of a nested loop over the
+    support.  `psi` is compiled once per call
+    (`symbolic.compile_expression`): each atom reads its key from the coded
+    binding and looks it up in its marginal of `rel`, so a valuation is
+    evaluated as `symbolic.evaluate` would, bit for bit, with no
+    per-valuation dict.  The distinguished tuple is read from each binding
+    by a getter built once per call.  The output holds each distinguished
+    tuple once, with the weight of its first valuation, in first-valuation
+    order; a later valuation of a tuple already out is skipped after one
+    membership test.  `run` reads the coded tableau only and decodes none
+    of its variables or rows.
     """
     if rel.scheme != t.scheme:
         raise SchemeError(
             f"relation scheme {rel.scheme.render()} does not match tableau scheme {t.scheme.render()}"
         )
-    support = [key for key, w in rel.items() if w > 0.0]
-    slot_of, goal = t.codes, t.goal()
+    goal = t.goal()
     if -1 in goal:
         raise ValueError(f"distinguished variable a{goal.index(-1) + 1} appears in no row")
+    slot_of = {distinguished_for(t.scheme, a): code for a, code in zip(t.scheme, goal)}
     psi = t.psi
-    psi_vars = psi.variables()
-    for v in psi_vars:
+    for v in psi.variables():
         if v not in slot_of:
-            raise ValueError(f"emission variable {v.render()} appears in no row")
+            raise ValueError(f"emission variable {v.render()} is not the distinguished variable of column {v.column}")
+    support = [key for key, w in rel.items() if w > 0.0]
     plan = JoinPlan(t.patterns, (None,))
     for inserts in plan.inserts:
         for key_of, index in inserts:
@@ -381,20 +375,12 @@ def run(t: Tableau, rel: WeightedRelation) -> WeightedRelation:
                 index.setdefault(key_of(tup), []).append(tup)
     value_of = compile_expression(psi, rel, slot_of, {})
     dist_of = getter(goal, False)
-    # When psi reads distinguished variables only, a first valuation settles its tuple.
-    settles = all(v.distinguished for v in psi_vars)
     results: dict[tuple[str, ...], float] = {}
 
     def emit(binding: tuple) -> None:
         dist = dist_of(binding)
-        if settles and dist in results:
-            return
-        value = value_of(binding)
-        seen = results.setdefault(dist, value)
-        if seen != value and abs(seen - value) > WEIGHT_TOL * max(1.0, abs(seen), abs(value)):
-            raise TableauInconsistencyError(
-                f"distinguished tuple {dist} received weights {seen} and {value}"
-            )
+        if dist not in results:
+            results[dist] = value_of(binding)
 
     join(plan, emit)
     return WeightedRelation(t.scheme, results)

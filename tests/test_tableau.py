@@ -5,7 +5,7 @@ import random
 import pytest
 
 from gajdchase.chase import chase
-from gajdchase.errors import SchemeError, TableauInconsistencyError, ZeroDenominatorWarning
+from gajdchase.errors import SchemeError, ZeroDenominatorWarning
 from gajdchase.hypergraph import AttributeSet
 from gajdchase.prelation import DomainSpec, Gajd, WeightedRelation, mpj_map
 from gajdchase.symbolic import (
@@ -321,37 +321,31 @@ class TestRun:
         with pytest.raises(SchemeError):
             run(build_tr(target), rel)
 
-    def test_inconsistent_weights_detected(self):
-        # A hand-built tableau whose emission expression mentions a
-        # nondistinguished variable gives different weights to one
-        # distinguished tuple under different valuations.
+    def test_psi_reading_other_than_distinguished_variables_rejected(self):
+        # psi must be a function of the distinguished tuple: a nondistinguished
+        # variable, or a distinguished one outside its own column, is refused
+        # before the join, whatever the relation.
         scheme = AttributeSet(["A", "B"])
         a1 = distinguished_for(scheme, "A")
         a2 = distinguished_for(scheme, "B")
         b1 = Variable(False, 1, "B")
         b2 = Variable(False, 2, "A")
-        psi = RationalExpression.of([MarginalAtom(scheme, (a1, b1))])
-        t = Tableau(scheme, psi)
-        t.add_row(Row((a1, b1), RationalExpression.of([MarginalAtom(scheme, (a1, b1))])))
-        t.add_row(Row((b2, a2), RationalExpression.of([MarginalAtom(scheme, (b2, a2))])))
-        rel = positive_relation(DomainSpec.uniform(["A", "B"]), seed=23)
-        with pytest.raises(TableauInconsistencyError):
-            run(t, rel)
-
-    def test_agreeing_valuations_accepted(self):
-        # The same tableau as above on a uniform relation: every valuation
-        # of one distinguished tuple emits the same weight, so none is raised.
-        scheme = AttributeSet(["A", "B"])
-        a1 = distinguished_for(scheme, "A")
-        a2 = distinguished_for(scheme, "B")
-        b1 = Variable(False, 1, "B")
-        b2 = Variable(False, 2, "A")
-        psi = RationalExpression.of([MarginalAtom(scheme, (a1, b1))])
-        t = Tableau(scheme, psi)
-        t.add_row(Row((a1, b1), RationalExpression.of([MarginalAtom(scheme, (a1, b1))])))
-        t.add_row(Row((b2, a2), RationalExpression.of([MarginalAtom(scheme, (b2, a2))])))
-        rel = WeightedRelation(scheme, {k: 0.25 for k in itertools.product("01", repeat=2)})
-        assert run(t, rel).max_abs_diff(rel) == 0.0
+        rows = [Row((a1, b1), RationalExpression.of([MarginalAtom(scheme, (a1, b1))])),
+                Row((b2, a2), RationalExpression.of([MarginalAtom(scheme, (b2, a2))]))]
+        relations = [
+            positive_relation(DomainSpec.uniform(["A", "B"]), seed=23),
+            WeightedRelation(scheme, {k: 0.25 for k in itertools.product("01", repeat=2)}),
+        ]
+        for atom, name in [
+            (MarginalAtom(scheme, (a1, b1)), "b1"),
+            (MarginalAtom(AttributeSet(["A"]), (Variable(True, 2, "A"),)), "a2"),
+        ]:
+            t = Tableau(scheme, RationalExpression.of([atom]))
+            for row in rows:
+                t.add_row(row)
+            for rel in relations:
+                with pytest.raises(ValueError, match=name):
+                    run(t, rel)
 
     def test_zero_denominator_at_a_cross_row_pair_emits_zero(self):
         # psi divides by the joint marginal at (a1, a2), which the two rows
@@ -375,6 +369,13 @@ class TestRun:
         assert list(out.items()) == [
             (("0", "0"), 0.25), (("0", "1"), 0.0), (("1", "0"), 0.0), (("1", "1"), 0.75)
         ]
+
+    def test_run_decodes_no_variable(self, chain4):
+        target, _, _ = chain4
+        t = build_tr(target)
+        run(t, positive_relation(DomainSpec.uniform(["A1", "A2", "A3", "A4"]), seed=0))
+        assert t._codes == {}
+        assert t._rows == []
 
     def test_missing_distinguished_variable_rejected(self):
         scheme = AttributeSet(["A", "B"])
