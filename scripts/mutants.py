@@ -62,13 +62,25 @@ MUTANTS = (
     ),
     Mutant(
         "copy-shares-row-of",
-        "t.row_of, t._codes, t._rows = self.row_of.copy(),",
-        "t.row_of, t._codes, t._rows = self.row_of,",
+        "t.row_of, t.variables, t._rows = self.row_of.copy(),",
+        "t.row_of, t.variables, t._rows = self.row_of,",
         (
             "tests/test_tableau.py::TestTableauInvariants::test_copy_is_independent",
             "tests/test_tableau.py::TestTableau::test_index_catches_up_with_appended_rows",
             "tests/test_chase.py::TestChase::test_continue_matches_fresh_chase",
         ),
+    ),
+    Mutant(
+        "copy-shares-code-of",
+        "self.code_of.copy()",
+        "self.code_of",
+        ("tests/test_tableau.py::TestTableauInvariants::test_copy_is_independent",),
+    ),
+    Mutant(
+        "run-skips-the-first-support-tuple",
+        "    for tup in support:\n        join(plan, emit, 0, tup)\n",
+        "    for tup in support[1:]:\n        join(plan, emit, 0, tup)\n",
+        ("tests/test_tableau_run_golden.py::test_tableau_run_golden",),
     ),
     Mutant(
         "no-gain-strict",

@@ -116,7 +116,7 @@ class ChaseTrace:
     """
 
     def __init__(self, initial: Tableau, steps: Sequence[ChaseStep] | range, final: Tableau, stop_reason: str,
-                 duplicates: int = 0, _run: "_ChaseRun | None" = None):
+                 duplicates: int, _run: "_ChaseRun | None"):
         self.initial, self._steps, self.final = initial, steps, final
         self.stop_reason, self.duplicates = stop_reason, duplicates
         self._run = _run  # the run that produced this trace, while it can still be continued
@@ -226,10 +226,13 @@ class _ChaseRun:
     """The state of one chase: working tableau, compiled rules and pending applications.
 
     Every produced cell comes from a selected row, so the initial tableau's
-    variables, coded in `work.table`, are all the run will meet.  An applied
-    application is appended to `work` as its pattern and its record
-    `(compiled rule, selection)`, all the run keeps of it.  The run keeps one
-    `work` for its whole life: the join callbacks hold its `row_of`.
+    variables, the keys of `work.code_of` in code order, are all the run will
+    meet; `is_distinguished` reads their flags from those keys once.  Each
+    new edge projection is joined from its own position, as the start given
+    to `join`.  An applied application is appended to `work` as its pattern
+    and its record `(compiled rule, selection)`, all the run keeps of it.
+    The run keeps one `work` for its whole life: the join callbacks hold its
+    `row_of`.
 
     `pending` is a heap of `(key, rule_index, selection, pattern)`, one
     entry per (rule, pattern) found while the pattern was not a row: the
@@ -245,7 +248,7 @@ class _ChaseRun:
         self.compiled = [_CompiledRule(rule, t.scheme) for rule in rules]
         # The duplicates so far (see ChaseTrace): one item, which the `emits` count into.
         self.duplicates = [0]
-        self.is_distinguished = [int(distinguished) for distinguished, _, _ in work.table]
+        self.is_distinguished = [int(distinguished) for distinguished, _, _ in work.code_of]
         self.goal = work.goal()
         self.pending: list[tuple[float, int, tuple[int, ...], tuple[int, ...]]] = []
         self.emits = [self._consider(rule_idx, cr) for rule_idx, cr in enumerate(self.compiled)]
@@ -275,7 +278,7 @@ class _ChaseRun:
                     entry = proj + (rid,)
                     for key_of, index in inserts:
                         index.setdefault(key_of(entry), []).append(entry)
-                    join(plan, emit, (pos, entry))
+                    join(plan, emit, pos, entry)
 
     def _consider(self, rule_idx: int, cr: _CompiledRule):
         """Rule `rule_idx`'s join callback: count a result that is already a row, queue any other.
@@ -434,7 +437,7 @@ class Verdict:
 
     holds: bool
     trace: ChaseTrace
-    closure_trace: ChaseTrace | None = None
+    closure_trace: ChaseTrace | None
 
     @cached_property
     def _factorized(self) -> tuple[RationalExpression | None, tuple[AtomRewrite, ...]]:
@@ -470,7 +473,7 @@ def _marginalize_expr(
     restricts it, and the rewrite is appended to `rewrites`.  Returns False
     as soon as a variable resists, leaving `exps` and the rewrites made so
     far as they are; the caller then falls back to the unexpanded marginal
-    atom.
+    atom and takes those rewrites back off `rewrites`.
     """
     for a, v in zip(scheme, row.cells):
         if a in onto:
@@ -558,9 +561,11 @@ def _expand(
         for s in gajd.interactions:
             atom = _atom_at(scheme, row, s)
             exps[atom] = exps.get(atom, 0) - 1
+        made = len(rewrites)
         if onto == scheme or _marginalize_expr(exps, row, scheme, onto, rewrites):
             result = _quotient(exps)
         else:
+            del rewrites[made:]  # the fallback uses none of them
             result = RationalExpression.atom(_atom_at(scheme, row, onto))
     memo[key] = result
     return result
@@ -593,5 +598,5 @@ def implies(
             return Verdict(False, trace, closure)
         steps = range(len(trace.initial), len(closure.final))
         duplicates = trace.duplicates + closure.duplicates
-        trace = ChaseTrace(trace.initial, steps, closure.final, closure.stop_reason, duplicates)
-    return Verdict(True, trace)
+        trace = ChaseTrace(trace.initial, steps, closure.final, closure.stop_reason, duplicates, None)
+    return Verdict(True, trace, None)

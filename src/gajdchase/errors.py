@@ -16,7 +16,7 @@ class NotHypertreeError(GajdChaseError):
     within that set.
     """
 
-    def __init__(self, message: str, witness: tuple[int, ...] = ()):
+    def __init__(self, message: str, witness: tuple[int, ...]):
         super().__init__(message)
         self.witness = witness
 

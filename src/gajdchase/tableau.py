@@ -10,11 +10,13 @@ the distinguished tuple with a weight given by the tableau's quotient
 expression over edge and interaction marginals.
 
 A tableau is kept coded, each variable a small int and each row a tuple of
-them; `build_tr` writes it so from the certificate.  `Variable` cells, `Row`s
-and weight expressions are decoded when first read, so a tableau that is
-only chased and counted builds none.
+them; `build_tr` writes it so from the certificate.  One map, `code_of`,
+holds each variable's fields and its code.  `Variable` cells, `Row`s and
+weight expressions are decoded when first read, so a tableau that is only
+chased and counted builds none.
 
-The executor, `run`, compiles the emission expression once per call
+The executor, `run`, joins from each support tuple at the first row, and
+compiles the emission expression once per call
 (`symbolic.compile_expression`): each atom becomes its marginal table and a
 reader of its key from the join's int-coded binding.  The expression may
 read distinguished variables only, so the emitted weight depends only on the
@@ -27,7 +29,6 @@ the same hypertree.
 from __future__ import annotations
 
 from functools import partial
-from itertools import islice
 from typing import Callable, Mapping, Sequence
 
 from .errors import SchemeError
@@ -76,15 +77,17 @@ class Tableau:
     """An ordered set of rows over a scheme, with the emission expression `psi`.
 
     Rows keep insertion order for reproducible traces.  Each variable has a
-    code, a small int in first-seen row order; `table` holds each code's
-    `Variable` fields `(distinguished, index, column)`, `patterns` each
-    row's cells as codes, and `row_of`, the one pattern index, enforces set
-    semantics.  `sources` holds what each row is decoded from: None for
-    `build_tr`'s rows (the full-scheme atom at their own pattern), the `Row`
-    given to `add_row`, or a chase application `(rule, selection)`, whose
-    expression `rule.expression` builds when read.  Rows enter through
-    `append`, after `add_row`'s checks or the chase's own.  `codes` and
-    `rows` are decoded on first read and kept, later rows on the next read.
+    code, a small int in first-seen row order: `code_of` maps its `Variable`
+    fields `(distinguished, index, column)` to its code, so the map's order
+    is the code order.  `patterns` holds each row's cells as codes, and
+    `row_of`, the one pattern index, enforces set semantics.  `sources`
+    holds what each row is decoded from: None for `build_tr`'s rows (the
+    full-scheme atom at their own pattern), the `Row` given to `add_row`, or
+    a chase application `(rule, selection)`, whose expression
+    `rule.expression` builds when read.  Rows enter through `append`, after
+    `add_row`'s checks or the chase's own.  `rows`, and the `variables` list
+    of each code's `Variable` that they read, are decoded on first read and
+    kept, later ones on the next read.
     `psi` is an expression or a function called on its first read, whose
     result is kept; a copy takes the function along, so the tableaux the
     chase works on never build it.
@@ -94,11 +97,11 @@ class Tableau:
         if len(scheme) == 0:
             raise ValueError("a tableau needs a nonempty scheme")
         self.scheme, self._psi = scheme, psi
-        self.table: list[tuple[bool, int, str]] = []
+        self.code_of: dict[tuple[bool, int, str], int] = {}
         self.patterns: list[tuple[int, ...]] = []
         self.row_of: dict[tuple[int, ...], int] = {}
         self.sources: list = []
-        self._codes: dict[Variable, int] = {}
+        self.variables: list[Variable] = []
         self._rows: list[Row] = []
 
     @property
@@ -108,17 +111,10 @@ class Tableau:
         return self._psi
 
     @property
-    def codes(self) -> dict[Variable, int]:
-        codes = self._codes
-        for code in range(len(codes), len(self.table)):
-            codes[Variable(*self.table[code])] = code
-        return codes
-
-    @property
     def rows(self) -> list[Row]:
-        rows, patterns = self._rows, self.patterns
+        rows, patterns, variables = self._rows, self.patterns, self.variables
         if len(rows) < len(patterns):
-            variables = list(self.codes)
+            variables += [Variable(*fields) for fields in list(self.code_of)[len(variables):]]
             for rid in range(len(rows), len(patterns)):
                 cells = tuple([variables[c] for c in patterns[rid]])
                 source = self.sources[rid]
@@ -135,8 +131,8 @@ class Tableau:
 
     def code(self, cells: Sequence[Variable]) -> tuple[int, ...]:
         """The coded pattern of `cells`; a variable in no row codes as -1, which no row holds."""
-        codes = self.codes
-        return tuple([codes.get(v, -1) for v in cells])
+        code_of = self.code_of
+        return tuple([code_of.get((v.distinguished, v.index, v.column), -1) for v in cells])
 
     def has_pattern(self, cells: tuple[Variable, ...]) -> bool:
         return self.code(cells) in self.row_of
@@ -152,12 +148,11 @@ class Tableau:
                 raise ValueError(f"variable {var.render()} does not belong in column {attr}")
             if var.distinguished and var.index != position:
                 raise ValueError(f"distinguished variable {var.render()} is outside its own column")
-        codes = self.codes
+        code_of = self.code_of
         # A duplicate's variables all have codes already, so it adds none.
-        pattern = tuple([codes.setdefault(v, len(codes)) for v in row.cells])
+        pattern = tuple([code_of.setdefault((v.distinguished, v.index, v.column), len(code_of)) for v in row.cells])
         if pattern in self.row_of:
             raise ValueError(f"duplicate row pattern {row.render_pattern()}")
-        self.table += [(v.distinguished, v.index, v.column) for v in islice(codes, len(self.table), None)]
         return self.append(pattern, row)
 
     def append(self, pattern: tuple[int, ...], source) -> int:
@@ -170,7 +165,7 @@ class Tableau:
 
     def goal(self) -> tuple[int, ...]:
         """The coded all-distinguished row; a column whose distinguished variable is in no row codes as -1."""
-        code_of = {entry: code for code, entry in enumerate(self.table)}
+        code_of = self.code_of
         return tuple([code_of.get((True, i, a), -1) for i, a in enumerate(self.scheme, start=1)])
 
     def distinguished_row(self) -> tuple[Variable, ...]:
@@ -179,8 +174,8 @@ class Tableau:
     def copy(self) -> "Tableau":
         """A tableau with the same rows; they were checked when added here, so they are not checked again."""
         t = Tableau(self.scheme, self._psi)
-        t.table, t.patterns, t.sources = self.table.copy(), self.patterns.copy(), self.sources.copy()
-        t.row_of, t._codes, t._rows = self.row_of.copy(), self._codes.copy(), self._rows.copy()
+        t.code_of, t.patterns, t.sources = self.code_of.copy(), self.patterns.copy(), self.sources.copy()
+        t.row_of, t.variables, t._rows = self.row_of.copy(), self.variables.copy(), self._rows.copy()
         return t
 
     def render(self) -> str:
@@ -203,7 +198,7 @@ def build_tr(g: Gajd) -> Tableau:
     distinguished row: one edge marginal per row over the interaction-set
     marginals.  It is built the first time `psi` is read.
 
-    The rows are written coded, in the first-seen order `add_row` codes.
+    The rows are written coded into `code_of`, as `add_row` codes them.
     """
     scheme = g.scheme
 
@@ -212,15 +207,14 @@ def build_tr(g: Gajd) -> Tableau:
         return eq5_expression([(e, dist) for e in g.edges_in_order], [(s, dist) for s in g.interactions])
 
     t = Tableau(scheme, psi)
-    codes: dict[tuple[bool, int, str], int] = {}  # each variable's `table` entry and its code
+    code_of = t.code_of
     fresh = 0
     for edge in g.edges_in_order:
         cells = []
         for c, a in enumerate(scheme.members):
             fresh += a not in edge.members
             cells.append((True, c + 1, a) if a in edge.members else (False, fresh, a))
-        t.append(tuple([codes.setdefault(v, len(codes)) for v in cells]), None)
-    t.table = list(codes)
+        t.append(tuple([code_of.setdefault(v, len(code_of)) for v in cells]), None)
     return t
 
 
@@ -230,8 +224,8 @@ class JoinPlan:
     A projection at position i is a tuple with one component per entry of
     `slots[i]`, which names the slot (a column, a variable) that component
     binds; one position never names a slot twice, and the slots named are
-    0 .. `width` - 1.  A join starts at one of `starts`: a position whose
-    projection is given (see `join`), or None.  Its probe visits the other
+    0 .. `width` - 1.  A join starts at one of `starts`, a position whose
+    projection is given (see `join`).  Its probe visits the other
     positions in index order and looks each up on all its components whose
     slots the start or an earlier position binds, so no candidate is ever
     compared.  After the start that key is the position's interaction set
@@ -256,17 +250,17 @@ class JoinPlan:
 
     __slots__ = ("slots", "width", "keyed", "indexes", "inserts", "probes")
 
-    def __init__(self, slots: Sequence[Sequence[int]], starts: Sequence[int | None]):
+    def __init__(self, slots: Sequence[Sequence[int]], starts: Sequence[int]):
         self.slots = tuple(map(tuple, slots))
         named = set().union(*self.slots)
         self.width = len(named)
         if named != set(range(self.width)):
             raise ValueError("the slots of a join plan must be 0, 1, ... with none left out")
         keyed: dict[tuple[int, tuple[int, ...]], dict[object, list[tuple]]] = {}
-        self.probes: dict[int | None, tuple[tuple, Callable]] = {}
+        self.probes: dict[int, tuple[tuple, Callable]] = {}
         for start in starts:
             # The slot of each component of the chosen tuple; a slot's value is read at its first.
-            layout = self.slots[start] if start is not None else ()
+            layout = self.slots[start]
             steps = []
             for i, comp in enumerate(self.slots):
                 if i != start:
@@ -283,24 +277,22 @@ class JoinPlan:
         self.inserts = tuple(map(tuple, inserts))
 
 
-def join(plan: JoinPlan, emit: Callable[[tuple], None], fixed: tuple[int, tuple] | None = None) -> None:
-    """Call `emit(binding)` once per consistent choice of one projection per position.
+def join(plan: JoinPlan, emit: Callable[[tuple], None], start: int, chosen: tuple) -> None:
+    """Call `emit(binding)` once per consistent choice of one projection per position, `chosen` at `start`.
 
-    The choices at each position are the projections in its indexes
-    (`plan.indexes`, filled through `plan.inserts`); they are made position
-    by position, in index order, so results come out in the lexicographic
-    order of the choices, each position's in insertion order.  `binding` is
-    a tuple with the value of each slot.  With `fixed=(p, proj)` position p
-    takes only `proj`, and the join runs the probe of start p, built with
-    the plan; otherwise that of start None.  A plan with no position but
-    the fixed one emits once.
+    Position `start` takes only the projection `chosen`, and the join runs
+    the probe of that start, built with the plan.  The choices at each other
+    position are the projections in its indexes (`plan.indexes`, filled
+    through `plan.inserts`); they are made position by position, in index
+    order, so results come out in the lexicographic order of the choices,
+    each position's in insertion order.  `binding` is a tuple with the value
+    of each slot.  A plan with no position but the start emits once.
 
     The recursion is the module-level `_extend`, which takes everything it
     reads as arguments, so a call builds no closure and leaves no reference
     cycle behind: `emit` and the state it holds are freed when the call
     returns.
     """
-    start, chosen = fixed if fixed is not None else (None, ())
     steps, read = plan.probes[start]
     if steps:
         _extend(steps, 0, chosen, read, emit)
@@ -341,11 +333,12 @@ def run(t: Tableau, rel: WeightedRelation) -> WeightedRelation:
     ValueError before any work.  Valuations are materialized by an indexed
     join of the rows over the relation's positive-weight tuples (zero-weight
     tuples count as absent): each row's coded pattern is a position of one
-    `JoinPlan`, built per call with the one start None, whose slots are the
-    variables' codes.  Every index of the plan holds the support in support
-    order, so valuations come out in the order of a nested loop over the
-    support.  `psi` is compiled once per call
-    (`symbolic.compile_expression`): each atom reads its key from the coded
+    `JoinPlan`, built per call with the one start 0, whose slots are the
+    variables' codes.  Every index of the plan, all at positions 1 and
+    after, holds the support in support order, and the join starts at the
+    first row from each support tuple in turn, so valuations come out in
+    the order of a nested loop over the support.  `psi` is compiled once
+    per call (`symbolic.compile_expression`): each atom reads its key from the coded
     binding and looks it up in its marginal of `rel`, so a valuation is
     evaluated as `symbolic.evaluate` would, bit for bit, with no
     per-valuation dict.  The distinguished tuple is read from each binding
@@ -368,8 +361,8 @@ def run(t: Tableau, rel: WeightedRelation) -> WeightedRelation:
         if v not in slot_of:
             raise ValueError(f"emission variable {v.render()} is not the distinguished variable of column {v.column}")
     support = [key for key, w in rel.items() if w > 0.0]
-    plan = JoinPlan(t.patterns, (None,))
-    for inserts in plan.inserts:
+    plan = JoinPlan(t.patterns, (0,))
+    for inserts in plan.inserts[1:]:
         for key_of, index in inserts:
             for tup in support:
                 index.setdefault(key_of(tup), []).append(tup)
@@ -382,5 +375,6 @@ def run(t: Tableau, rel: WeightedRelation) -> WeightedRelation:
         if dist not in results:
             results[dist] = value_of(binding)
 
-    join(plan, emit)
+    for tup in support:
+        join(plan, emit, 0, tup)
     return WeightedRelation(t.scheme, results)

@@ -56,7 +56,7 @@ def _step(t, rule, selection, produced_id, pattern, num, den=()):
 
 class TestReplay:
     def _replay(self, t, steps):
-        return ChaseTrace(initial=t, steps=steps, final=t, stop_reason="fixpoint").replay()
+        return ChaseTrace(initial=t, steps=steps, final=t, stop_reason="fixpoint", duplicates=0, _run=None).replay()
 
     def _c1_step(self, chain4, selection=(0, 1)):
         target, left, _ = chain4
@@ -195,14 +195,14 @@ class TestChase:
         emitted = collections.Counter()
         original = chase_module.join
 
-        def counting_join(plan, emit, fixed=None):
+        def counting_join(plan, emit, start, chosen):
             n = plan.width - len(plan.slots)  # the pattern's slots; the selection's follow them
 
             def counted(binding):
                 emitted[plan, tuple(binding[:n])] += 1
                 emit(binding)
 
-            original(plan, counted, fixed)
+            original(plan, counted, start, chosen)
 
         monkeypatch.setattr(chase_module, "join", counting_join)
         target, given = independence_family(5)
@@ -404,6 +404,21 @@ class TestImplies:
         assert verdict.closure_trace.stop_reason == "fixpoint"
         assert len(verdict.closure_trace.final) == 5
         assert not contains_distinguished_row(verdict.closure_trace.final)
+
+    def test_rewrites_of_a_fallen_back_expansion_are_not_listed(self):
+        # Three expansions of this derivation start rewriting, meet a variable
+        # that resists and fall back to the unexpanded atom; the atom rewrites
+        # they made are not used, so none is listed.
+        target = Gajd.from_edges([["A1", "A2", "A4", "A6"], ["A2", "A3", "A5", "A6"]])
+        constraints = [
+            Gajd.from_edges([["A1", "A3", "A4", "A6"], ["A2", "A4", "A5", "A6"]]),
+            Gajd.from_edges([["A1", "A3", "A5", "A6"], ["A2", "A4", "A5", "A6"]]),
+            Gajd.from_edges([["A2", "A3", "A4"], ["A3", "A6"], ["A1", "A5"]]),
+        ]
+        verdict = implies(constraints, target)
+        assert verdict.holds and verdict.rewrites == ()
+        assert verdict.factorization.render() == "phi(a1,a5)*phi(a2,a3,a4)*phi(a3,a6)/(phi()*phi(a3))"
+        assert reference_factorization(verdict.trace) == (verdict.factorization, (), 3)
 
     def test_factorization_built_once_on_first_read(self, chain4, monkeypatch):
         target, left, right = chain4
@@ -648,9 +663,9 @@ class TestDecodeOnRead:
         assert prefix.steps == [] and prefix.render_steps() == []
         assert made == {}
         steps = closure.steps
-        assert made == {"Variable": len(final.table), "Row": len(final), "ChaseStep": len(steps)}
-        assert closure.steps is steps and final.rows is final.rows and final.codes is final.codes
-        assert made["Row"] == len(final) and made["ChaseStep"] == len(steps)
+        assert made == {"Variable": len(final.code_of), "Row": len(final), "ChaseStep": len(steps)}
+        assert closure.steps is steps and final.rows is final.rows
+        assert made == {"Variable": len(final.code_of), "Row": len(final), "ChaseStep": len(steps)}
         # The decoded rows and steps equal an eager reference, row id by row id.
         rows = final.rows
         assert [final.code(row.cells) for row in rows] == final.patterns
@@ -659,7 +674,7 @@ class TestDecodeOnRead:
         fresh = Tableau(final.scheme, final.psi)
         for i, row in enumerate(rows):
             assert fresh.add_row(row) == i
-        assert fresh.patterns == final.patterns and fresh.table == final.table
+        assert fresh.patterns == final.patterns and list(fresh.code_of) == list(final.code_of)
         for row in rows[: len(closure.initial)]:
             assert row.weight_expr == RationalExpression.atom(MarginalAtom(final.scheme, row.cells))
         replayed = closure.replay()
@@ -690,7 +705,9 @@ def reference_factorization(trace):
         return MarginalAtom.from_cells(over, dict(zip(scheme, row.cells)))
 
     def marginalize(expr, row, onto):
+        # A failed attempt keeps none of its rewrites: the caller falls back to the unexpanded atom.
         current = expr
+        made = len(rewrites)
         for a in scheme:
             if a in onto:
                 continue
@@ -698,6 +715,7 @@ def reference_factorization(trace):
             in_den = sum(1 for at in current.denominator if v in at.pattern)
             holders = [i for i, at in enumerate(current.numerator) if v in at.pattern]
             if in_den or len(holders) != 1:
+                del rewrites[made:]
                 return None
             i = holders[0]
             atom = current.numerator[i]

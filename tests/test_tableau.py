@@ -88,12 +88,32 @@ class TestTableauInvariants:
         clone.add_row(Row(tuple(clone.distinguished_row()), RationalExpression.of()))
         assert len(t) == 3 and len(clone) == 4
         assert contains_distinguished_row(clone) and not contains_distinguished_row(t)
-        codes, row_of = dict(t.codes), dict(t.row_of)
+        code_of, row_of = dict(t.code_of), dict(t.row_of)
         fresh = Variable(False, 7, "A1")
         cells = (fresh,) + clone.rows[0].cells[1:]
         assert clone.add_row(Row(cells, RationalExpression.of())) == 4
         assert clone.has_pattern(cells) and not t.has_pattern(cells)
-        assert fresh in clone.codes and t.codes == codes and t.row_of == row_of
+        assert (False, 7, "A1") in clone.code_of and t.code_of == code_of and t.row_of == row_of
+        assert fresh in clone.rows[4].cells and len(t.variables) < len(clone.variables)
+
+    def test_add_row_codes_a_fresh_variable_next(self, chain4):
+        # One map codes every variable: a fresh one gets the next code, the
+        # all-distinguished row is the goal as soon as it is added, and a
+        # copy codes on without touching the original's map.
+        target, _, _ = chain4
+        t = build_tr(target)
+        n = len(t.code_of)
+        assert list(t.code_of.values()) == list(range(n)) and n == 10
+        assert t.goal() == (0, 1, 5, 9) and t.goal() not in t.row_of
+        rid = t.add_row(Row((Variable(False, 7, "A1"),) + t.rows[0].cells[1:], RationalExpression.of()))
+        assert t.code_of[(False, 7, "A1")] == n and t.patterns[rid] == (n, 1, 2, 3)
+        before = dict(t.code_of)
+        clone = t.copy()
+        goal_id = clone.add_row(Row(t.distinguished_row(), RationalExpression.of()))
+        assert clone.row_of[clone.goal()] == goal_id and clone.code_of == before
+        assert clone.add_row(Row(t.rows[0].cells[:3] + (Variable(False, 8, "A4"),), RationalExpression.of())) == goal_id + 1
+        assert clone.code_of[(False, 8, "A4")] == n + 1
+        assert t.code_of == before and list(t.code_of) == list(before) and t.goal() not in t.row_of
 
 
 class TestTableau:
@@ -156,14 +176,18 @@ class TestJoin:
             index.setdefault(key_of(proj), []).append(proj)
 
     def _emitted(self, plan, projections, fixed=None):
-        # The plan's own indexes, emptied and filled through `plan.inserts` in the order of `projections`.
+        """The join from `fixed`, or from each of position 0's projections in turn when None.
+
+        The plan's own indexes are emptied and filled through `plan.inserts` in the order of `projections`.
+        """
         for index in plan.indexes:
             index.clear()
         for position, projs in enumerate(projections):
             for proj in projs:
                 self._insert(plan, position, proj)
         out = []
-        join(plan, out.append, fixed)
+        for start, chosen in [fixed] if fixed is not None else [(0, proj) for proj in projections[0]]:
+            join(plan, out.append, start, chosen)
         return out
 
     @staticmethod
@@ -174,7 +198,7 @@ class TestJoin:
             drawn = [rng.sample(range(width), rng.randint(1, width)) for _ in range(rng.randint(1, 4))]
             # A plan names every slot below its width, so the slots drawn are numbered in order.
             named = sorted({slot for comp in drawn for slot in comp})
-            plan = JoinPlan([[named.index(slot) for slot in comp] for comp in drawn], [None, *range(len(drawn))])
+            plan = JoinPlan([[named.index(slot) for slot in comp] for comp in drawn], range(len(drawn)))
             projections = []
             for slots in plan.slots:
                 pool = list(itertools.product(range(3), repeat=len(slots)))
@@ -207,7 +231,7 @@ class TestJoin:
             out = []
             for p, proj in arrivals:
                 self._insert(plan, p, proj)
-                join(plan, out.append, (p, proj))
+                join(plan, out.append, p, proj)
             expected = brute_join(plan, projections)
             assert collections.Counter(out) == collections.Counter(expected)
             results += len(expected)
@@ -217,8 +241,8 @@ class TestJoin:
         # A cycle: with the last position fixed, the first two are looked up on the slots it
         # binds as well as on those the positions before them bind, so each bucket holds only
         # projections consistent with the fixed one.
-        plan = JoinPlan([(0, 1), (1, 2), (2, 0)], [None, 2])
-        assert plan.keyed == ((0, ()), (1, (0,)), (2, (0, 1)), (0, (0,)), (1, (0, 1)))
+        plan = JoinPlan([(0, 1), (1, 2), (2, 0)], [0, 2])
+        assert plan.keyed == ((1, (0,)), (2, (0, 1)), (0, (0,)), (1, (0, 1)))
         projections = [[(0, 0), (0, 1), (1, 1)], [(0, 0), (1, 0), (1, 1)], [(0, 0), (1, 1), (0, 1)]]
         fixed = (2, (1, 1))
         assert self._emitted(plan, projections, fixed) == brute_join(plan, projections, fixed) == [(1, 1, 1)]
@@ -240,18 +264,18 @@ class TestJoin:
     def test_plan_is_compiled_whole_when_built(self):
         # Every start's probe is built with the plan, and each step reads one of the plan's indexes.
         for plan, _ in self._random_plans(random.Random(7), 100):
-            starts = [None, *range(len(plan.slots))]
+            starts = list(range(len(plan.slots)))
             assert list(plan.probes) == starts
             for start in starts:
                 steps, _ = plan.probes[start]
-                assert len(steps) == len(plan.slots) - (start is not None)
+                assert len(steps) == len(plan.slots) - 1
                 assert all(any(index is own for own in plan.indexes) for index, _ in steps)
         plan = JoinPlan([(0, 1, 3), (1, 2, 4)], range(2))
         assert [[index is plan.indexes[0] for index, _ in plan.probes[p][0]] for p in range(2)] == [[True], [False]]
 
     def test_every_slot_below_the_width_is_named(self):
         with pytest.raises(ValueError):
-            JoinPlan([(0, 2)], [None])
+            JoinPlan([(0, 2)], [0])
 
 
 class TestRun:
@@ -374,7 +398,7 @@ class TestRun:
         target, _, _ = chain4
         t = build_tr(target)
         run(t, positive_relation(DomainSpec.uniform(["A1", "A2", "A3", "A4"]), seed=0))
-        assert t._codes == {}
+        assert t.variables == []
         assert t._rows == []
 
     def test_missing_distinguished_variable_rejected(self):
