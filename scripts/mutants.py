@@ -162,6 +162,12 @@ MUTANTS = (
         ),
     ),
     Mutant(
+        "marginal-recomputed-per-atom",
+        "    marg = cache.get(atom.over)\n",
+        "    marg = None\n",
+        ("tests/test_tableau.py::TestRun::test_one_marginal_per_attribute_set",),
+    ),
+    Mutant(
         "union-operator-unsorted",
         "return AttributeSet._of(tuple(sorted({*self._members, *other._members})))",
         "return AttributeSet._of(self._members + tuple([n for n in other._members if n not in self._members]))",

@@ -36,8 +36,9 @@ Variables, rows, steps and weight expressions (`eq5_expression`, looked up
 on this module when called) are decoded from it the first time something
 reads them, such as a rendered step, and kept; `len(final)`, the stop
 reason and the duplicates need none.  Likewise a positive verdict builds its
-factorization the first time it is read, so output that prints only the
-verdict, such as `verify`'s, never builds one.
+factorization the first time it is read, from the record and the rows it
+reaches, with no step decoded; output that prints only the verdict, such as
+`verify`'s, never builds one.
 
 The implication test builds the target's tableau and chases it under the
 constraint rules: the target is implied exactly when the all-distinguished
@@ -107,27 +108,27 @@ class ChaseStep:
 class ChaseTrace:
     """A replayable derivation log: initial tableau, steps, final tableau.
 
-    `steps` is a list, or the range of row ids of `final` that a run
-    appended, whose steps are decoded from `final.sources` on first read and
-    kept.  `duplicates` counts the join results whose pattern was already a
-    row when they came out, each once per rule (including those met while
-    indexing the initial rows), and the stale pending applications: those
-    whose pattern became a row, by another rule, before they came up.
+    The steps are the rows of `final` from `len(initial)` on, a range fixed
+    when the trace is built; `steps` decodes them from `final.sources` on
+    first read and keeps them.  `duplicates` counts the join results whose
+    pattern was already a row when they came out, each once per rule
+    (including those met while indexing the initial rows), and the stale
+    pending applications: those whose pattern became a row, by another
+    rule, before they came up.
     """
 
-    def __init__(self, initial: Tableau, steps: Sequence[ChaseStep] | range, final: Tableau, stop_reason: str,
-                 duplicates: int, _run: "_ChaseRun | None"):
-        self.initial, self._steps, self.final = initial, steps, final
+    def __init__(self, initial: Tableau, final: Tableau, stop_reason: str, duplicates: int,
+                 _run: "_ChaseRun | None"):
+        self.initial, self.final = initial, final
         self.stop_reason, self.duplicates = stop_reason, duplicates
         self._run = _run  # the run that produced this trace, while it can still be continued
+        self._ids = range(len(initial), len(final))
 
-    @property
-    def steps(self) -> Sequence[ChaseStep]:
-        steps = self._steps
-        if isinstance(steps, range):
-            rows, sources = (self.final.rows, self.final.sources) if steps else ((), ())
-            self._steps = steps = [ChaseStep(sources[k][0].rule, sources[k][1], rows[k], k) for k in steps]
-        return steps
+    @cached_property
+    def steps(self) -> list[ChaseStep]:
+        ids = self._ids
+        rows, sources = (self.final.rows, self.final.sources) if ids else ((), ())
+        return [ChaseStep(sources[k][0].rule, sources[k][1], rows[k], k) for k in ids]
 
     def render_steps(self) -> list[str]:
         return [step.render(i + 1) for i, step in enumerate(self.steps)]
@@ -378,6 +379,8 @@ def chase(
     own tableau, the new trace's final.  The earlier trace's final becomes a
     copy holding exactly the rows it stopped with; the new trace starts from
     that copy and holds only the new steps.  A trace can be continued once.
+    Either way the returned trace's steps are the rows its final holds past
+    its initial's, fixed when it is built.
 
     Raises ChaseRowLimitError when the tableau would exceed `max_rows`.
     """
@@ -405,8 +408,7 @@ def chase(
         initial = t.final = state.work.copy()
     duplicates = state.duplicates[0]
     stop_reason = state.run(stop_at_distinguished, stop_when_no_gain, max_rows)
-    steps = range(len(initial), len(state.work))
-    return ChaseTrace(initial, steps, state.work, stop_reason, state.duplicates[0] - duplicates, state)
+    return ChaseTrace(initial, state.work, stop_reason, state.duplicates[0] - duplicates, state)
 
 
 @dataclass(frozen=True)
@@ -513,15 +515,16 @@ def factorization_for(trace: ChaseTrace) -> tuple[RationalExpression, tuple[Atom
     edge.  Atoms over initial rows reduce directly to marginal atoms.  The
     result only mentions distinguished variables, and on every relation
     satisfying the constraints it evaluates to the relation's weight.
+    The derivation is read from the chase record, `final.sources`, for the
+    rows from `len(trace.initial)` on; no `ChaseStep` is built.
     """
     final = trace.final
     rid = final.row_of.get(final.goal())
     if rid is None:
         raise ValueError("the final tableau has no all-distinguished row")
-    derivations = {step.produced_id: step for step in trace.steps}
     rewrites: list[AtomRewrite] = []
     memo: dict[tuple[int, AttributeSet], RationalExpression] = {}
-    expression = _expand(rid, final.scheme, final, derivations, memo, rewrites)
+    expression = _expand(rid, final.scheme, final, len(trace.initial), memo, rewrites)
     return expression, tuple(rewrites)
 
 
@@ -529,13 +532,15 @@ def _expand(
     rid: int,
     onto: AttributeSet,
     final: Tableau,
-    derivations: dict[int, ChaseStep],
+    first: int,
     memo: dict[tuple[int, AttributeSet], RationalExpression],
     rewrites: list[AtomRewrite],
 ) -> RationalExpression:
     """The expression of row `rid` marginalized onto `onto`, memoized per `(rid, onto)`.
 
-    A derived row's quotient is kept as a map from atoms to signed
+    A row at or past `first` was derived, and `final.sources` records its
+    rule and selection; an earlier row gives the atom over `onto` at its
+    cells.  A derived row's quotient is kept as a map from atoms to signed
     exponents while it is assembled: each selected row's expansion adds its
     exponents, and each interaction atom subtracts one.  The map is made
     canonical once, when its memo entry is stored.
@@ -546,14 +551,14 @@ def _expand(
         return result
     scheme = final.scheme
     row = final.rows[rid]
-    step = derivations.get(rid)
-    if step is None:
+    if rid < first:
         result = RationalExpression.atom(_atom_at(scheme, row, onto))
     else:
-        gajd = step.rule.gajd
+        cr, selection = final.sources[rid]
+        gajd = cr.rule.gajd
         exps: dict[MarginalAtom, int] = {}
-        for edge, k in zip(gajd.edges_in_order, step.selection):
-            sub = _expand(k, edge, final, derivations, memo, rewrites)
+        for edge, k in zip(gajd.edges_in_order, selection):
+            sub = _expand(k, edge, final, first, memo, rewrites)
             for atom in sub.numerator:
                 exps[atom] = exps.get(atom, 0) + 1
             for atom in sub.denominator:
@@ -596,7 +601,6 @@ def implies(
         closure = chase(trace, rules, stop_at_distinguished=True, max_rows=max_rows)
         if closure.stop_reason != "distinguished":
             return Verdict(False, trace, closure)
-        steps = range(len(trace.initial), len(closure.final))
         duplicates = trace.duplicates + closure.duplicates
-        trace = ChaseTrace(trace.initial, steps, closure.final, closure.stop_reason, duplicates, None)
+        trace = ChaseTrace(trace.initial, closure.final, closure.stop_reason, duplicates, None)
     return Verdict(True, trace, None)

@@ -37,7 +37,7 @@ import math
 import os
 import re
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import TYPE_CHECKING, Sequence
 
 from .chase import DEFAULT_MAX_ROWS, JRule, Verdict, implies
@@ -66,9 +66,9 @@ class Query:
 @dataclass(frozen=True)
 class ProblemFile:
     attrs: AttributeSet
-    domain_sizes: dict[str, int] = field(default_factory=dict)
-    constraints: dict[str, Gajd] = field(default_factory=dict)
-    queries: tuple[Query, ...] = ()
+    domain_sizes: dict[str, int]
+    constraints: dict[str, Gajd]
+    queries: tuple[Query, ...]
 
     def domains(self) -> DomainSpec:
         """The declared domains; a joint table over the oracle's cap is refused before any label is built."""
@@ -294,11 +294,7 @@ def search_counterexample(
     return search_counterexample(constraints, target, cfg)
 
 
-def cmd_verify(
-    problem: ProblemFile,
-    seed: int = 0,
-    trials: int = 50,
-) -> tuple[int, str]:
+def cmd_verify(problem: ProblemFile, seed: int, trials: int) -> tuple[int, str]:
     """Cross-validate each verdict numerically; exit 1 on any soundness failure."""
     if trials < 1:
         raise GajdChaseError("trials must be at least 1")
@@ -326,7 +322,7 @@ def cmd_verify(
     return exit_code, "\n".join(out) + "\n"
 
 
-def cmd_tableau(problem: ProblemFile, query_index: int = 1) -> tuple[int, str]:
+def cmd_tableau(problem: ProblemFile, query_index: int) -> tuple[int, str]:
     """Print the initial tableau of one query's target."""
     if not 1 <= query_index <= len(problem.queries):
         raise GajdChaseError(

@@ -54,10 +54,12 @@ class OracleConfig:
     """Domains, seed and trial count; identical configs give identical reports."""
 
     domains: DomainSpec
-    seed: int = 0
-    trials: int = 50
+    seed: int
+    trials: int
 
     def __post_init__(self):
+        if self.seed < 0:
+            raise ValueError(f"seed must be nonnegative, got {self.seed}")
         if self.trials < 1:
             raise ValueError("trials must be at least 1")
 

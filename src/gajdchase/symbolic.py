@@ -15,7 +15,8 @@ time each is used and keeps them, so sorting and hashing an atom again
 costs one attribute read.
 
 Numeric evaluation has one path, `compile_expression`: an expression is
-compiled against a joint once, each atom into its marginal table and a
+compiled against a joint once, each atom into its marginal table (one
+`marginalize` per attribute set, kept for that compilation only) and a
 reader of its key from a binding tuple, and the result is called per
 binding.  `tableau.run` calls it once per run; `evaluate`, for a binding
 given as a mapping, compiles and calls it once.
@@ -207,21 +208,22 @@ def compile_expression(
     expr: RationalExpression,
     joint: WeightedRelation,
     slot_of: Mapping[Variable, int],
-    marginal_cache: dict[AttributeSet, WeightedRelation],
 ) -> Callable[[Sequence[str]], float]:
     """The numeric value of `expr` against `joint`, as a function of a binding tuple.
 
     The binding holds each variable's value at its slot in `slot_of`.  Each
-    atom is compiled once, in expression order, into its marginal table
-    (`marginalize(joint, atom.over)`, once per attribute set and cache) and
+    atom is compiled once, in expression order, into its marginal table and
     a `prelation.getter` of its key from the binding; a variable with no
-    slot raises KeyError.  The function multiplies the numerator atoms'
+    slot raises KeyError.  The call keeps one `{attribute set: marginal}`
+    map, so `marginalize(joint, over)` runs once per attribute set however
+    many atoms share it.  The function multiplies the numerator atoms'
     marginals into 1.0 and then divides by the denominator's, in that
     order.  A zero in the denominator makes the value 0 and raises
     ZeroDenominatorWarning (the positivity assumption was violated).
     """
-    num = tuple([_compile_atom(atom, joint, slot_of, marginal_cache) for atom in expr.numerator])
-    den = tuple([(*_compile_atom(atom, joint, slot_of, marginal_cache), atom) for atom in expr.denominator])
+    marginals: dict[AttributeSet, WeightedRelation] = {}
+    num = tuple([_compile_atom(atom, joint, slot_of, marginals) for atom in expr.numerator])
+    den = tuple([(*_compile_atom(atom, joint, slot_of, marginals), atom) for atom in expr.denominator])
 
     def value(binding: Sequence[str]) -> float:
         v = 1.0
@@ -259,20 +261,14 @@ def _compile_atom(
     return marg._rows.get, getter(cols, False)  # the marginal's own table, only read
 
 
-def evaluate(
-    expr: RationalExpression,
-    joint: WeightedRelation,
-    binding: Mapping[Variable, str],
-    marginal_cache: dict[AttributeSet, WeightedRelation] | None = None,
-) -> float:
+def evaluate(expr: RationalExpression, joint: WeightedRelation, binding: Mapping[Variable, str]) -> float:
     """Numeric value of `expr` against a concrete joint under a variable binding.
 
     Each atom evaluates to the marginal of `joint` over its attribute set at
-    the bound value tuple; `marginalize` checks the set, once per cache.  A
-    zero in the denominator makes the result 0 and raises
-    ZeroDenominatorWarning.  This compiles `expr` over the binding's
-    variables (`compile_expression`) and calls the result once.
+    the bound value tuple; `marginalize` checks the set.  A zero in the
+    denominator makes the result 0 and raises ZeroDenominatorWarning.  This
+    compiles `expr` over the binding's variables (`compile_expression`) and
+    calls the result once.
     """
     slot_of = {v: i for i, v in enumerate(binding)}
-    cache = marginal_cache if marginal_cache is not None else {}
-    return compile_expression(expr, joint, slot_of, cache)(tuple([binding[v] for v in slot_of]))
+    return compile_expression(expr, joint, slot_of)(tuple([binding[v] for v in slot_of]))

@@ -366,7 +366,7 @@ def run(t: Tableau, rel: WeightedRelation) -> WeightedRelation:
         for key_of, index in inserts:
             for tup in support:
                 index.setdefault(key_of(tup), []).append(tup)
-    value_of = compile_expression(psi, rel, slot_of, {})
+    value_of = compile_expression(psi, rel, slot_of)
     dist_of = getter(goal, False)
     results: dict[tuple[str, ...], float] = {}
 

@@ -51,4 +51,4 @@ def test_settable_values_pinned():
                         )
                         if not init_false:
                             found.append(f"{path.name}:{node.name}.{stmt.target.id}")
-    assert len(found) == 28, "\n".join(found)
+    assert len(found) == 19, "\n".join(found)

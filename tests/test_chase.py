@@ -56,7 +56,9 @@ def _step(t, rule, selection, produced_id, pattern, num, den=()):
 
 class TestReplay:
     def _replay(self, t, steps):
-        return ChaseTrace(initial=t, steps=steps, final=t, stop_reason="fixpoint", duplicates=0, _run=None).replay()
+        trace = ChaseTrace(t, t, "fixpoint", 0, None)
+        trace.steps = steps
+        return trace.replay()
 
     def _c1_step(self, chain4, selection=(0, 1)):
         target, left, _ = chain4
@@ -686,6 +688,14 @@ class TestDecodeOnRead:
         assert verdict.holds and made == {}
         assert [s.produced.render_pattern() for s in verdict.trace.steps] == ["(a1,a2,a3,b4)", "(a1,a2,a3,a4)"]
         assert made["ChaseStep"] == 2 and made["Row"] == len(verdict.trace.final) == 5
+
+    def test_factorization_builds_no_step(self, chain4, made):
+        # The factorization reads each derived row's rule and selection from the record.
+        target, left, right = chain4
+        verdict = implies([JRule("C1", left), JRule("C2", right)], target)
+        assert verdict.factorization.render() == "phi(a1,a2)*phi(a2,a3)*phi(a3,a4)/(phi(a2)*phi(a3))"
+        assert made["ChaseStep"] == 0
+        assert len(verdict.trace.steps) == 2 and made["ChaseStep"] == 2
 
 
 def reference_factorization(trace):

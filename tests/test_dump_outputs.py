@@ -9,6 +9,9 @@ SCRIPT = Path(__file__).resolve().parents[1] / "scripts" / "dump_outputs.py"
 # The digest of the first two operations of each workload at seed 1.  Every
 # output is pinned elsewhere too; a change that alters one on purpose alters this.
 TINY_DIGEST = "328720c5005e6a861387c107fb6d21cbe34c2041c9c44234f34c9c6f7cd167a6"
+# The digest of every operation of each workload at seeds 1 and 2, as
+# `python3 scripts/dump_outputs.py --seeds 1 2` prints it.
+FULL_DIGEST = "a07b21fd878e1b884907a5b00018b0359424bbb9fc8998ab74c62af025b37b04"
 
 
 @pytest.fixture(scope="module")
@@ -43,3 +46,7 @@ def test_tiny_slice(dump_outputs, tmp_path):
             assert text.count("\n") > 1
     assert "FACTORIZATION: " in texts["1/chains/chains_n4_all.txt"]
     assert dump_outputs.dump([1], ops_per_workload=2) == digest
+
+
+def test_full_digest(dump_outputs):
+    assert dump_outputs.dump([1, 2]) == FULL_DIGEST

@@ -370,8 +370,11 @@ class TestSymbolicNumericAgreement:
 
 class TestOracleConfig:
     def test_validation(self):
-        with pytest.raises(ValueError):
-            OracleConfig(domains=DOM3, trials=0)
+        with pytest.raises(ValueError, match="trials"):
+            OracleConfig(domains=DOM3, seed=0, trials=0)
+        with pytest.raises(ValueError, match="seed must be nonnegative, got -1"):
+            OracleConfig(DOM3, -1, 2)
+        assert OracleConfig(DOM3, 0, 1).trial_seeds()
 
     def test_trial_seeds_deterministic(self):
         a = OracleConfig(domains=DOM3, seed=1, trials=5)

@@ -255,14 +255,8 @@ class TestEvaluate:
     def test_atom_outside_scheme_error(self):
         other = AttributeSet(["Z"])
         expr = RationalExpression.of([MarginalAtom(other, (distinguished_for(other, "Z"),))])
-        # Without a cache, and with a shared cache already warm with a marginal of this joint.
-        warm: dict = {}
-        a1 = MarginalAtom.from_cells(AttributeSet(["A1"]), {"A1": distinguished_for(self.scheme, "A1")})
-        evaluate(RationalExpression.of([a1]), self.joint, self.binding, warm)
-        assert list(warm) == [AttributeSet(["A1"])]
-        for cache in (None, warm):
-            with pytest.raises(SchemeError):
-                evaluate(expr, self.joint, {distinguished_for(other, "Z"): "0"}, cache)
+        with pytest.raises(SchemeError):
+            evaluate(expr, self.joint, {distinguished_for(other, "Z"): "0"})
 
     def test_zero_denominator_warns_and_returns_zero(self):
         from gajdchase.prelation import WeightedRelation
@@ -282,9 +276,7 @@ class TestEvaluate:
         expr = RationalExpression.of([MarginalAtom.from_cells(o, a) for o in sets[:2]],
                                      [MarginalAtom.from_cells(sets[2], a)])
         slots = [a["A3"], a["A1"], a["A2"]]
-        cache: dict = {}
-        value = compile_expression(expr, self.joint, {v: i for i, v in enumerate(slots)}, cache)
-        assert set(cache) == set(sets)
+        value = compile_expression(expr, self.joint, {v: i for i, v in enumerate(slots)})
         m12, m23, m2 = (marginalize(self.joint, o) for o in sets)
         for x3, x1, x2 in itertools.product("01", repeat=3):
             expected = 1.0 * m12.weight((x1, x2)) * m23.weight((x2, x3)) / m2.weight((x2,))

@@ -394,6 +394,26 @@ class TestRun:
             (("0", "0"), 0.25), (("0", "1"), 0.0), (("1", "0"), 0.0), (("1", "1"), 0.75)
         ]
 
+    def test_one_marginal_per_attribute_set(self, monkeypatch):
+        # The star's psi divides by the {A} marginal twice; run computes it once.
+        import gajdchase.symbolic as symbolic
+
+        g = Gajd.from_edges([["A", "B"], ["A", "C"], ["A", "D"]])
+        t = build_tr(g)
+        assert [a.over for a in t.psi.denominator] == [AttributeSet(["A"])] * 2
+        rel = positive_relation(DomainSpec.uniform(["A", "B", "C", "D"]), seed=3)
+        calls = []
+        marginalize = symbolic.marginalize
+
+        def counting(joint, over):
+            calls.append(over)
+            return marginalize(joint, over)
+
+        monkeypatch.setattr(symbolic, "marginalize", counting)
+        run(t, rel)
+        assert len(calls) == 4
+        assert set(calls) == {AttributeSet(e) for e in (["A", "B"], ["A", "C"], ["A", "D"], ["A"])}
+
     def test_run_decodes_no_variable(self, chain4):
         target, _, _ = chain4
         t = build_tr(target)
