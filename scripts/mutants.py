@@ -120,7 +120,7 @@ MUTANTS = (
         (
             "tests/test_census_golden.py::test_census_traces_golden",
             "tests/test_symbolic.py::TestEq5Expression::test_two_row_application",
-            "tests/test_tableau.py::TestRun::test_matches_mpj_map_on_random_positive",
+            "tests/test_tableau.py::TestRun::test_emission_read_from_psi_matches_the_dependency",
         ),
     ),
     Mutant(
@@ -145,7 +145,7 @@ MUTANTS = (
     ),
     Mutant(
         "run-accepts-any-psi-variable",
-        "        if v not in slot_of:\n",
+        "        if v not in own:\n",
         "        if False:\n",
         ("tests/test_tableau.py::TestRun::test_psi_reading_other_than_distinguished_variables_rejected",),
     ),
@@ -163,9 +163,18 @@ MUTANTS = (
     ),
     Mutant(
         "marginal-recomputed-per-atom",
-        "    marg = cache.get(atom.over)\n",
+        "    marg = cache.get(over)\n",
         "    marg = None\n",
         ("tests/test_tableau.py::TestRun::test_one_marginal_per_attribute_set",),
+    ),
+    Mutant(
+        "emission-keeps-shared-sets",
+        "        numerator, denominator = canonical(*t.emission, _NAMES)\n",
+        "        numerator, denominator = (tuple(sorted(sets, key=_NAMES)) for sets in t.emission)\n",
+        (
+            "tests/test_tableau_run_golden.py::test_tableau_run_golden",
+            "tests/test_tableau.py::TestRun::test_emission_read_from_psi_matches_the_dependency",
+        ),
     ),
     Mutant(
         "union-operator-unsorted",

@@ -295,15 +295,19 @@ def search_counterexample(
 
 
 def cmd_verify(problem: ProblemFile, seed: int, trials: int) -> tuple[int, str]:
-    """Cross-validate each verdict numerically; exit 1 on any soundness failure."""
-    if trials < 1:
-        raise GajdChaseError("trials must be at least 1")
-    if seed < 0:
-        raise GajdChaseError(f"seed must be nonnegative, got {seed}")
+    """Cross-validate each verdict numerically; exit 1 on any soundness failure.
+
+    The seed and trial count are checked by `OracleConfig`, after the domain
+    cap; its ValueError is raised again as GajdChaseError.
+    """
     from .oracle import OracleConfig
 
     max_rows = _max_rows_from_env()
-    cfg = OracleConfig(domains=problem.domains(), seed=seed, trials=trials)
+    domains = problem.domains()
+    try:
+        cfg = OracleConfig(domains=domains, seed=seed, trials=trials)
+    except ValueError as exc:
+        raise GajdChaseError(str(exc)) from None
     out: list[str] = []
     exit_code = 0
     for i, query in enumerate(problem.queries, start=1):

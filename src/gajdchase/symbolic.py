@@ -9,17 +9,20 @@ every operation and no polynomial machinery is needed.
 Canonical form: common atoms are cancelled between numerator and denominator
 and each side is sorted by a total structural order, which makes printing
 deterministic and equality structural.  `RationalExpression.of` builds it
-once per expression: it counts atoms only when the two sides share one, and
-sorts each side once.  An atom computes its hash and its sort key the first
-time each is used and keeps them, so sorting and hashing an atom again
-costs one attribute read.
+once per expression through `canonical`, the one copy of that rule: it
+counts atoms only when the two sides share one, and sorts each side once.
+An atom computes its hash and its sort key the first time each is used and
+keeps them, so sorting and hashing an atom again costs one attribute read.
 
-Numeric evaluation has one path, `compile_expression`: an expression is
-compiled against a joint once, each atom into its marginal table (one
+Numeric evaluation has one core, `compile_quotient`: a quotient of
+attribute sets, each with the binding slots its key is read from, is
+compiled against a joint once, each set into its marginal table (one
 `marginalize` per attribute set, kept for that compilation only) and a
 reader of its key from a binding tuple, and the result is called per
-binding.  `tableau.run` calls it once per run; `evaluate`, for a binding
-given as a mapping, compiles and calls it once.
+binding.  `compile_expression` hands it an expression's atoms;
+`tableau.run` hands it its tableau's emission sets once per run; and
+`evaluate`, for a binding given as a mapping, compiles an expression and
+calls it once.
 """
 
 from __future__ import annotations
@@ -29,7 +32,7 @@ from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
 from operator import attrgetter
-from typing import Callable, Iterable, Mapping, Sequence
+from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
 from .errors import SchemeError, ZeroDenominatorWarning
 from .hypergraph import AttributeSet
@@ -133,6 +136,31 @@ def restrict_atom(atom: MarginalAtom, to: AttributeSet) -> MarginalAtom:
 _SORT_KEY = attrgetter("sort_key")
 
 
+def canonical(numerator: Iterable, denominator: Iterable, key: Callable) -> tuple[tuple, tuple]:
+    """The canonical quotient: items on both sides cancel, as multisets, and each side is sorted by `key`.
+
+    Only when the sides share an item is the denominator counted; each
+    numerator item then cancels one of its copies left there, if any.
+    `RationalExpression.of` applies it to atoms by their sort key;
+    `tableau.build_tr` applies it to a dependency's edges over its
+    interaction sets by their names, which cancels and orders them as their
+    atoms at the distinguished tuple would be.
+    """
+    num, den = list(numerator), list(denominator)
+    if num and den and not set(num).isdisjoint(den):
+        left = Counter(den)
+        kept = []
+        for item in num:
+            if left.get(item):
+                left[item] -= 1
+            else:
+                kept.append(item)
+        num, den = kept, list(left.elements())
+    num.sort(key=key)
+    den.sort(key=key)
+    return tuple(num), tuple(den)
+
+
 @dataclass(frozen=True)
 class RationalExpression:
     """A quotient of two multisets of atoms, kept in canonical (cancelled, sorted) form."""
@@ -142,15 +170,7 @@ class RationalExpression:
 
     @classmethod
     def of(cls, numerator: Iterable[MarginalAtom] = (), denominator: Iterable[MarginalAtom] = ()) -> "RationalExpression":
-        num = list(numerator)
-        den = list(denominator)
-        if num and den and not set(num).isdisjoint(den):
-            n, d = Counter(num), Counter(den)
-            common = n & d
-            num, den = list((n - common).elements()), list((d - common).elements())
-        num.sort(key=_SORT_KEY)
-        den.sort(key=_SORT_KEY)
-        return cls(tuple(num), tuple(den))
+        return cls(*canonical(numerator, denominator, _SORT_KEY))
 
     @classmethod
     def atom(cls, atom: MarginalAtom) -> "RationalExpression":
@@ -211,29 +231,55 @@ def compile_expression(
 ) -> Callable[[Sequence[str]], float]:
     """The numeric value of `expr` against `joint`, as a function of a binding tuple.
 
-    The binding holds each variable's value at its slot in `slot_of`.  Each
-    atom is compiled once, in expression order, into its marginal table and
-    a `prelation.getter` of its key from the binding; a variable with no
-    slot raises KeyError.  The call keeps one `{attribute set: marginal}`
-    map, so `marginalize(joint, over)` runs once per attribute set however
-    many atoms share it.  The function multiplies the numerator atoms'
-    marginals into 1.0 and then divides by the denominator's, in that
-    order.  A zero in the denominator makes the value 0 and raises
-    ZeroDenominatorWarning (the positivity assumption was violated).
+    The binding holds each variable's value at its slot in `slot_of`; a
+    variable with no slot raises KeyError.  Each atom is its attribute set
+    with the slots of its variables, compiled by `compile_quotient` in
+    expression order.
+    """
+    return compile_quotient(
+        joint, _terms(expr.numerator, slot_of), _terms(expr.denominator, slot_of), lambda k: expr.denominator[k].render()
+    )
+
+
+def _terms(atoms: Sequence[MarginalAtom], slot_of: Mapping[Variable, int]) -> Iterator[tuple[AttributeSet, list[int]]]:
+    for atom in atoms:
+        try:
+            yield atom.over, [slot_of[v] for v in atom.pattern]
+        except KeyError as exc:
+            raise KeyError(f"unbound variable {exc.args[0]!r} in {atom.render()}") from None
+
+
+def compile_quotient(
+    joint: WeightedRelation,
+    numerator: Iterable[tuple[AttributeSet, Sequence[int]]],
+    denominator: Iterable[tuple[AttributeSet, Sequence[int]]],
+    name: Callable[[int], str],
+) -> Callable[[Sequence[str]], float]:
+    """A quotient of marginals of `joint`, as a function of a binding tuple.
+
+    Each term is an attribute set and the binding slots its key is read
+    from, one per attribute in order.  Terms are compiled in order, each
+    into its marginal table and a `prelation.getter` of its key; the call
+    keeps one `{attribute set: marginal}` map, so `marginalize(joint, over)`
+    runs once per attribute set however many terms share it.  The function
+    multiplies the numerator's marginals into 1.0 and then divides by the
+    denominator's, in that order.  A zero in the denominator makes the
+    value 0 and raises ZeroDenominatorWarning naming `name(k)`, the k-th
+    denominator term (the positivity assumption was violated).
     """
     marginals: dict[AttributeSet, WeightedRelation] = {}
-    num = tuple([_compile_atom(atom, joint, slot_of, marginals) for atom in expr.numerator])
-    den = tuple([(*_compile_atom(atom, joint, slot_of, marginals), atom) for atom in expr.denominator])
+    num = tuple([_compile_term(over, cols, joint, marginals) for over, cols in numerator])
+    den = tuple([(*_compile_term(over, cols, joint, marginals), k) for k, (over, cols) in enumerate(denominator)])
 
     def value(binding: Sequence[str]) -> float:
         v = 1.0
         for weight, key in num:
             v *= weight(key(binding), 0.0)
-        for weight, key, atom in den:
+        for weight, key, k in den:
             d = weight(key(binding), 0.0)
             if d == 0.0:
                 warnings.warn(
-                    f"zero marginal under {atom.render()}; expression value defined as 0",
+                    f"zero marginal under {name(k)}; expression value defined as 0",
                     ZeroDenominatorWarning,
                     stacklevel=2,
                 )
@@ -244,20 +290,16 @@ def compile_expression(
     return value
 
 
-def _compile_atom(
-    atom: MarginalAtom,
+def _compile_term(
+    over: AttributeSet,
+    cols: Sequence[int],
     joint: WeightedRelation,
-    slot_of: Mapping[Variable, int],
     cache: dict[AttributeSet, WeightedRelation],
 ) -> tuple[Callable[[tuple, float], float], Callable[[Sequence[str]], tuple]]:
-    """The weight lookup (`dict.get`) of the marginal over `atom.over` and the getter of the atom's key from a binding."""
-    marg = cache.get(atom.over)
+    """The weight lookup (`dict.get`) of the marginal over `over` and the getter of its key at `cols` of a binding."""
+    marg = cache.get(over)
     if marg is None:
-        marg = cache[atom.over] = marginalize(joint, atom.over)
-    try:
-        cols = [slot_of[v] for v in atom.pattern]
-    except KeyError as exc:
-        raise KeyError(f"unbound variable {exc.args[0]!r} in {atom.render()}") from None
+        marg = cache[over] = marginalize(joint, over)
     return marg._rows.get, getter(cols, False)  # the marginal's own table, only read
 
 

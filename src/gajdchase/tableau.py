@@ -15,26 +15,31 @@ holds each variable's fields and its code.  `Variable` cells, `Row`s and
 weight expressions are decoded when first read, so a tableau that is only
 chased and counted builds none.
 
-The executor, `run`, joins from each support tuple at the first row, and
-compiles the emission expression once per call
-(`symbolic.compile_expression`): each atom becomes its marginal table and a
-reader of its key from the join's int-coded binding.  The expression may
-read distinguished variables only, so the emitted weight depends only on the
-distinguished tuple: the executor settles each tuple at its first valuation
-and skips the later ones.  For the tableau built from a dependency's
-hypertree the mapping coincides with the marginalize/product-join map of
-the same hypertree.
+The emission expression may read distinguished variables only, so it is a
+quotient of marginals at the distinguished tuple, given by the attribute
+sets of its atoms.  For the tableau of a dependency, `build_tr` keeps those
+sets straight from the hypertree (`Tableau.emission`): the edges over the
+interaction sets, the acyclic-join factorization of Beeri, Fagin, Maier and
+Yannakakis.  The executor, `run`, joins from each support tuple at the first
+row, and compiles the emission once per call
+(`symbolic.compile_quotient`): each set becomes its marginal table and a
+reader of its key from the join's int-coded binding.  The emitted weight
+depends only on the distinguished tuple, so the executor settles each tuple
+at its first valuation and skips the later ones.  For the tableau built
+from a dependency's hypertree the mapping coincides with the
+marginalize/product-join map of the same hypertree.
 """
 
 from __future__ import annotations
 
 from functools import partial
+from operator import attrgetter
 from typing import Callable, Mapping, Sequence
 
 from .errors import SchemeError
 from .hypergraph import AttributeSet
 from .prelation import Gajd, WeightedRelation, getter
-from .symbolic import MarginalAtom, RationalExpression, Variable, compile_expression, distinguished_for, eq5_expression
+from .symbolic import MarginalAtom, RationalExpression, Variable, canonical, compile_quotient, distinguished_for, eq5_expression
 from .symbolic import evaluate  # perfbench's wrap point tableau.evaluate (span symbolic.evaluate); run never calls it
 
 
@@ -90,13 +95,18 @@ class Tableau:
     kept, later ones on the next read.
     `psi` is an expression or a function called on its first read, whose
     result is kept; a copy takes the function along, so the tableaux the
-    chase works on never build it.
+    chase works on never build it.  `emission` is None, or the attribute
+    sets of psi's numerator and denominator atoms, each atom at the
+    distinguished tuple, as given before cancelling and ordering:
+    `build_tr` sets it to the dependency's edges and interaction sets, and a
+    copy takes it along.
     """
 
     def __init__(self, scheme: AttributeSet, psi: RationalExpression | Callable[[], RationalExpression]):
         if len(scheme) == 0:
             raise ValueError("a tableau needs a nonempty scheme")
         self.scheme, self._psi = scheme, psi
+        self.emission: tuple[Sequence[AttributeSet], Sequence[AttributeSet]] | None = None
         self.code_of: dict[tuple[bool, int, str], int] = {}
         self.patterns: list[tuple[int, ...]] = []
         self.row_of: dict[tuple[int, ...], int] = {}
@@ -174,6 +184,7 @@ class Tableau:
     def copy(self) -> "Tableau":
         """A tableau with the same rows; they were checked when added here, so they are not checked again."""
         t = Tableau(self.scheme, self._psi)
+        t.emission = self.emission
         t.code_of, t.patterns, t.sources = self.code_of.copy(), self.patterns.copy(), self.sources.copy()
         t.row_of, t.variables, t._rows = self.row_of.copy(), self.variables.copy(), self._rows.copy()
         return t
@@ -194,9 +205,12 @@ def build_tr(g: Gajd) -> Tableau:
     Row i carries the distinguished variable in every column of its edge and
     fresh nondistinguished variables elsewhere (unique across the tableau).
     Its weight expression is the single full-scheme atom at its own pattern.
-    The emission expression is the rule quotient (`eq5_expression`) at the
-    distinguished row: one edge marginal per row over the interaction-set
-    marginals.  It is built the first time `psi` is read.
+    The emission is the edges over the interaction sets (`emission`), which
+    `run` cancels and orders with `symbolic.canonical`, as
+    `RationalExpression.of` orders their atoms, and compiles.  The emission
+    expression `psi`, the rule quotient (`eq5_expression`) at the
+    distinguished row, holds the same atoms; it is built the first time
+    `psi` is read.
 
     The rows are written coded into `code_of`, as `add_row` codes them.
     """
@@ -207,6 +221,7 @@ def build_tr(g: Gajd) -> Tableau:
         return eq5_expression([(e, dist) for e in g.edges_in_order], [(s, dist) for s in g.interactions])
 
     t = Tableau(scheme, psi)
+    t.emission = g.edges_in_order, g.interactions
     code_of = t.code_of
     fresh = 0
     for edge in g.edges_in_order:
@@ -325,11 +340,18 @@ def _extend(
             _extend(steps, d, chosen + proj, read, emit)
 
 
+_NAMES = attrgetter("members")
+
+
 def run(t: Tableau, rel: WeightedRelation) -> WeightedRelation:
     """Execute a tableau against a relation.
 
-    `psi` may read distinguished variables only, each in its own column, so
-    the distinguished tuple fixes the weight; any other variable raises
+    The emission is compiled from `t.emission`, the attribute sets that
+    `build_tr` takes from the dependency, cancelled and ordered by
+    `symbolic.canonical`, so `run` builds no expression for such a
+    tableau.  A tableau without them has them read from `psi`, which
+    may read distinguished variables only, each in its own column, so the
+    distinguished tuple fixes the weight; any other variable raises
     ValueError before any work.  Valuations are materialized by an indexed
     join of the rows over the relation's positive-weight tuples (zero-weight
     tuples count as absent): each row's coded pattern is a position of one
@@ -337,10 +359,11 @@ def run(t: Tableau, rel: WeightedRelation) -> WeightedRelation:
     variables' codes.  Every index of the plan, all at positions 1 and
     after, holds the support in support order, and the join starts at the
     first row from each support tuple in turn, so valuations come out in
-    the order of a nested loop over the support.  `psi` is compiled once
-    per call (`symbolic.compile_expression`): each atom reads its key from the coded
-    binding and looks it up in its marginal of `rel`, so a valuation is
-    evaluated as `symbolic.evaluate` would, bit for bit, with no
+    the order of a nested loop over the support.  The emission is compiled
+    once per call (`symbolic.compile_quotient`): each set reads its key
+    from the coded binding at the codes of its distinguished variables and
+    looks it up in its marginal of `rel`, so a valuation is evaluated as
+    `symbolic.evaluate` would evaluate `psi`, bit for bit, with no
     per-valuation dict.  The distinguished tuple is read from each binding
     by a getter built once per call.  The output holds each distinguished
     tuple once, with the weight of its first valuation, in first-valuation
@@ -348,25 +371,31 @@ def run(t: Tableau, rel: WeightedRelation) -> WeightedRelation:
     membership test.  `run` reads the coded tableau only and decodes none
     of its variables or rows.
     """
-    if rel.scheme != t.scheme:
+    scheme = t.scheme
+    if rel.scheme != scheme:
         raise SchemeError(
-            f"relation scheme {rel.scheme.render()} does not match tableau scheme {t.scheme.render()}"
+            f"relation scheme {rel.scheme.render()} does not match tableau scheme {scheme.render()}"
         )
     goal = t.goal()
     if -1 in goal:
         raise ValueError(f"distinguished variable a{goal.index(-1) + 1} appears in no row")
-    slot_of = {distinguished_for(t.scheme, a): code for a, code in zip(t.scheme, goal)}
-    psi = t.psi
-    for v in psi.variables():
-        if v not in slot_of:
-            raise ValueError(f"emission variable {v.render()} is not the distinguished variable of column {v.column}")
+    if t.emission is None:
+        numerator, denominator = _emission_of(t.psi, scheme)
+    else:
+        numerator, denominator = canonical(*t.emission, _NAMES)
     support = [key for key, w in rel.items() if w > 0.0]
     plan = JoinPlan(t.patterns, (0,))
     for inserts in plan.inserts[1:]:
         for key_of, index in inserts:
             for tup in support:
                 index.setdefault(key_of(tup), []).append(tup)
-    value_of = compile_expression(psi, rel, slot_of)
+    code_at = dict(zip(scheme, goal))
+    value_of = compile_quotient(
+        rel,
+        [(over, [code_at[a] for a in over]) for over in numerator],
+        [(over, [code_at[a] for a in over]) for over in denominator],
+        lambda k: _at_distinguished(scheme, denominator[k]).render(),
+    )
     dist_of = getter(goal, False)
     results: dict[tuple[str, ...], float] = {}
 
@@ -377,4 +406,21 @@ def run(t: Tableau, rel: WeightedRelation) -> WeightedRelation:
 
     for tup in support:
         join(plan, emit, 0, tup)
-    return WeightedRelation(t.scheme, results)
+    return WeightedRelation(scheme, results)
+
+
+def _emission_of(psi: RationalExpression, scheme: AttributeSet) -> tuple[tuple[AttributeSet, ...], tuple[AttributeSet, ...]]:
+    """The attribute sets of `psi`'s atoms, numerator and denominator in order.
+
+    Raises ValueError unless every variable `psi` reads is the distinguished
+    variable of its column, so each atom is its set at the distinguished tuple.
+    """
+    own = {distinguished_for(scheme, a) for a in scheme}
+    for v in psi.variables():
+        if v not in own:
+            raise ValueError(f"emission variable {v.render()} is not the distinguished variable of column {v.column}")
+    return tuple([atom.over for atom in psi.numerator]), tuple([atom.over for atom in psi.denominator])
+
+
+def _at_distinguished(scheme: AttributeSet, over: AttributeSet) -> MarginalAtom:
+    return MarginalAtom(over, tuple([distinguished_for(scheme, a) for a in over]))

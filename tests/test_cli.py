@@ -275,8 +275,13 @@ class TestOnlyWhatIsPrinted:
         cmd_implies(problem, factorize=True)
         cmd_implies(problem, trace=True)
         assert calls["factorization_for"] == 2
+        # run compiles the emission from the dependency's sets and builds no
+        # psi; reading psi, as printing it does, goes through the wrapper.
         dom = DomainSpec.uniform(problem.attrs)
-        run(build_tr(problem.queries[0].target), relation_from_domains(dom, [1.0 / 16] * 16))
+        t = build_tr(problem.queries[0].target)
+        run(t, relation_from_domains(dom, [1.0 / 16] * 16))
+        assert calls["eq5_expression"] == 0
+        t.psi
         assert calls["eq5_expression"] == 1
 
 
@@ -438,7 +443,13 @@ class TestMain:
         path = tmp_path / "problem.gajd"
         path.write_text(CHAIN4_PROBLEM)
         assert main(["verify", "--seed", "-1", str(path)]) == 2
-        assert capsys.readouterr().err.startswith("error:")
+        assert capsys.readouterr() == ("", "error: seed must be nonnegative, got -1\n")
+
+    def test_zero_trials_exit_2(self, tmp_path, capsys):
+        path = tmp_path / "problem.gajd"
+        path.write_text(CHAIN4_PROBLEM)
+        assert main(["verify", "--trials", "0", str(path)]) == 2
+        assert capsys.readouterr() == ("", "error: trials must be at least 1\n")
 
     def test_expect_flag(self, tmp_path):
         path = tmp_path / "problem.gajd"

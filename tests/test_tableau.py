@@ -414,6 +414,29 @@ class TestRun:
         assert len(calls) == 4
         assert set(calls) == {AttributeSet(e) for e in (["A", "B"], ["A", "C"], ["A", "D"], ["A"])}
 
+    def test_run_builds_no_psi(self, chain4):
+        # A dependency's tableau is run from its edges and interaction sets;
+        # the emission expression is left unbuilt until something reads it.
+        target, _, _ = chain4
+        t = build_tr(target)
+        run(t, positive_relation(DomainSpec.uniform(["A1", "A2", "A3", "A4"]), seed=0))
+        assert not isinstance(t._psi, RationalExpression)
+
+    def test_emission_read_from_psi_matches_the_dependency(self, chain4):
+        # A tableau given the rows and psi of build_tr(g) has its emission
+        # sets read from psi; build_tr takes them from the dependency.  The
+        # two sources give the same output, in the same order, bit for bit.
+        rel = positive_relation(DomainSpec.uniform(["A", "B", "C", "D"]), seed=31)
+        cases = [(g, rel) for g in covering_hypertrees(["A", "B", "C", "D"], 3)]
+        cases.append((chain4[0], positive_relation(DomainSpec.uniform(["A1", "A2", "A3", "A4"]), seed=31)))
+        for g, rel in cases:
+            t = build_tr(g)
+            hand = Tableau(g.scheme, t.psi)
+            for row in t.rows:
+                hand.add_row(row)
+            assert hand.emission is None and hand.patterns == t.patterns
+            assert list(run(hand, rel).items()) == list(run(build_tr(g), rel).items()), g.render()
+
     def test_run_decodes_no_variable(self, chain4):
         target, _, _ = chain4
         t = build_tr(target)
