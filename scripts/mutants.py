@@ -177,6 +177,15 @@ MUTANTS = (
         ),
     ),
     Mutant(
+        "work-budget-left-to-the-pop",
+        "            if len(pending) > rules * cap[0]:\n",
+        "            if False:\n",
+        (
+            "tests/test_cli.py::TestMain::test_work_budget_stops_the_first_join",
+            "tests/test_chase.py::TestChase::test_work_budget_binds_during_the_join",
+        ),
+    ),
+    Mutant(
         "union-operator-unsorted",
         "return AttributeSet._of(tuple(sorted({*self._members, *other._members})))",
         "return AttributeSet._of(self._members + tuple([n for n in other._members if n not in self._members]))",

@@ -60,9 +60,8 @@ from __future__ import annotations
 
 import heapq
 import random
-from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterable, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 from .errors import ChaseRowLimitError, SchemeError
 from .hypergraph import AttributeSet
@@ -73,16 +72,14 @@ from .tableau import JoinPlan, Row, Tableau, build_tr, join
 DEFAULT_MAX_ROWS = 100_000
 
 
-@dataclass(frozen=True)
-class JRule:
+class JRule(NamedTuple):
     """A named derivation rule for a dependency covering the full scheme."""
 
     name: str
     gajd: Gajd
 
 
-@dataclass(frozen=True)
-class ChaseStep:
+class ChaseStep(NamedTuple):
     """One rule application: which rule, which rows, what was produced."""
 
     rule: JRule
@@ -241,6 +238,13 @@ class _ChaseRun:
     (see `_consider`), so no entry repeats and the heap order depends only
     on the entries.  `max_dist` is counted from the applied patterns, never
     from a key.
+
+    The join is also the run's work budget: once `pending` holds more than
+    `len(rules)` times the row cap entries, the callback that pushed the
+    last one raises ChaseRowLimitError, before the join goes on.  Each entry
+    is a distinct (rule, pattern) with a derivable pattern, so the fixpoint
+    already has more rows than the cap.  `cap` holds the cap of the current
+    `run` call, which the callbacks read.
     """
 
     def __init__(self, t: Tableau, rules: tuple[JRule, ...], rng: random.Random | None):
@@ -249,6 +253,7 @@ class _ChaseRun:
         self.compiled = [_CompiledRule(rule, t.scheme) for rule in rules]
         # The duplicates so far (see ChaseTrace): one item, which the `emits` count into.
         self.duplicates = [0]
+        self.cap = [0]
         self.is_distinguished = [int(distinguished) for distinguished, _, _ in work.code_of]
         self.goal = work.goal()
         self.pending: list[tuple[float, int, tuple[int, ...], tuple[int, ...]]] = []
@@ -284,12 +289,14 @@ class _ChaseRun:
     def _consider(self, rule_idx: int, cr: _CompiledRule):
         """Rule `rule_idx`'s join callback: count a result that is already a row, queue any other.
 
+        Queuing an entry past the work budget raises ChaseRowLimitError.
+
         The pending key is most distinguished variables first, or a seeded
         random draw.  The callback holds the run's containers but not the run,
         so the run and its `emits` form no reference cycle.
         """
         row_of, pending, duplicates = self.work.row_of, self.pending, self.duplicates
-        rng, is_distinguished = self.rng, self.is_distinguished
+        rng, is_distinguished, cap, rules = self.rng, self.is_distinguished, self.cap, len(self.compiled)
         n = len(cr.scheme)
 
         def emit(binding: tuple) -> None:
@@ -299,6 +306,11 @@ class _ChaseRun:
                 return
             key = rng.random() if rng is not None else -sum([is_distinguished[v] for v in pattern])
             heapq.heappush(pending, (key, rule_idx, binding[n:], pattern))
+            if len(pending) > rules * cap[0]:
+                raise ChaseRowLimitError(
+                    f"chase stopped on work spent: more than {rules * cap[0]} pending applications, "
+                    f"the budget of {rules} rule(s) times the {cap[0]}-row cap", limit=cap[0]
+                )
 
         return emit
 
@@ -315,6 +327,7 @@ class _ChaseRun:
     def run(self, stop_at_distinguished: bool, stop_when_no_gain: bool, max_rows: int) -> str:
         """Apply pending applications until a stop rule holds; returns the stop reason."""
         work, is_distinguished = self.work, self.is_distinguished
+        self.cap[0] = max_rows
         while True:
             if stop_at_distinguished and self.goal in work.row_of:
                 return "distinguished"
@@ -382,7 +395,10 @@ def chase(
     Either way the returned trace's steps are the rows its final holds past
     its initial's, fixed when it is built.
 
-    Raises ChaseRowLimitError when the tableau would exceed `max_rows`.
+    Raises ChaseRowLimitError when the tableau would exceed `max_rows`, or
+    as soon as the pending applications number more than `max_rows` per
+    rule, a budget on work spent that binds during a join: the fixpoint then
+    has more than `max_rows` rows.
     """
     rules = _as_rules(constraints)
     if isinstance(t, ChaseTrace):
@@ -411,8 +427,7 @@ def chase(
     return ChaseTrace(initial, state.work, stop_reason, state.duplicates[0] - duplicates, state)
 
 
-@dataclass(frozen=True)
-class AtomRewrite:
+class AtomRewrite(NamedTuple):
     """A marginal-consistency rewrite applied while assembling a factorization."""
 
     original: MarginalAtom
@@ -423,7 +438,6 @@ class AtomRewrite:
         return f"rewrite: {self.original.render()} -> {self.restricted.render()} (sum over {self.summed.render()})"
 
 
-@dataclass
 class Verdict:
     """Outcome of an implication test.
 
@@ -435,11 +449,21 @@ class Verdict:
     it listed in `rewrites`; both are None and () for a negative verdict.
     They are built from `trace` by `factorization_for` (looked up on this
     module when called) the first time either is read, and then kept.
+    Verdicts compare equal when their three fields do, and are not hashable.
     """
 
-    holds: bool
-    trace: ChaseTrace
-    closure_trace: ChaseTrace | None
+    __hash__ = None  # type: ignore[assignment]
+
+    def __init__(self, holds: bool, trace: ChaseTrace, closure_trace: ChaseTrace | None):
+        self.holds, self.trace, self.closure_trace = holds, trace, closure_trace
+
+    def __eq__(self, other: object) -> bool:
+        if type(other) is not Verdict:
+            return NotImplemented
+        return (self.holds, self.trace, self.closure_trace) == (other.holds, other.trace, other.closure_trace)
+
+    def __repr__(self) -> str:
+        return f"Verdict(holds={self.holds!r}, trace={self.trace!r}, closure_trace={self.closure_trace!r})"
 
     @cached_property
     def _factorized(self) -> tuple[RationalExpression | None, tuple[AtomRewrite, ...]]:

@@ -20,8 +20,9 @@ Subcommands:
     tableau [--query K] FILE
 
 Exit codes: 0 all queries answered, 1 expectation or soundness failure,
-2 usage or parse error, 3 chase row cap exceeded.  The cap defaults to
-100000 rows and can be overridden with the GAJD_CHASE_MAX_ROWS variable.
+2 usage or parse error, 3 chase row cap or work budget exceeded.  The cap
+defaults to 100000 rows and can be overridden with the GAJD_CHASE_MAX_ROWS
+variable; the budget is that many pending rule applications per rule.
 
 `implies` and `tableau` load only the chase and the layers below it.  The
 numeric oracle, and numpy with it, is imported by the first `verify` or
@@ -38,7 +39,7 @@ import os
 import re
 import sys
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Sequence
+from typing import TYPE_CHECKING, NamedTuple, Sequence
 
 from .chase import DEFAULT_MAX_ROWS, JRule, Verdict, implies
 from .errors import (
@@ -57,12 +58,12 @@ if TYPE_CHECKING:
 ENV_MAX_ROWS = "GAJD_CHASE_MAX_ROWS"
 
 
-@dataclass(frozen=True)
-class Query:
+class Query(NamedTuple):
     target: Gajd
     given: tuple[str, ...]
 
 
+# The one dataclass on the `implies` path: callers build one-query problems with `dataclasses.replace`.
 @dataclass(frozen=True)
 class ProblemFile:
     attrs: AttributeSet

@@ -14,14 +14,13 @@ computes it.
 Recognition and validation make one walk (`_walk`) over an ordering with one
 running set of the prefix's attribute names.  Each overlap is a tuple of the
 candidate edge's names, in its sorted order, so the twig test compares
-tuples.  A certificate that recognition builds keeps the overlaps of its
-walk, so its interaction set is not walked for again.
+tuples.  A hypergraph keeps the certificate recognition built for it with
+the overlaps of that walk, so its interaction set is not walked for again.
 """
 
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass, field
 from typing import Callable, Iterable, Iterator, NamedTuple, Union
 
 from .errors import InvalidCertificateError
@@ -114,9 +113,10 @@ class Hypergraph:
     """A sequence of distinct, nonempty hyperedges over the union of their attributes.
 
     Edge order is preserved as given; certificates refer to edges by index.
+    Equality and hashing take the edges only.
     """
 
-    __slots__ = ("nodes", "edges")
+    __slots__ = ("nodes", "edges", "_walked")
 
     def __init__(self, edges: Iterable[Iterable[str]]):
         coerced = tuple(e if isinstance(e, AttributeSet) else AttributeSet(e) for e in edges)
@@ -129,6 +129,8 @@ class Hypergraph:
             raise ValueError("duplicate hyperedges are not allowed")
         self.edges: tuple[AttributeSet, ...] = coerced
         self.nodes: AttributeSet = AttributeSet.union(coerced)
+        # The certificate `find_certificate` built for this hypergraph and its twigs' overlaps.
+        self._walked: tuple[HypertreeCertificate, tuple[AttributeSet, ...]] | None = None
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Hypergraph):
@@ -171,37 +173,37 @@ def is_twig(h: Hypergraph, candidate: int, within: Iterable[int]) -> TwigResult:
     return TwigResult(False, None)
 
 
-@dataclass(frozen=True)
-class HypertreeCertificate:
+class _CertificateFields(NamedTuple):
+    ordering: tuple[int, ...]
+    branching: tuple[int | None, ...]
+
+
+class HypertreeCertificate(_CertificateFields):
     """A tree construction ordering plus a branching function.
 
     `ordering` is a permutation of edge indices; position 0 is the root.
     `branching[i]` is the position (not edge index) of the branch chosen for
-    the edge at position i, with `branching[0]` always None.  A certificate
-    that `find_certificate` builds keeps in `walked` the hypergraph it was
-    built for and each twig's overlap with its prefix there.
+    the edge at position i, with `branching[0]` always None.  Construction
+    checks the branching's shape; `validate_certificate` checks it against
+    a hypergraph.
     """
 
-    ordering: tuple[int, ...]
-    branching: tuple[int | None, ...]
-    walked: tuple[Hypergraph, tuple[AttributeSet, ...]] | None = field(
-        default=None, init=False, compare=False, repr=False
-    )
+    __slots__ = ()
 
-    def __post_init__(self):
-        n = len(self.ordering)
-        if len(self.branching) != n:
+    def __new__(cls, ordering: tuple[int, ...], branching: tuple[int | None, ...]) -> "HypertreeCertificate":
+        n = len(ordering)
+        if len(branching) != n:
             raise InvalidCertificateError("branching length must match ordering length")
-        if self.branching and self.branching[0] is not None:
+        if branching and branching[0] is not None:
             raise InvalidCertificateError("the root position has no branch")
         for i in range(1, n):
-            j = self.branching[i]
+            j = branching[i]
             if j is None or not 0 <= j < i:
                 raise InvalidCertificateError(f"branch position for position {i} must lie in [0, {i})")
+        return tuple.__new__(cls, (ordering, branching))
 
 
-@dataclass(frozen=True)
-class NotHypertree:
+class NotHypertree(NamedTuple):
     """Recognition failure witness: edge indices none of which is a twig."""
 
     witness: tuple[int, ...]
@@ -283,7 +285,7 @@ def _try_ordering(h: Hypergraph, ordering: tuple[int, ...]) -> HypertreeCertific
     if len(branching) < len(ordering):
         return None
     cert = HypertreeCertificate(ordering, tuple(branching))
-    object.__setattr__(cert, "walked", (h, tuple(shared)))
+    h._walked = cert, tuple(shared)
     return cert
 
 
@@ -321,11 +323,11 @@ def find_certificate(h: Hypergraph) -> Union[HypertreeCertificate, NotHypertree]
 def interaction_set(cert: HypertreeCertificate, h: Hypergraph) -> InteractionSet:
     """The branch ∩ twig intersections of a certificate of `h`, in certificate order.
 
-    A certificate that `find_certificate(h)` built carries them from its
+    For the certificate `find_certificate(h)` built, `h` keeps them from its
     walk; any other is validated here, and raises InvalidCertificateError
     when it is not a certificate of `h`.
     """
-    walked = cert.walked
-    if walked is not None and walked[0] is h:
+    walked = h._walked
+    if walked is not None and walked[0] is cert:
         return InteractionSet(walked[1])
     return InteractionSet(validate_certificate(h, cert))

@@ -20,7 +20,6 @@ positive distributions, where the zero-drop rule never applies.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 from itertools import product as iterproduct
 from operator import itemgetter
 from typing import Callable, Iterable, Iterator, Mapping, NamedTuple, Sequence
@@ -39,20 +38,31 @@ from .hypergraph import (
 ValueTuple = tuple[str, ...]
 
 
-@dataclass(frozen=True)
-class DomainSpec:
-    """Finite value domains, one label list per attribute."""
-
+class _DomainFields(NamedTuple):
     domains: Mapping[str, tuple[str, ...]]
-    scheme: AttributeSet = field(init=False, compare=False, repr=False)
+    scheme: AttributeSet
 
-    def __post_init__(self):
-        for attr, labels in self.domains.items():
+
+class DomainSpec(_DomainFields):
+    """Finite value domains, one label list per attribute.
+
+    Built from `domains` alone: construction checks each label list and
+    derives `scheme`, the attributes, once.  The scheme follows from the
+    domains, so comparing the two fields compares the domains.
+    """
+
+    __slots__ = ()
+
+    def __new__(cls, domains: Mapping[str, tuple[str, ...]]) -> "DomainSpec":
+        for attr, labels in domains.items():
             if not labels:
                 raise ValueError(f"domain of {attr} must be nonempty")
             if len(set(labels)) != len(labels):
                 raise ValueError(f"domain of {attr} has duplicate labels")
-        object.__setattr__(self, "scheme", AttributeSet(self.domains.keys()))
+        return tuple.__new__(cls, (domains, AttributeSet(domains.keys())))
+
+    def __repr__(self) -> str:
+        return f"DomainSpec(domains={self.domains!r})"
 
     @classmethod
     def uniform(cls, attrs: Iterable[str], size: int = 2) -> "DomainSpec":
@@ -205,37 +215,44 @@ def monotone_join(p: WeightedRelation, q: WeightedRelation) -> WeightedRelation:
     return product_join(product_join(p, q), inverse(marginalize(q, shared)))
 
 
-@dataclass(frozen=True)
-class Gajd:
+class _GajdFields(NamedTuple):
+    hypergraph: Hypergraph
+    certificate: HypertreeCertificate
+    edges_in_order: tuple[AttributeSet, ...]
+    interactions: InteractionSet
+
+
+class Gajd(_GajdFields):
     """A generalized acyclic join dependency: a hypertree over the full scheme.
 
-    A certificate passed in is validated at construction, and one found here
-    is valid as built, so downstream code can rely on the ordering and
-    branching without re-checking.  The edges in certificate order and the
-    interaction set depend only on the certificate, so they are computed
-    there too, once.
+    Built from the hypergraph and, optionally, a certificate.  A certificate
+    passed in is validated at construction, and one found here is valid as
+    built, so downstream code can rely on the ordering and branching without
+    re-checking.  The edges in certificate order and the interaction set
+    depend only on the certificate, so they are computed there too, once.
+    They follow from the first two fields, so comparing all four compares
+    the hypergraph and the certificate; the repr shows those two.
     """
 
-    hypergraph: Hypergraph
-    certificate: HypertreeCertificate | None = None
-    edges_in_order: tuple[AttributeSet, ...] = field(init=False, compare=False, repr=False)
-    interactions: InteractionSet = field(init=False, compare=False, repr=False)
+    __slots__ = ()
 
-    def __post_init__(self):
-        cert = self.certificate
-        if cert is None:
-            found = find_certificate(self.hypergraph)
+    def __new__(cls, hypergraph: Hypergraph, certificate: HypertreeCertificate | None = None) -> "Gajd":
+        if certificate is None:
+            found = find_certificate(hypergraph)
             if isinstance(found, NotHypertree):
-                edges = ", ".join(self.hypergraph.edges[i].render() for i in found.witness)
+                edges = ", ".join(hypergraph.edges[i].render() for i in found.witness)
                 raise NotHypertreeError(
                     f"no tree construction ordering exists; stuck edges: {edges}",
                     witness=found.witness,
                 )
-            cert = found
-            object.__setattr__(self, "certificate", cert)
-        # interaction_set validates a certificate passed in; a found one carries its overlaps.
-        object.__setattr__(self, "interactions", interaction_set(cert, self.hypergraph))
-        object.__setattr__(self, "edges_in_order", tuple(self.hypergraph.edges[i] for i in cert.ordering))
+            certificate = found
+        # interaction_set validates a certificate passed in; the hypergraph keeps a found one's overlaps.
+        interactions = interaction_set(certificate, hypergraph)
+        edges_in_order = tuple([hypergraph.edges[i] for i in certificate.ordering])
+        return tuple.__new__(cls, (hypergraph, certificate, edges_in_order, interactions))
+
+    def __repr__(self) -> str:
+        return f"Gajd(hypergraph={self.hypergraph!r}, certificate={self.certificate!r})"
 
     @classmethod
     def from_edges(cls, edges: Iterable[Iterable[str]], certificate: HypertreeCertificate | None = None) -> "Gajd":

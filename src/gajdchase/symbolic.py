@@ -11,8 +11,9 @@ and each side is sorted by a total structural order, which makes printing
 deterministic and equality structural.  `RationalExpression.of` builds it
 once per expression through `canonical`, the one copy of that rule: it
 counts atoms only when the two sides share one, and sorts each side once.
-An atom computes its hash and its sort key the first time each is used and
-keeps them, so sorting and hashing an atom again costs one attribute read.
+Variables, atoms and expressions are named tuples of their fields, so
+equality and hashing run in the interpreter's tuple code and building one
+costs one tuple; an atom computes its sort key each time a sort reads it.
 
 Numeric evaluation has one core, `compile_quotient`: a quotient of
 attribute sets, each with the binding slots its key is read from, is
@@ -29,40 +30,36 @@ from __future__ import annotations
 
 import warnings
 from collections import Counter
-from dataclasses import dataclass
-from functools import cached_property
 from operator import attrgetter
-from typing import Callable, Iterable, Iterator, Mapping, Sequence
+from typing import Callable, Iterable, Iterator, Mapping, NamedTuple, Sequence
 
 from .errors import SchemeError, ZeroDenominatorWarning
 from .hypergraph import AttributeSet
 from .prelation import WeightedRelation, getter, marginalize
 
 
-@dataclass(frozen=True)
-class Variable:
-    """A tableau variable bound to a single column.
-
-    Distinguished variables are written `a<i>` where i is the 1-based
-    position of their column in the tableau scheme; nondistinguished
-    variables are written `b<k>` with a fresh k per variable.
-    """
-
+class _VariableFields(NamedTuple):
     distinguished: bool
     index: int
     column: str
 
-    def __post_init__(self):
-        if self.index < 1:
-            raise ValueError("variable indices are 1-based")
-        # A tableau's pattern index, `tableau.run`'s slots, `evaluate`'s
-        # bindings and the atom counters of expressions are keyed by variables
-        # or tuples of them; the value is the generated dataclass hash,
-        # computed once instead of per lookup.
-        object.__setattr__(self, "_hash", hash((self.distinguished, self.index, self.column)))
 
-    def __hash__(self) -> int:
-        return self._hash
+class Variable(_VariableFields):
+    """A tableau variable bound to a single column.
+
+    Distinguished variables are written `a<i>` where i is the 1-based
+    position of their column in the tableau scheme; nondistinguished
+    variables are written `b<k>` with a fresh k per variable.  A variable is
+    the tuple of its fields `(distinguished, index, column)`, so it equals,
+    and hashes as, its key in `Tableau.code_of`.
+    """
+
+    __slots__ = ()
+
+    def __new__(cls, distinguished: bool, index: int, column: str) -> "Variable":
+        if index < 1:
+            raise ValueError("variable indices are 1-based")
+        return tuple.__new__(cls, (distinguished, index, column))
 
     def render(self) -> str:
         return f"{'a' if self.distinguished else 'b'}{self.index}"
@@ -80,40 +77,36 @@ def distinguished_for(scheme: AttributeSet, column: str) -> Variable:
     return Variable(True, scheme.index(column) + 1, column)
 
 
-@dataclass(frozen=True)
-class MarginalAtom:
-    """phi over an attribute subset, at the variables in `pattern` (one per column, in order).
-
-    `sort_key`, the atom's place in the total structural order (attribute
-    set, then its variables' sort keys), and the hash are cached properties,
-    computed on first use and kept in the instance dict; equality compares
-    the two fields.
-    """
-
+class _AtomFields(NamedTuple):
     over: AttributeSet
     pattern: tuple[Variable, ...]
 
-    def __post_init__(self):
-        if len(self.pattern) != len(self.over):
+
+class MarginalAtom(_AtomFields):
+    """phi over an attribute subset, at the variables in `pattern` (one per column, in order).
+
+    Construction checks that the pattern has one variable of each column of
+    `over`.  `sort_key` is the atom's place in the total structural order:
+    the attribute set, then its variables' sort keys.
+    """
+
+    __slots__ = ()
+
+    def __new__(cls, over: AttributeSet, pattern: tuple[Variable, ...]) -> "MarginalAtom":
+        if len(pattern) != len(over):
             raise ValueError("pattern width must match the attribute set")
-        for attr, var in zip(self.over, self.pattern):
+        for attr, var in zip(over, pattern):
             if var.column != attr:
                 raise ValueError(f"variable {var.render()} belongs to column {var.column}, not {attr}")
+        return tuple.__new__(cls, (over, pattern))
 
-    def __hash__(self) -> int:
-        return self._hash
-
-    @cached_property
-    def _hash(self) -> int:
-        return hash((self.over, self.pattern))
-
-    @cached_property
+    @property
     def sort_key(self) -> tuple:
         return (self.over.members, tuple([v.sort_key for v in self.pattern]))
 
     @classmethod
     def from_cells(cls, over: AttributeSet, cells: Mapping[str, Variable]) -> "MarginalAtom":
-        return cls(over, tuple(cells[a] for a in over))
+        return cls(over, tuple([cells[a] for a in over]))
 
     def render(self) -> str:
         return "phi(" + ",".join(v.render() for v in self.pattern) + ")"
@@ -161,8 +154,7 @@ def canonical(numerator: Iterable, denominator: Iterable, key: Callable) -> tupl
     return tuple(num), tuple(den)
 
 
-@dataclass(frozen=True)
-class RationalExpression:
+class RationalExpression(NamedTuple):
     """A quotient of two multisets of atoms, kept in canonical (cancelled, sorted) form."""
 
     numerator: tuple[MarginalAtom, ...]

@@ -84,7 +84,7 @@ class Tableau:
     Rows keep insertion order for reproducible traces.  Each variable has a
     code, a small int in first-seen row order: `code_of` maps its `Variable`
     fields `(distinguished, index, column)` to its code, so the map's order
-    is the code order.  `patterns` holds each row's cells as codes, and
+    is the code order; a `Variable` is that tuple, so it is looked up as is.  `patterns` holds each row's cells as codes, and
     `row_of`, the one pattern index, enforces set semantics.  `sources`
     holds what each row is decoded from: None for `build_tr`'s rows (the
     full-scheme atom at their own pattern), the `Row` given to `add_row`, or
@@ -142,7 +142,7 @@ class Tableau:
     def code(self, cells: Sequence[Variable]) -> tuple[int, ...]:
         """The coded pattern of `cells`; a variable in no row codes as -1, which no row holds."""
         code_of = self.code_of
-        return tuple([code_of.get((v.distinguished, v.index, v.column), -1) for v in cells])
+        return tuple([code_of.get(v, -1) for v in cells])
 
     def has_pattern(self, cells: tuple[Variable, ...]) -> bool:
         return self.code(cells) in self.row_of
@@ -160,7 +160,7 @@ class Tableau:
                 raise ValueError(f"distinguished variable {var.render()} is outside its own column")
         code_of = self.code_of
         # A duplicate's variables all have codes already, so it adds none.
-        pattern = tuple([code_of.setdefault((v.distinguished, v.index, v.column), len(code_of)) for v in row.cells])
+        pattern = tuple([code_of.setdefault(v, len(code_of)) for v in row.cells])
         if pattern in self.row_of:
             raise ValueError(f"duplicate row pattern {row.render_pattern()}")
         return self.append(pattern, row)

@@ -173,6 +173,15 @@ class TestChase:
         with pytest.raises(ChaseRowLimitError):
             chase(build_tr(target), [JRule("C1", left)], max_rows=4)
 
+    def test_work_budget_binds_during_the_join(self):
+        # The first join over family 6's target rows finds 6^5 applications; the
+        # 101st pending one passes the budget of one rule times the 100-row cap.
+        target, given = independence_family(6)
+        with pytest.raises(ChaseRowLimitError, match="more than 100 pending applications") as excinfo:
+            implies([JRule("C", Gajd.from_edges(given[0]))], Gajd.from_edges(target), max_rows=100)
+        assert excinfo.value.limit == 100
+        assert "work spent" in str(excinfo.value)
+
     def test_scheme_mismatch_rejected(self, chain4):
         target, _, _ = chain4
         narrow = Gajd.from_edges([["A1", "A2"]])
@@ -634,14 +643,15 @@ class TestDecodeOnRead:
 
     @pytest.fixture
     def made(self, monkeypatch):
+        # A named tuple is made by its `__new__`, a Row by its `__init__`.
         counts = collections.Counter()
-        for cls in (Variable, Row, ChaseStep):
+        for cls, hook in ((Variable, "__new__"), (Row, "__init__"), (ChaseStep, "__new__")):
 
-            def counted(obj, *args, _name=cls.__name__, _init=cls.__init__, **kwargs):
+            def counted(obj, *args, _name=cls.__name__, _make=getattr(cls, hook), **kwargs):
                 counts[_name] += 1
-                _init(obj, *args, **kwargs)
+                return _make(obj, *args, **kwargs)
 
-            monkeypatch.setattr(cls, "__init__", counted)
+            monkeypatch.setattr(cls, hook, counted)
         return counts
 
     @staticmethod

@@ -408,6 +408,37 @@ class TestMain:
         assert main(["implies", str(path)]) == 3
         assert "cap" in capsys.readouterr().err
 
+    def test_work_budget_stops_the_first_join(self, tmp_path):
+        # Target {A1}...{A8} given {A1}...{A6}{A7 A8}: the answer is no, and the
+        # first join over the target's rows finds 8^7 pending applications.
+        # With default settings the budget stops that join, so the child exits
+        # 3 within seconds and far under the memory the queued join would take.
+        # A wrapper process runs the query and reads RUSAGE_CHILDREN, so the
+        # peak is that of the query's process alone, not of this test run's.
+        attrs = [f"A{i}" for i in range(1, 9)]
+        path = tmp_path / "family8.gajd"
+        path.write_text(
+            f"attrs {' '.join(attrs)}\n"
+            f"gajd C = {' '.join('{' + a + '}' for a in attrs[:6])} {{A7 A8}}\n"
+            f"query {' '.join('{' + a + '}' for a in attrs)} given C\n"
+        )
+        script = (
+            "import resource, subprocess, sys, time\n"
+            "t0 = time.perf_counter()\n"
+            f"p = subprocess.run([sys.executable, '-m', 'gajdchase', 'implies', {str(path)!r}], capture_output=True,"
+            " text=True)\n"
+            "sys.stderr.write(p.stderr)\n"
+            "print(p.returncode, time.perf_counter() - t0, resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss)\n"
+        )
+        result = subprocess.run(
+            [sys.executable, "-c", script], capture_output=True, text=True, env=subprocess_env(), timeout=120
+        )
+        code, seconds, peak_kb = result.stdout.split()
+        assert int(code) == 3, result.stderr
+        assert "work spent" in result.stderr and "100000-row cap" in result.stderr
+        assert float(seconds) < 10
+        assert int(peak_kb) < 200 * 1024
+
     def test_bad_env_cap_exit_2(self, tmp_path, capsys, monkeypatch):
         monkeypatch.setenv("GAJD_CHASE_MAX_ROWS", "zero")
         path = tmp_path / "problem.gajd"
