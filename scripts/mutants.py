@@ -56,8 +56,19 @@ MUTANTS = (
         "        for proj in reversed(bucket):\n            emit(read(chosen + proj))\n",
         (
             "tests/test_tableau.py::TestJoin::test_matches_nested_loop_on_random_plans",
-            "tests/test_chase.py::TestJoinOrderPinned::test_seeded_chases[independence5-pinned0]",
+            "tests/test_tableau_run_golden.py::test_tableau_run_golden",
             "tests/test_dump_outputs.py::test_tiny_slice",
+        ),
+    ),
+    Mutant(
+        "inline-last-level-skips-its-first",
+        "                for last_proj in tail:\n",
+        "                for last_proj in tail[1:]:\n",
+        (
+            "tests/test_tableau.py::TestJoin::test_matches_nested_loop_on_random_plans",
+            "tests/test_tableau.py::TestJoin::test_long_plans_match_nested_loop_from_every_start",
+            "tests/test_census_golden.py::test_census_traces_golden",
+            "tests/test_tableau_run_golden.py::test_tableau_run_golden",
         ),
     ),
     Mutant(

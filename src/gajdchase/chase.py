@@ -67,7 +67,7 @@ from .errors import ChaseRowLimitError, SchemeError
 from .hypergraph import AttributeSet
 from .prelation import Gajd, getter
 from .symbolic import MarginalAtom, RationalExpression, Variable, eq5_expression, restrict_atom
-from .tableau import JoinPlan, Row, Tableau, build_tr, join
+from .tableau import JoinPlan, Row, Tableau, _extend, build_tr
 
 DEFAULT_MAX_ROWS = 100_000
 
@@ -179,18 +179,12 @@ def _as_rules(constraints: Iterable[Gajd | JRule]) -> tuple[JRule, ...]:
 
 
 class _CompiledRule:
-    """A rule over one scheme: edge columns in certificate order and their join plan.
+    """A rule over one scheme: its edge columns in certificate order.
 
-    The plan's indexes hold projections of the run tableau's coded patterns
-    (`Tableau.patterns`), each followed by its first row id; a two-edge rule
-    keeps one per position, both on the separator.  A join result is the
-    pattern followed by its least selection.  `reads` holds, per position,
-    the reader of a coded pattern's edge projection (`prelation.getter`, built
-    once here), the projections met so far, and the plan's `inserts` there.
-    `expression` builds the weight of the rule's row for a selection, for
-    decoded rows and `ChaseTrace.replay`.  A rule over another scheme is a SchemeError.
-    `compile` builds the plan and `reads`; a run calls it before its first
-    join, so a run that stops before joining, and a replay, build no plan.
+    `cols` gives, per edge, the columns a run's join plan for the rule reads
+    (see `_ChaseRun`).  `expression` builds the weight of the rule's row for
+    a selection, for decoded rows and `ChaseTrace.replay`.  A rule over
+    another scheme is a SchemeError.
     """
 
     def __init__(self, rule: JRule, scheme: AttributeSet):
@@ -203,12 +197,6 @@ class _CompiledRule:
         self.scheme = scheme
         column = {a: c for c, a in enumerate(scheme)}
         self.cols = tuple(tuple([column[a] for a in edge]) for edge in rule.gajd.edges_in_order)
-
-    def compile(self) -> None:
-        # Position i binds its row id to slot n + i; a join starts at a new projection's position.
-        n = len(self.scheme)
-        self.plan = plan = JoinPlan([cols + (n + i,) for i, cols in enumerate(self.cols)], range(len(self.cols)))
-        self.reads = tuple((getter(cols, False), set(), ins) for cols, ins in zip(self.cols, plan.inserts))
 
     def expression(
         self, pattern: tuple[Variable, ...], selected: Sequence[tuple[Variable, ...]]
@@ -225,12 +213,25 @@ class _ChaseRun:
 
     Every produced cell comes from a selected row, so the initial tableau's
     variables, the keys of `work.code_of` in code order, are all the run will
-    meet; `is_distinguished` reads their flags from those keys once.  Each
-    new edge projection is joined from its own position, as the start given
-    to `join`.  An applied application is appended to `work` as its pattern
-    and its record `(compiled rule, selection)`, all the run keeps of it.
-    The run keeps one `work` for its whole life: the join callbacks hold its
-    `row_of`.
+    meet; `is_distinguished` reads their flags from those keys once.  An
+    applied application is appended to `work` as its pattern and its record
+    `(compiled rule, selection)`, all the run keeps of it.  The run keeps
+    one `work` for its whole life: the join callbacks hold its `row_of`.
+
+    Before its first join the run builds one `JoinPlan` per rule, whose
+    indexes hold projections of `work`'s coded patterns, each followed by
+    its first row id (a two-edge rule keeps one index per position, both on
+    the separator); a join result is the pattern followed by its least
+    selection.  `ports` lays the plans' positions out flat, rule by rule,
+    one tuple per (rule, position) of what indexing a row there reads: the
+    compiled rule, to skip the row's producer; the reader of a coded
+    pattern's edge projection (`prelation.getter`); the projections met so
+    far; the plan's inserts there; the steps and binding reader of the
+    probe from that position; and the rule's callback.  Each new edge
+    projection is joined from its own position, its probe handed straight
+    to `tableau._extend`, the recursion `join` runs.  A run that stops
+    before its first join builds no plan, and nothing of the plans
+    outlives the run.
 
     `pending` is a heap of `(key, rule_index, selection, pattern)`, one
     entry per (rule, pattern) found while the pattern was not a row: the
@@ -261,30 +262,44 @@ class _ChaseRun:
         self.max_dist = max((sum([self.is_distinguished[v] for v in p]) for p in work.patterns), default=0)
         self.indexed = 0
 
+    def _compile(self) -> None:
+        """Build each rule's join plan and lay its positions out in `ports`.
+
+        Position i binds its edge's columns and, at slot n + i, the row id
+        that follows its projection; every position is a start.
+        """
+        n = len(self.work.scheme)
+        ports = []
+        for cr, emit in zip(self.compiled, self.emits):
+            plan = JoinPlan([cols + (n + i,) for i, cols in enumerate(cr.cols)], range(len(cr.cols)))
+            for pos, cols in enumerate(cr.cols):
+                ports.append((cr, getter(cols, False), set(), plan.inserts[pos], *plan.probes[pos], emit))
+        self.ports = tuple(ports)
+
     def _index_row(self, rid: int) -> None:
         """Index each new edge projection of row `rid` and join it with those indexed before it.
 
-        Per rule position, the compiled `reads` give the projection, the
-        `seen` set, and the plan's inserts there; a new projection, followed
-        by `rid`, enters each of the position's indexes under the key read
-        from that entry, before the join from its position.  The rule that
-        produced the row is skipped: on each of its edges the row carries the
-        projection of a row already indexed there.
+        One loop walks `ports`: at each, a new projection, followed by
+        `rid`, enters each of the position's indexes under the key read from
+        that entry, and is then joined from its position by the port's
+        probe.  The rule that produced the row is skipped: on each of its
+        edges the row carries the projection of a row already indexed there.
         """
         cells, source = self.work.patterns[rid], self.work.sources[rid]
         producer = source[0] if type(source) is tuple else None
-        for cr, emit in zip(self.compiled, self.emits):
+        for cr, project, seen, inserts, steps, read, emit in self.ports:
             if cr is producer:
                 continue
-            plan = cr.plan
-            for pos, (project, seen, inserts) in enumerate(cr.reads):
-                proj = project(cells)
-                if proj not in seen:
-                    seen.add(proj)
-                    entry = proj + (rid,)
-                    for key_of, index in inserts:
-                        index.setdefault(key_of(entry), []).append(entry)
-                    join(plan, emit, pos, entry)
+            proj = project(cells)
+            if proj not in seen:
+                seen.add(proj)
+                entry = proj + (rid,)
+                for key_of, index in inserts:
+                    index.setdefault(key_of(entry), []).append(entry)
+                if steps:
+                    _extend(steps, 0, entry, read, emit)
+                else:
+                    emit(read(entry))
 
     def _consider(self, rule_idx: int, cr: _CompiledRule):
         """Rule `rule_idx`'s join callback: count a result that is already a row, queue any other.
@@ -332,8 +347,7 @@ class _ChaseRun:
             if stop_at_distinguished and self.goal in work.row_of:
                 return "distinguished"
             if not self.indexed:
-                for cr in self.compiled:
-                    cr.compile()
+                self._compile()
             for rid in range(self.indexed, len(work)):
                 self._index_row(rid)
             self.indexed = len(work)

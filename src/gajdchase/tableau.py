@@ -86,13 +86,15 @@ class Tableau:
     fields `(distinguished, index, column)` to its code, so the map's order
     is the code order; a `Variable` is that tuple, so it is looked up as is.  `patterns` holds each row's cells as codes, and
     `row_of`, the one pattern index, enforces set semantics.  `sources`
-    holds what each row is decoded from: None for `build_tr`'s rows (the
-    full-scheme atom at their own pattern), the `Row` given to `add_row`, or
-    a chase application `(rule, selection)`, whose expression
-    `rule.expression` builds when read.  Rows enter through `append`, after
+    holds what each row is decoded from: None for `build_tr`'s rows, whose
+    expression is the full-scheme atom at their own pattern, the `Row` given
+    to `add_row`, or a chase application `(rule, selection)`, whose
+    expression is `rule.expression`'s.  Rows enter through `append`, after
     `add_row`'s checks or the chase's own.  `rows`, and the `variables` list
     of each code's `Variable` that they read, are decoded on first read and
-    kept, later ones on the next read.
+    kept, later ones on the next read; a decoded row builds its expression
+    only when its `weight_expr` is read, so a trace that prints steps builds
+    no atom for a `build_tr` row it does not print.
     `psi` is an expression or a function called on its first read, whose
     result is kept; a copy takes the function along, so the tableaux the
     chase works on never build it.  `emission` is None, or the attribute
@@ -129,7 +131,7 @@ class Tableau:
                 cells = tuple([variables[c] for c in patterns[rid]])
                 source = self.sources[rid]
                 if source is None:
-                    source = Row(cells, RationalExpression.atom(MarginalAtom(self.scheme, cells)))
+                    source = Row(cells, partial(_scheme_atom, self.scheme, cells))
                 elif not isinstance(source, Row):
                     rule, selection = source
                     source = Row(cells, partial(rule.expression, cells, tuple([rows[k].cells for k in selection])))
@@ -303,10 +305,11 @@ def join(plan: JoinPlan, emit: Callable[[tuple], None], start: int, chosen: tupl
     each position's in insertion order.  `binding` is a tuple with the value
     of each slot.  A plan with no position but the start emits once.
 
-    The recursion is the module-level `_extend`, which takes everything it
-    reads as arguments, so a call builds no closure and leaves no reference
-    cycle behind: `emit` and the state it holds are freed when the call
-    returns.
+    This is the entry for a plan and a start; the chase hands a start's
+    probe to the recursion itself.  The recursion is the module-level
+    `_extend`, which takes everything it reads as arguments, so a call
+    builds no closure and leaves no reference cycle behind: `emit` and the
+    state it holds are freed when the call returns.
     """
     steps, read = plan.probes[start]
     if steps:
@@ -324,8 +327,11 @@ def _extend(
 ) -> None:
     """Extend `chosen` by each projection in the bucket of `steps[d]`; emit at the last step.
 
-    The step holds its index and its key reader; the key holds every slot a
-    projection there shares with `chosen`, so all are consistent.
+    A step holds its index and its key reader; the key holds every slot a
+    projection there shares with `chosen`, so all are consistent.  The last
+    step is run inline from the one before it, so a join over three or more
+    positions makes no call per projection at its last level; `steps` must
+    not be empty.
     """
     index, key = steps[d]
     bucket = index.get(key(chosen))
@@ -335,9 +341,17 @@ def _extend(
     if d == len(steps):
         for proj in bucket:
             emit(read(chosen + proj))
-    else:
+    elif d + 1 < len(steps):
         for proj in bucket:
             _extend(steps, d, chosen + proj, read, emit)
+    else:
+        index, key = steps[d]
+        for proj in bucket:
+            chosen_here = chosen + proj
+            tail = index.get(key(chosen_here))
+            if tail:
+                for last_proj in tail:
+                    emit(read(chosen_here + last_proj))
 
 
 _NAMES = attrgetter("members")
@@ -420,6 +434,11 @@ def _emission_of(psi: RationalExpression, scheme: AttributeSet) -> tuple[tuple[A
         if v not in own:
             raise ValueError(f"emission variable {v.render()} is not the distinguished variable of column {v.column}")
     return tuple([atom.over for atom in psi.numerator]), tuple([atom.over for atom in psi.denominator])
+
+
+def _scheme_atom(scheme: AttributeSet, cells: tuple[Variable, ...]) -> RationalExpression:
+    """The weight of a `build_tr` row: the single full-scheme atom at its cells."""
+    return RationalExpression.atom(MarginalAtom(scheme, cells))
 
 
 def _at_distinguished(scheme: AttributeSet, over: AttributeSet) -> MarginalAtom:

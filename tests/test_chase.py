@@ -204,18 +204,19 @@ class TestChase:
         # comes out only at the last new projection it uses: once per (rule,
         # pattern) in a run, across the prefix and its continued closure.
         emitted = collections.Counter()
-        original = chase_module.join
+        original = chase_module._ChaseRun._consider
 
-        def counting_join(plan, emit, start, chosen):
-            n = plan.width - len(plan.slots)  # the pattern's slots; the selection's follow them
+        def counting_consider(run, rule_idx, cr):
+            emit = original(run, rule_idx, cr)
+            n = len(cr.scheme)  # the pattern's slots; the selection's follow them
 
             def counted(binding):
-                emitted[plan, tuple(binding[:n])] += 1
+                emitted[cr, tuple(binding[:n])] += 1
                 emit(binding)
 
-            original(plan, counted, start, chosen)
+            return counted
 
-        monkeypatch.setattr(chase_module, "join", counting_join)
+        monkeypatch.setattr(chase_module._ChaseRun, "_consider", counting_consider)
         target, given = independence_family(5)
         draws = [(Gajd.from_edges(target), [Gajd.from_edges(e) for e in given])]
         rng = random.Random(3)
@@ -639,13 +640,16 @@ class TestImplies:
 
 
 class TestDecodeOnRead:
-    """A run keeps coded patterns and its record; `Variable`s, `Row`s and `ChaseStep`s are made when read."""
+    """A run keeps coded patterns and its record; `Variable`s, `Row`s and `ChaseStep`s are made when read.
+
+    A row's `MarginalAtom`s are made when its expression is read, a `build_tr` row's included.
+    """
 
     @pytest.fixture
     def made(self, monkeypatch):
         # A named tuple is made by its `__new__`, a Row by its `__init__`.
         counts = collections.Counter()
-        for cls, hook in ((Variable, "__new__"), (Row, "__init__"), (ChaseStep, "__new__")):
+        for cls, hook in ((Variable, "__new__"), (Row, "__init__"), (ChaseStep, "__new__"), (MarginalAtom, "__new__")):
 
             def counted(obj, *args, _name=cls.__name__, _make=getattr(cls, hook), **kwargs):
                 counts[_name] += 1

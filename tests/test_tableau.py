@@ -237,6 +237,52 @@ class TestJoin:
             results += len(expected)
         assert results > 300
 
+    @staticmethod
+    def _dead_end_levels(plan, projections, start):
+        """The steps of the join from `start` at which some choice it reaches meets an empty bucket.
+
+        Found by brute force: a choice of projections at the start and the
+        positions of the steps before is reached when it is consistent, and
+        its bucket is empty when no projection at the step's position agrees
+        with it on their shared slots.
+        """
+        order = [p for p in range(len(plan.slots)) if p != start]
+        reached = [dict(zip(plan.slots[start], proj)) for proj in projections[start]]
+        levels = set()
+        for level, p in enumerate(order):
+            extended = []
+            for bound in reached:
+                bucket = [proj for proj in projections[p]
+                          if all(bound.get(slot, v) == v for slot, v in zip(plan.slots[p], proj))]
+                if not bucket:
+                    levels.add(level)
+                extended += [{**bound, **dict(zip(plan.slots[p], proj))} for proj in bucket]
+            reached = extended
+        return levels
+
+    def test_long_plans_match_nested_loop_from_every_start(self):
+        # `_random_plans` draws at most 4 positions; at 5 and 6 the recursion runs above the
+        # level that runs the last step inline.  Every position binds slot 0, the lane of a
+        # projection, and a lane's projections agree on every other slot.  Position i holds
+        # every lane but i, so the choice in lane j dies at position j: from every start, some
+        # choice meets an empty bucket at every step, and lane P alone comes through.
+        rng = random.Random(13)
+        results = 0
+        for positions in (5, 6):
+            plan = JoinPlan([(0, i, rng.choice([s for s in range(1, positions + 1) if s != i]))
+                             for i in range(1, positions + 1)], range(positions))
+            value = {(lane, slot): rng.randrange(2) for lane in range(positions + 1) for slot in range(1, positions + 1)}
+            projections = [[(lane,) + tuple([value[lane, slot] for slot in slots[1:]])
+                            for lane in range(positions + 1) if lane != i] for i, slots in enumerate(plan.slots)]
+            for start in range(positions):
+                assert self._dead_end_levels(plan, projections, start) == set(range(positions - 1))
+                for proj in projections[start]:
+                    fixed = (start, proj)
+                    expected = brute_join(plan, projections, fixed)
+                    assert self._emitted(plan, projections, fixed) == expected
+                    results += len(expected)
+        assert results == 11
+
     def test_fixed_position_looks_earlier_positions_up_on_its_slots(self):
         # A cycle: with the last position fixed, the first two are looked up on the slots it
         # binds as well as on those the positions before them bind, so each bucket holds only
