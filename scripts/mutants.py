@@ -15,8 +15,10 @@ catalog's own self-test, reports the tests each one failed, and fails if a
 mutant survives (no test fails) or a listed test passes.  Each pytest run
 is stopped after `TIMEOUT_S` seconds; a mutant whose run is stopped, such
 as one under which a test loops forever, counts as killed, and `--all`
-reports it as `killed (timed out)`.  Tier-1 checks only the catalog
-(`tests/test_mutants.py`); the runs are made on demand.
+reports it as `killed (timed out)`.  SIGTERM ends the runner as an exit
+would: the running pytest child is killed and the temporary copy removed.
+Tier-1 checks only the catalog (`tests/test_mutants.py`) and that cleanup;
+the runs are made on demand.
 """
 
 from __future__ import annotations
@@ -24,6 +26,7 @@ from __future__ import annotations
 import argparse
 import os
 import shutil
+import signal
 import subprocess
 import sys
 import tempfile
@@ -126,8 +129,8 @@ MUTANTS = (
     ),
     Mutant(
         "eq5-drops-an-interaction",
-        "for over, cells in interaction_patterns]",
-        "for over, cells in list(interaction_patterns)[1:]]",
+        "    den = [make(fields) for fields in interaction_atoms]\n",
+        "    den = [make(fields) for fields in list(interaction_atoms)[1:]]\n",
         (
             "tests/test_census_golden.py::test_census_traces_golden",
             "tests/test_symbolic.py::TestEq5Expression::test_two_row_application",
@@ -197,6 +200,12 @@ MUTANTS = (
         ),
     ),
     Mutant(
+        "summed-variable-held-twice",
+        "                if holder is not None or e != 1:\n",
+        "                if e != 1:\n",
+        ("tests/test_chase.py::TestCodedMarginalization::test_a_variable_that_resists[two-holders]",),
+    ),
+    Mutant(
         "union-operator-unsorted",
         "return AttributeSet._of(tuple(sorted({*self._members, *other._members})))",
         "return AttributeSet._of(self._members + tuple([n for n in other._members if n not in self._members]))",
@@ -256,7 +265,20 @@ def run_mutant(mutant: Mutant, args: list[str]) -> list[str] | None:
         return failed_tests(tree, args)
 
 
+def _exit_on_sigterm(signum: int, frame) -> None:
+    raise SystemExit(128 + signum)
+
+
 def main(argv: list[str] | None = None) -> int:
+    # As a SystemExit, SIGTERM makes `subprocess.run` kill its child and `TemporaryDirectory` clean up.
+    previous = signal.signal(signal.SIGTERM, _exit_on_sigterm)
+    try:
+        return _main(argv)
+    finally:
+        signal.signal(signal.SIGTERM, previous)
+
+
+def _main(argv: list[str] | None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     group = parser.add_mutually_exclusive_group(required=True)
     group.add_argument("--mutant", metavar="NAME", help="run one mutant's listed tests")

@@ -35,10 +35,14 @@ application `(rule, selection)` per produced row id (`Tableau.sources`).
 Variables, rows, steps and weight expressions (`eq5_expression`, looked up
 on this module when called) are decoded from it the first time something
 reads them, such as a rendered step, and kept; `len(final)`, the stop
-reason and the duplicates need none.  Likewise a positive verdict builds its
-factorization the first time it is read, from the record and the rows it
-reaches, with no step decoded; output that prints only the verdict, such as
-`verify`'s, never builds one.
+reason and the duplicates need none.  A variable is decoded from its code's
+fields, and a step's atoms are read from its rows' cells by getters its
+rule builds once per run; neither is checked again, since the fields were
+checked when coded.  Likewise a positive verdict builds its factorization
+the first time it is read, from the record and the coded rows it reaches:
+the expansion runs on coded atoms, and only the atoms of the result and of
+its rewrites are decoded, once each, with no row or step decoded.  Output
+that prints only the verdict, such as `verify`'s, never builds one.
 
 The implication test builds the target's tableau and chases it under the
 constraint rules: the target is implied exactly when the all-distinguished
@@ -61,12 +65,12 @@ from __future__ import annotations
 import heapq
 import random
 from functools import cached_property
-from typing import Iterable, NamedTuple, Sequence
+from typing import Callable, Iterable, NamedTuple, Sequence
 
 from .errors import ChaseRowLimitError, SchemeError
 from .hypergraph import AttributeSet
 from .prelation import Gajd, getter
-from .symbolic import MarginalAtom, RationalExpression, Variable, eq5_expression, restrict_atom
+from .symbolic import MarginalAtom, RationalExpression, Variable, eq5_expression
 from .tableau import JoinPlan, Row, Tableau, _extend, build_tr
 
 DEFAULT_MAX_ROWS = 100_000
@@ -182,8 +186,11 @@ class _CompiledRule:
     """A rule over one scheme: its edge columns in certificate order.
 
     `cols` gives, per edge, the columns a run's join plan for the rule reads
-    (see `_ChaseRun`).  `expression` builds the weight of the rule's row for
-    a selection, for decoded rows and `ChaseTrace.replay`.  A rule over
+    (see `_ChaseRun`).  `reads` gives, per edge and then per interaction
+    set, the set, its names and the getter of its cells from a row's cells,
+    built on first read.  `expression` builds the weight of the rule's row
+    for a selection, for decoded rows and `ChaseTrace.replay`, and the
+    factorization reads coded atoms with the same getters.  A rule over
     another scheme is a SchemeError.
     """
 
@@ -198,14 +205,26 @@ class _CompiledRule:
         column = {a: c for c, a in enumerate(scheme)}
         self.cols = tuple(tuple([column[a] for a in edge]) for edge in rule.gajd.edges_in_order)
 
+    @cached_property
+    def reads(self) -> tuple[tuple[tuple[AttributeSet, tuple[str, ...], Callable], ...], ...]:
+        gajd, column = self.rule.gajd, self.scheme.index
+        edges = tuple([(edge, edge.members, getter(cols, False)) for edge, cols in zip(gajd.edges_in_order, self.cols)])
+        interactions = tuple([(s, s.members, getter([column(a) for a in s], False)) for s in gajd.interactions])
+        return edges, interactions
+
     def expression(
         self, pattern: tuple[Variable, ...], selected: Sequence[tuple[Variable, ...]]
     ) -> RationalExpression:
-        """The weight of the row at `pattern`: selected edge atoms over interaction atoms at `pattern`."""
-        scheme, gajd = self.scheme, self.rule.gajd
-        by_col = dict(zip(scheme, pattern))
-        edge_patterns = [(edge, dict(zip(scheme, cells))) for edge, cells in zip(gajd.edges_in_order, selected)]
-        return eq5_expression(edge_patterns, [(s, by_col) for s in gajd.interactions])
+        """The weight of the row at `pattern`: selected edge atoms over interaction atoms at `pattern`.
+
+        The cells are a tableau's, checked when coded, so `eq5_expression`
+        (looked up on this module when called) checks no atom.
+        """
+        edges, interactions = self.reads
+        return eq5_expression(
+            [(over, read(cells)) for (over, _, read), cells in zip(edges, selected)],
+            [(over, read(pattern)) for over, _, read in interactions],
+        )
 
 
 class _ChaseRun:
@@ -492,57 +511,76 @@ class Verdict:
         return self._factorized[1]
 
 
-def _atom_at(scheme: AttributeSet, row: Row, over: AttributeSet) -> MarginalAtom:
-    cells = dict(zip(scheme, row.cells))
-    return MarginalAtom.from_cells(over, cells)
+# A coded atom is `(names, cells)`: its attribute names and, per name, the rank of
+# the variable there in the variables' sort order, so tuples of them compare as
+# their atoms' `sort_key`s do and hash in the interpreter's tuple code.
+_CodedAtom = tuple[tuple[str, ...], tuple[int, ...]]
+_CodedQuotient = tuple[tuple[_CodedAtom, ...], tuple[_CodedAtom, ...]]
+
+
+class _Expansion(NamedTuple):
+    """One factorization's coded state: the record it reads and what it has built so far."""
+
+    patterns: list[tuple[int, ...]]  # the final tableau's coded rows
+    sources: list  # their record; a derived row's is `(compiled rule, selection)`
+    first: int  # the first derived row id
+    rank: list[int]  # each code's rank in the variables' sort order
+    scheme: tuple[str, ...]
+    memo: dict[tuple[int, tuple[str, ...]], _CodedQuotient]
+    rewrites: list[tuple[_CodedAtom, _CodedAtom, int]]  # (original, restricted, summed rank)
 
 
 def _marginalize_expr(
-    exps: dict[MarginalAtom, int],
-    row: Row,
-    scheme: AttributeSet,
-    onto: AttributeSet,
-    rewrites: list[AtomRewrite],
+    exps: dict[_CodedAtom, int],
+    cells: tuple[int, ...],
+    scheme: tuple[str, ...],
+    onto: tuple[str, ...],
+    rewrites: list[tuple[_CodedAtom, _CodedAtom, int]],
 ) -> bool:
     """Sum the row's pattern variables outside `onto` out of `exps`, atom by atom.
 
-    `exps` maps each atom of a quotient to its signed exponent: positive in
-    the numerator, negative in the denominator, 0 where the two cancel.  A
-    summed variable must sit in exactly one atom with a nonzero exponent,
-    and that exponent must be 1; the sum then slides inside that atom and
-    restricts it, and the rewrite is appended to `rewrites`.  Returns False
-    as soon as a variable resists, leaving `exps` and the rewrites made so
-    far as they are; the caller then falls back to the unexpanded marginal
-    atom and takes those rewrites back off `rewrites`.
+    `exps` maps each coded atom of a quotient to its signed exponent:
+    positive in the numerator, negative in the denominator, 0 where the two
+    cancel.  `cells` is the row's pattern as ranks.  A summed variable must
+    sit in exactly one atom with a nonzero exponent, and that exponent must
+    be 1; the sum then slides inside that atom and restricts it, dropping
+    the variable's column, and the rewrite is appended to `rewrites`.
+    Returns False as soon as a variable resists, leaving `exps` and the
+    rewrites made so far as they are; the caller then falls back to the
+    unexpanded marginal atom and takes those rewrites back off `rewrites`.
     """
-    for a, v in zip(scheme, row.cells):
+    for a, v in zip(scheme, cells):
         if a in onto:
             continue
         holder = None
         for atom, e in exps.items():
-            if e and v in atom.pattern:
+            if e and v in atom[1]:
                 if holder is not None or e != 1:
                     return False
                 holder = atom
         if holder is None:
             return False
-        restricted = restrict_atom(holder, holder.over - AttributeSet([a]))
-        rewrites.append(AtomRewrite(holder, restricted, v))
-        exps[holder] = 0
+        names, held = holder
+        i = held.index(v)
+        restricted = (names[:i] + names[i + 1:], held[:i] + held[i + 1:])
+        rewrites.append((holder, restricted, v))
+        del exps[holder]
         exps[restricted] = exps.get(restricted, 0) + 1
     return True
 
 
-def _quotient(exps: dict[MarginalAtom, int]) -> RationalExpression:
-    """The canonical quotient of atoms raised to their signed exponents."""
-    num: list[MarginalAtom] = []
-    den: list[MarginalAtom] = []
+def _quotient(exps: dict[_CodedAtom, int]) -> _CodedQuotient:
+    """The canonical quotient of coded atoms raised to their signed exponents, each side sorted."""
+    num: list[_CodedAtom] = []
+    den: list[_CodedAtom] = []
     for atom, e in exps.items():
         if e > 0:
             num.extend([atom] * e)
         elif e < 0:
             den.extend([atom] * -e)
-    return RationalExpression.of(num, den)
+    num.sort()
+    den.sort()
+    return tuple(num), tuple(den)
 
 
 def factorization_for(trace: ChaseTrace) -> tuple[RationalExpression, tuple[AtomRewrite, ...]]:
@@ -554,63 +592,80 @@ def factorization_for(trace: ChaseTrace) -> tuple[RationalExpression, tuple[Atom
     result only mentions distinguished variables, and on every relation
     satisfying the constraints it evaluates to the relation's weight.
     The derivation is read from the chase record, `final.sources`, for the
-    rows from `len(trace.initial)` on; no `ChaseStep` is built.
+    rows from `len(trace.initial)` on; no `ChaseStep` or `Row` is built.
+    The expansion works on coded atoms, each variable the rank of its code
+    in the variables' sort order, so a canonical side is a sorted tuple of
+    them, ordered as `RationalExpression.of` orders their atoms.  Each coded
+    atom of the result and its rewrites is decoded into a `MarginalAtom`
+    once, at the end.
     """
     final = trace.final
     rid = final.row_of.get(final.goal())
     if rid is None:
         raise ValueError("the final tableau has no all-distinguished row")
-    rewrites: list[AtomRewrite] = []
-    memo: dict[tuple[int, AttributeSet], RationalExpression] = {}
-    expression = _expand(rid, final.scheme, final, len(trace.initial), memo, rewrites)
-    return expression, tuple(rewrites)
+    variables = final.decode_variables()
+    keys = [v.sort_key for v in variables]
+    order = sorted(range(len(variables)), key=keys.__getitem__)
+    rank = [0] * len(order)
+    for r, code in enumerate(order):
+        rank[code] = r
+    scheme = final.scheme.members
+    state = _Expansion(final.patterns, final.sources, len(trace.initial), rank, scheme, {}, [])
+    num, den = _expand(rid, scheme, getter(range(len(scheme)), False), state)
+
+    by_rank = [variables[code] for code in order]
+    decoded: dict[_CodedAtom, MarginalAtom] = {}
+
+    def atom(coded: _CodedAtom) -> MarginalAtom:
+        made = decoded.get(coded)
+        if made is None:
+            names, cells = coded
+            made = decoded[coded] = MarginalAtom._make((AttributeSet._of(names), tuple([by_rank[r] for r in cells])))
+        return made
+
+    expression = RationalExpression(tuple(map(atom, num)), tuple(map(atom, den)))
+    return expression, tuple([AtomRewrite(atom(o), atom(r), by_rank[v]) for o, r, v in state.rewrites])
 
 
-def _expand(
-    rid: int,
-    onto: AttributeSet,
-    final: Tableau,
-    first: int,
-    memo: dict[tuple[int, AttributeSet], RationalExpression],
-    rewrites: list[AtomRewrite],
-) -> RationalExpression:
-    """The expression of row `rid` marginalized onto `onto`, memoized per `(rid, onto)`.
+def _expand(rid: int, onto: tuple[str, ...], read: Callable, state: _Expansion) -> _CodedQuotient:
+    """The coded expression of row `rid` marginalized onto the names `onto`, memoized per `(rid, onto)`.
 
-    A row at or past `first` was derived, and `final.sources` records its
-    rule and selection; an earlier row gives the atom over `onto` at its
-    cells.  A derived row's quotient is kept as a map from atoms to signed
+    `read` gets the cells at `onto` from a row's cells.  A row at or past
+    `state.first` was derived, and `state.sources` records its rule and
+    selection; an earlier row gives the atom over `onto` at its cells.  A
+    derived row's quotient is kept as a map from coded atoms to signed
     exponents while it is assembled: each selected row's expansion adds its
     exponents, and each interaction atom subtracts one.  The map is made
     canonical once, when its memo entry is stored.
     """
     key = (rid, onto)
-    result = memo.get(key)
+    result = state.memo.get(key)
     if result is not None:
         return result
-    scheme = final.scheme
-    row = final.rows[rid]
-    if rid < first:
-        result = RationalExpression.atom(_atom_at(scheme, row, onto))
+    cells = tuple(map(state.rank.__getitem__, state.patterns[rid]))
+    if rid < state.first:
+        result = ((onto, read(cells)),), ()
     else:
-        cr, selection = final.sources[rid]
-        gajd = cr.rule.gajd
-        exps: dict[MarginalAtom, int] = {}
-        for edge, k in zip(gajd.edges_in_order, selection):
-            sub = _expand(k, edge, final, first, memo, rewrites)
-            for atom in sub.numerator:
+        cr, selection = state.sources[rid]
+        edges, interactions = cr.reads
+        exps: dict[_CodedAtom, int] = {}
+        for (_, names, edge_read), k in zip(edges, selection):
+            num, den = _expand(k, names, edge_read, state)
+            for atom in num:
                 exps[atom] = exps.get(atom, 0) + 1
-            for atom in sub.denominator:
+            for atom in den:
                 exps[atom] = exps.get(atom, 0) - 1
-        for s in gajd.interactions:
-            atom = _atom_at(scheme, row, s)
+        for _, names, interaction_read in interactions:
+            atom = (names, interaction_read(cells))
             exps[atom] = exps.get(atom, 0) - 1
+        rewrites = state.rewrites
         made = len(rewrites)
-        if onto == scheme or _marginalize_expr(exps, row, scheme, onto, rewrites):
+        if onto == state.scheme or _marginalize_expr(exps, cells, state.scheme, onto, rewrites):
             result = _quotient(exps)
         else:
             del rewrites[made:]  # the fallback uses none of them
-            result = RationalExpression.atom(_atom_at(scheme, row, onto))
-    memo[key] = result
+            result = ((onto, read(cells)),), ()
+    state.memo[key] = result
     return result
 
 

@@ -97,7 +97,10 @@ class ProblemFile:
 
 
 def _parse_edges(text: str, attrs: AttributeSet, lineno: int, col0: int) -> list[AttributeSet]:
-    """Parse a brace-delimited edge list; `col0` is the 1-based column where `text` starts."""
+    """Parse a brace-delimited edge list; `col0` is the 1-based column where `text` starts.
+
+    An unknown or repeated name in a hyperedge is an error at the column of its brace.
+    """
     edges: list[AttributeSet] = []
     rest = text
     col = col0
@@ -113,9 +116,13 @@ def _parse_edges(text: str, attrs: AttributeSet, lineno: int, col0: int) -> list
         names = rest[1:close].split()
         if not names:
             raise ProblemParseError("empty hyperedge", lineno, col)
+        seen: set[str] = set()
         for name in names:
             if name not in attrs:
                 raise ProblemParseError(f"unknown attribute {name!r}", lineno, col)
+            if name in seen:
+                raise ProblemParseError(f"attribute {name!r} repeated in a hyperedge", lineno, col)
+            seen.add(name)
         edges.append(AttributeSet(names))
         col += close + 1
         rest = rest[close + 1:]

@@ -14,6 +14,10 @@ counts atoms only when the two sides share one, and sorts each side once.
 Variables, atoms and expressions are named tuples of their fields, so
 equality and hashing run in the interpreter's tuple code and building one
 costs one tuple; an atom computes its sort key each time a sort reads it.
+A variable or atom is checked when built by its constructor; one decoded
+from a tableau's codes, whose fields were checked when they were coded, is
+built unchecked with the named tuple's `_make`, as `eq5_expression` builds
+its atoms.
 
 Numeric evaluation has one core, `compile_quotient`: a quotient of
 attribute sets, each with the binding slots its key is read from, is
@@ -51,10 +55,12 @@ class Variable(_VariableFields):
     position of their column in the tableau scheme; nondistinguished
     variables are written `b<k>` with a fresh k per variable.  A variable is
     the tuple of its fields `(distinguished, index, column)`, so it equals,
-    and hashes as, its key in `Tableau.code_of`.
+    and hashes as, its key in `Tableau.code_of`.  `_make(fields)` builds one
+    from fields checked already, such as a `code_of` key, without checking.
     """
 
     __slots__ = ()
+    _make = classmethod(tuple.__new__)
 
     def __new__(cls, distinguished: bool, index: int, column: str) -> "Variable":
         if index < 1:
@@ -86,11 +92,14 @@ class MarginalAtom(_AtomFields):
     """phi over an attribute subset, at the variables in `pattern` (one per column, in order).
 
     Construction checks that the pattern has one variable of each column of
-    `over`.  `sort_key` is the atom's place in the total structural order:
-    the attribute set, then its variables' sort keys.
+    `over`; `_make((over, pattern))` builds an atom whose pattern was read
+    from checked cells at `over`'s columns, without checking.  `sort_key` is
+    the atom's place in the total structural order: the attribute set, then
+    its variables' sort keys.
     """
 
     __slots__ = ()
+    _make = classmethod(tuple.__new__)
 
     def __new__(cls, over: AttributeSet, pattern: tuple[Variable, ...]) -> "MarginalAtom":
         if len(pattern) != len(over):
@@ -149,8 +158,11 @@ def canonical(numerator: Iterable, denominator: Iterable, key: Callable) -> tupl
             else:
                 kept.append(item)
         num, den = kept, list(left.elements())
-    num.sort(key=key)
-    den.sort(key=key)
+    # A sort computes every item's key first, even for one item.
+    if len(num) > 1:
+        num.sort(key=key)
+    if len(den) > 1:
+        den.sort(key=key)
     return tuple(num), tuple(den)
 
 
@@ -201,18 +213,22 @@ class RationalExpression(NamedTuple):
 
 
 def eq5_expression(
-    edge_patterns: Iterable[tuple[AttributeSet, Mapping[str, Variable]]],
-    interaction_patterns: Iterable[tuple[AttributeSet, Mapping[str, Variable]]],
+    edge_atoms: Iterable[tuple[AttributeSet, tuple[Variable, ...]]],
+    interaction_atoms: Iterable[tuple[AttributeSet, tuple[Variable, ...]]],
 ) -> RationalExpression:
     """The derivation-rule weight for a produced row.
 
     Numerator: one atom per constraint edge, at the selected row's cells on
     that edge.  Denominator: one atom per interaction-set member, at the
     produced row's cells.  Cancellation is applied, which matters when an
-    edge is contained in another and coincides with an interaction.
+    edge is contained in another and coincides with an interaction.  Each
+    atom is given as its fields `(over, pattern)`, the pattern's variables
+    read from a tableau's checked cells at `over`'s columns, so the atoms
+    are built unchecked.
     """
-    num = [MarginalAtom.from_cells(over, cells) for over, cells in edge_patterns]
-    den = [MarginalAtom.from_cells(over, cells) for over, cells in interaction_patterns]
+    make = MarginalAtom._make
+    num = [make(fields) for fields in edge_atoms]
+    den = [make(fields) for fields in interaction_atoms]
     return RationalExpression.of(num, den)
 
 

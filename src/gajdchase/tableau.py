@@ -33,6 +33,7 @@ marginalize/product-join map of the same hypertree.
 from __future__ import annotations
 
 from functools import partial
+from itertools import islice
 from operator import attrgetter
 from typing import Callable, Mapping, Sequence
 
@@ -84,17 +85,20 @@ class Tableau:
     Rows keep insertion order for reproducible traces.  Each variable has a
     code, a small int in first-seen row order: `code_of` maps its `Variable`
     fields `(distinguished, index, column)` to its code, so the map's order
-    is the code order; a `Variable` is that tuple, so it is looked up as is.  `patterns` holds each row's cells as codes, and
+    is the code order; a `Variable` is that tuple, so it is looked up as
+    is.  `patterns` holds each row's cells as codes, and
     `row_of`, the one pattern index, enforces set semantics.  `sources`
     holds what each row is decoded from: None for `build_tr`'s rows, whose
     expression is the full-scheme atom at their own pattern, the `Row` given
     to `add_row`, or a chase application `(rule, selection)`, whose
     expression is `rule.expression`'s.  Rows enter through `append`, after
     `add_row`'s checks or the chase's own.  `rows`, and the `variables` list
-    of each code's `Variable` that they read, are decoded on first read and
-    kept, later ones on the next read; a decoded row builds its expression
-    only when its `weight_expr` is read, so a trace that prints steps builds
-    no atom for a `build_tr` row it does not print.
+    of each code's `Variable` that they read (`decode_variables`), are
+    decoded on first read and kept, later ones on the next read; a variable
+    is built from its `code_of` key unchecked, as the key was checked when
+    coded.  A decoded row builds its expression only when its `weight_expr`
+    is read, so a trace that prints steps builds no atom for a `build_tr`
+    row it does not print.
     `psi` is an expression or a function called on its first read, whose
     result is kept; a copy takes the function along, so the tableaux the
     chase works on never build it.  `emission` is None, or the attribute
@@ -124,11 +128,11 @@ class Tableau:
 
     @property
     def rows(self) -> list[Row]:
-        rows, patterns, variables = self._rows, self.patterns, self.variables
+        rows, patterns = self._rows, self.patterns
         if len(rows) < len(patterns):
-            variables += [Variable(*fields) for fields in list(self.code_of)[len(variables):]]
+            variable = self.decode_variables().__getitem__
             for rid in range(len(rows), len(patterns)):
-                cells = tuple([variables[c] for c in patterns[rid]])
+                cells = tuple(map(variable, patterns[rid]))
                 source = self.sources[rid]
                 if source is None:
                     source = Row(cells, partial(_scheme_atom, self.scheme, cells))
@@ -137,6 +141,13 @@ class Tableau:
                     source = Row(cells, partial(rule.expression, cells, tuple([rows[k].cells for k in selection])))
                 rows.append(source)
         return rows
+
+    def decode_variables(self) -> list[Variable]:
+        """`variables`, extended to every code; each is decoded unchecked from its `code_of` key, checked when coded."""
+        variables = self.variables
+        if len(variables) < len(self.code_of):
+            variables += map(Variable._make, islice(self.code_of, len(variables), None))
+        return variables
 
     def __len__(self) -> int:
         return len(self.patterns)
@@ -219,8 +230,10 @@ def build_tr(g: Gajd) -> Tableau:
     scheme = g.scheme
 
     def psi() -> RationalExpression:
-        dist = {a: distinguished_for(scheme, a) for a in scheme}
-        return eq5_expression([(e, dist) for e in g.edges_in_order], [(s, dist) for s in g.interactions])
+        return eq5_expression(
+            [_at_distinguished(scheme, e) for e in g.edges_in_order],
+            [_at_distinguished(scheme, s) for s in g.interactions],
+        )
 
     t = Tableau(scheme, psi)
     t.emission = g.edges_in_order, g.interactions
@@ -438,7 +451,7 @@ def _emission_of(psi: RationalExpression, scheme: AttributeSet) -> tuple[tuple[A
 
 def _scheme_atom(scheme: AttributeSet, cells: tuple[Variable, ...]) -> RationalExpression:
     """The weight of a `build_tr` row: the single full-scheme atom at its cells."""
-    return RationalExpression.atom(MarginalAtom(scheme, cells))
+    return RationalExpression.atom(MarginalAtom._make((scheme, cells)))
 
 
 def _at_distinguished(scheme: AttributeSet, over: AttributeSet) -> MarginalAtom:

@@ -1,12 +1,16 @@
 import collections
 import hashlib
+import importlib
 import itertools
 import random
+import sys
+from pathlib import Path
 
 import pytest
 
 from gajdchase import chase as chase_module
 from gajdchase.chase import ChaseStep, ChaseTrace, JRule, chase, implies
+from gajdchase.cli import parse
 from gajdchase.errors import ChaseRowLimitError, SchemeError
 from gajdchase.hypergraph import AttributeSet
 from gajdchase.oracle import fold_axes, project_onto, random_positive
@@ -623,8 +627,9 @@ class TestImplies:
         step = closure.steps[-1]
         lazy, scheme, g = step.produced, closure.final.scheme, step.rule.gajd
         expr = original(
-            [(e, dict(zip(scheme, closure.final.rows[k].cells))) for e, k in zip(g.edges_in_order, step.selection)],
-            [(s, dict(zip(scheme, lazy.cells))) for s in g.interactions],
+            [MarginalAtom.from_cells(e, dict(zip(scheme, closure.final.rows[k].cells)))
+             for e, k in zip(g.edges_in_order, step.selection)],
+            [MarginalAtom.from_cells(s, dict(zip(scheme, lazy.cells))) for s in g.interactions],
         )
         eager = Row(lazy.cells, expr)
         assert calls == []
@@ -647,15 +652,17 @@ class TestDecodeOnRead:
 
     @pytest.fixture
     def made(self, monkeypatch):
-        # A named tuple is made by its `__new__`, a Row by its `__init__`.
+        # A named tuple is made by its `__new__`, or unchecked by its `_make`; a Row by its `__init__`.
         counts = collections.Counter()
-        for cls, hook in ((Variable, "__new__"), (Row, "__init__"), (ChaseStep, "__new__"), (MarginalAtom, "__new__")):
+        hooks = ((Variable, "__new__"), (Variable, "_make"), (Row, "__init__"), (ChaseStep, "__new__"),
+                 (MarginalAtom, "__new__"), (MarginalAtom, "_make"))
+        for cls, hook in hooks:
 
-            def counted(obj, *args, _name=cls.__name__, _make=getattr(cls, hook), **kwargs):
+            def counted(*args, _name=cls.__name__, _make=getattr(cls, hook), **kwargs):
                 counts[_name] += 1
-                return _make(obj, *args, **kwargs)
+                return _make(*args, **kwargs)
 
-            monkeypatch.setattr(cls, hook, counted)
+            monkeypatch.setattr(cls, hook, staticmethod(counted) if hook == "_make" else counted)
         return counts
 
     @staticmethod
@@ -710,6 +717,30 @@ class TestDecodeOnRead:
         assert verdict.factorization.render() == "phi(a1,a2)*phi(a2,a3)*phi(a3,a4)/(phi(a2)*phi(a3))"
         assert made["ChaseStep"] == 0
         assert len(verdict.trace.steps) == 2 and made["ChaseStep"] == 2
+
+    def test_factorization_decodes_only_its_result_and_rewrites(self, made, monkeypatch):
+        # The expansion runs on coded atoms, which hash as plain tuples; each atom of
+        # the result and its rewrites is decoded once, and no row or step is.
+        hashed = collections.Counter()
+        original_hash = AttributeSet.__hash__
+
+        def counted_hash(s):
+            hashed["AttributeSet"] += 1
+            return original_hash(s)
+
+        constraints, target = chain_positive(12)
+        verdict = implies(constraints, target)
+        final = verdict.trace.final
+        made.clear()
+        monkeypatch.setattr(AttributeSet, "__hash__", counted_hash)
+        expression, rewrites = chase_module.factorization_for(verdict.trace)
+        assert hashed == {}
+        monkeypatch.setattr(AttributeSet, "__hash__", original_hash)
+        atoms = {*expression.numerator, *expression.denominator, *(a for r in rewrites for a in r[:2])}
+        assert len(rewrites) == 45 and len(atoms) == 66
+        assert made == {"MarginalAtom": len(atoms), "Variable": len(final.code_of)}
+        assert final._rows == []
+        assert (expression, rewrites) == reference_factorization(verdict.trace)[:2]
 
 
 def reference_factorization(trace):
@@ -811,6 +842,52 @@ class TestFactorizationExact:
     def test_chain_positives(self, n):
         constraints, target = chain_positive(n)
         assert self.check(constraints, target) is not None
+
+    @pytest.mark.parametrize("workload, positives", [("census", 39), ("chains", 9)])
+    def test_benchmark_positives(self, workload, positives):
+        # Every positive of the benchmark's workload at seed 1, under its disguised attribute names.
+        sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
+        try:
+            gen = importlib.import_module("gen")
+        finally:
+            del sys.path[0]
+        wl = gen.WORKLOADS[workload](1)
+        parsed = [parse(text) for text in wl.problems]
+        seen = []
+        for op in wl.ops:
+            problem = parsed[op.problem]
+            query = problem.queries[op.query]
+            seen.append(self.check(problem.rules_for(query), query.target))
+        assert sum(x is not None for x in seen) == positives
+
+
+class TestCodedMarginalization:
+    """`_marginalize_expr` on hand-made coded quotients: a summed variable slides into its one holder.
+
+    A coded atom is its names and the ranks of its variables; the row's
+    cells below are ranks 0, 5 and 7 at A, B and C, and B is summed out.
+    """
+
+    SCHEME, CELLS, ONTO = ("A", "B", "C"), (0, 5, 7), ("A", "C")
+    AB, BC, B, A, C = (("A", "B"), (0, 5)), (("B", "C"), (5, 7)), (("B",), (5,)), (("A",), (0,)), (("C",), (7,))
+
+    def marginalize(self, exps):
+        rewrites = []
+        return chase_module._marginalize_expr(exps, self.CELLS, self.SCHEME, self.ONTO, rewrites), rewrites
+
+    def test_the_one_holder_is_restricted(self):
+        exps = {self.AB: 1, self.C: -1}
+        assert self.marginalize(exps) == (True, [(self.AB, self.A, 5)])
+        assert exps == {self.C: -1, self.A: 1}
+
+    @pytest.mark.parametrize("exps", [
+        {AB: 1, BC: 1},  # two holders
+        {AB: 2},  # a squared holder
+        {AB: 1, B: -1},  # held in the denominator too
+        {A: 1, C: -1},  # no holder
+    ], ids=["two-holders", "squared", "denominator", "none"])
+    def test_a_variable_that_resists(self, exps):
+        assert self.marginalize(dict(exps))[0] is False
 
 
 def _satisfying_relation(constraints, attrs, seed):

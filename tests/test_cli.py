@@ -42,6 +42,17 @@ class TestParse:
         assert excinfo.value.line == 2
         assert "Z" in str(excinfo.value)
 
+    @pytest.mark.parametrize("text, line, column, name", [
+        ("attrs A B C\ngajd X = {A A B} {B C}\nquery {A B} {B C} given X\n", 2, 10, "A"),
+        ("attrs A B C\ngajd X = {A B} {B C}\nquery {A B} {C B C} given X\n", 3, 13, "C"),
+        ("attrs A B C\nquery {A B B}\n", 2, 7, "B"),
+    ], ids=["constraint", "query-given", "query"])
+    def test_repeated_attribute_in_a_hyperedge(self, text, line, column, name):
+        # A repeated name would otherwise be read as the set of the distinct ones.
+        with pytest.raises(ProblemParseError, match=f"attribute '{name}' repeated in a hyperedge") as excinfo:
+            parse(text)
+        assert (excinfo.value.line, excinfo.value.column) == (line, column)
+
     def test_duplicate_constraint_name(self):
         text = "attrs A B\ngajd C = {A B}\ngajd C = {A} {B}\n"
         with pytest.raises(ProblemParseError, match="duplicate constraint"):
@@ -391,6 +402,14 @@ class TestMain:
         path.write_text("gajd C = {A}\n")
         assert main(["implies", str(path)]) == 2
         assert "error" in capsys.readouterr().err
+
+    def test_repeated_attribute_exit_2(self, tmp_path, capsys):
+        path = tmp_path / "repeated.gajd"
+        path.write_text("attrs A B C\ngajd X = {A A B} {B C}\nquery {A B} {B C} given X\n")
+        assert main(["implies", str(path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "line 2, column 10: attribute 'A' repeated in a hyperedge" in captured.err
 
     def test_missing_file_exit_2(self, capsys):
         assert main(["implies", "/nonexistent/problem.gajd"]) == 2

@@ -3,12 +3,17 @@
 The mutants themselves run on demand (`python3 scripts/mutants.py --all`);
 here each snippet must still occur exactly once in `src/gajdchase`, and each
 listed test must still exist.  The runner's timeout is checked with a
-stand-in for `subprocess.run` that times out at once, so no test hangs.
+stand-in for `subprocess.run` that times out at once, so no test hangs, and
+its cleanup on SIGTERM with one real `--mutant` run, stopped early.
 """
 
 import ast
 import importlib.util
+import os
+import signal
 import subprocess
+import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -65,3 +70,36 @@ def test_a_run_that_times_out_counts_as_a_kill(monkeypatch, capsys):
     mutant = MUTANTS.MUTANTS[0]
     assert MUTANTS.main(["--mutant", mutant.name]) == 0
     assert capsys.readouterr().out == f"{mutant.name}: killed (timed out)\n"
+
+
+def test_sigterm_kills_the_pytest_child_and_removes_the_copy(tmp_path):
+    mutant = MUTANTS.MUTANTS[0]
+    env = dict(os.environ, TMPDIR=str(tmp_path))
+    # Its own session, so that the runner and every process it starts share one process group.
+    runner = subprocess.Popen(
+        [sys.executable, str(SCRIPT), "--mutant", mutant.name], cwd=ROOT, env=env,
+        stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL, start_new_session=True,
+    )
+    try:
+        deadline = time.monotonic() + 60
+        # The mutant is applied right before its pytest child starts.
+        while not any(mutant.replacement in p.read_text() for p in tmp_path.glob("mutant-*/tree/src/gajdchase/*.py")):
+            assert runner.poll() is None and time.monotonic() < deadline
+            time.sleep(0.01)
+        time.sleep(0.5)
+        runner.send_signal(signal.SIGTERM)
+        assert runner.wait(timeout=60) == 128 + signal.SIGTERM
+        while True:
+            try:
+                os.killpg(runner.pid, 0)
+            except ProcessLookupError:
+                break
+            assert time.monotonic() < deadline, "a process the runner started is still running"
+            time.sleep(0.05)
+        assert list(tmp_path.glob("mutant-*")) == []
+    finally:
+        try:
+            os.killpg(runner.pid, signal.SIGKILL)
+        except ProcessLookupError:
+            pass
+        runner.wait()

@@ -190,17 +190,14 @@ class TestCanonicalFormExact:
 class TestEq5Expression:
     def test_two_row_application(self):
         b4 = Variable(False, 4, "A4")
-        left_cells = {"A1": A1, "A2": A2}
-        right_cells = {"A2": A2, "A3": A3, "A4": b4}
-        produced = {"A1": A1, "A2": A2, "A3": A3, "A4": b4}
         got = eq5_expression(
-            [(AttributeSet(["A1", "A2"]), left_cells), (AttributeSet(["A2", "A3", "A4"]), right_cells)],
-            [(AttributeSet(["A2"]), produced)],
+            [(AttributeSet(["A1", "A2"]), (A1, A2)), (AttributeSet(["A2", "A3", "A4"]), (A2, A3, b4))],
+            [(AttributeSet(["A2"]), (A2,))],
         )
         assert got.render() == "phi(a1,a2)*phi(a2,a3,b4)/phi(a2)"
 
     def test_single_edge_has_empty_denominator(self):
-        got = eq5_expression([(AttributeSet(["A1", "A2"]), {"A1": A1, "A2": A2})], [])
+        got = eq5_expression([(AttributeSet(["A1", "A2"]), (A1, A2))], [])
         assert got == RationalExpression.of([PHI_A1A2])
 
 

@@ -55,6 +55,8 @@ def test_traced_verify_and_implies_record_the_oracle_spans():
         "prelation.satisfies",
         "chase.implies",
         "chase.prefix",
+        "chase.factorization",
+        "symbolic.eq5",
     } <= names
     fits = [i for i, rec in enumerate(records) if rec[spans.NAME] == "oracle.project_onto"]
     # The observer read each fit's constraint count and its residuals: every fit here converges.
