@@ -118,6 +118,30 @@ MUTANTS = (
         ),
     ),
     Mutant(
+        "own-entry-skipped-uncounted",
+        "                        if other is own0:\n                            duplicates[0] += 1\n",
+        "                        if other is own0:\n                            pass\n",
+        (
+            "tests/test_census_golden.py::test_census_chase_counts",
+            "tests/test_census_golden.py::test_each_rule_emits_each_fixpoint_row_once",
+            "tests/test_chase.py::TestChase::test_duplicates_counted",
+            "tests/test_chase.py::TestJoinOrderPinned::test_seeded_chases[chain4-pinned1]",
+            "tests/test_chase.py::TestJoinOrderPinned::test_chain_family_with_one_split_dropped",
+        ),
+    ),
+    Mutant(
+        "own-entry-skipped-while-other-edge-new",
+        "                        if bucket:\n                            for other in bucket:\n",
+        "                        if bucket:\n                            duplicates[0] += 1\n                            for other in bucket[1:]:\n",
+        (
+            "tests/test_census_golden.py::test_census_traces_golden",
+            "tests/test_census_golden.py::test_each_rule_emits_each_fixpoint_row_once",
+            "tests/test_chains_golden.py::test_chains_golden",
+            "tests/test_chase.py::TestJoinOrderPinned::test_chain_family_with_one_split_dropped",
+            "tests/test_differential.py::test_every_single_constraint_query_agrees_with_the_decider",
+        ),
+    ),
+    Mutant(
         "probe-key-read-at-own-components",
         "steps.append((index, getter([layout.index(comp[c]) for c in key], True)))",
         "steps.append((index, getter(key, True)))",

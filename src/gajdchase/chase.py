@@ -18,7 +18,12 @@ shares with the start's edge, so no candidate is ever compared.  The join
 is semi-naive: a new row is joined only where one of its edge projections
 is new.  Each new projection is joined with the projections indexed before
 it as soon as it is indexed, before the row's next one, so a result comes
-out exactly once per run, at the last new projection it uses.
+out exactly once per run, at the last new projection it uses.  The result
+of a row's own projections, one per edge, is the row itself.  A rule of one
+or two edges counts it as a duplicate without forming it: a two-edge rule,
+a multivalued dependency and the classical chase case, joins inline and
+skips the row's own entry in the bucket it joins at the row's last new
+projection.  A longer rule forms it and finds it a row.
 A produced row is not indexed for the rule that produced it: on each of that
 rule's edges it carries the projection of a row already indexed there.
 Each index entry carries the first row id with its projection, so the join
@@ -115,7 +120,9 @@ class ChaseTrace:
     pattern was already a row when they came out, each once per rule
     (including those met while indexing the initial rows), and the stale
     pending applications: those whose pattern became a row, by another
-    rule, before they came up.
+    rule, before they came up.  Among the join results is each rule's result
+    from a row's own projections, the row itself; a rule of one or two edges
+    counts it without forming it.
     """
 
     def __init__(self, initial: Tableau, final: Tableau, stop_reason: str, duplicates: int,
@@ -241,16 +248,17 @@ class _ChaseRun:
     indexes hold projections of `work`'s coded patterns, each followed by
     its first row id (a two-edge rule keeps one index per position, both on
     the separator); a join result is the pattern followed by its least
-    selection.  `ports` lays the plans' positions out flat, rule by rule,
-    one tuple per (rule, position) of what indexing a row there reads: the
-    compiled rule, to skip the row's producer; the reader of a coded
-    pattern's edge projection (`prelation.getter`); the projections met so
-    far; the plan's inserts there; the steps and binding reader of the
-    probe from that position; and the rule's callback.  Each new edge
-    projection is joined from its own position, its probe handed straight
-    to `tableau._extend`, the recursion `join` runs.  A run that stops
-    before its first join builds no plan, and nothing of the plans
-    outlives the run.
+    selection.  `units` lays the plans out flat, one unit per rule in input
+    order, holding what indexing a row under the rule reads (see
+    `_compile`).  A two-edge rule is one unit: the row's two projections
+    are read together, and each new one is joined inline with the other
+    edge's bucket, with the plan's indexes, key readers and binding
+    readers.  A rule of three or more edges keeps one port per position,
+    each new projection joined from its own position, its probe handed
+    straight to `tableau._extend`, the recursion `join` runs.  A one-edge
+    rule's only result is the row itself, so it indexes nothing.  A run
+    that stops before its first join builds no plan, and nothing of the
+    plans outlives the run.
 
     `pending` is a heap of `(key, rule_index, selection, pattern)`, one
     entry per (rule, pattern) found while the pattern was not a row: the
@@ -282,43 +290,101 @@ class _ChaseRun:
         self.indexed = 0
 
     def _compile(self) -> None:
-        """Build each rule's join plan and lay its positions out in `ports`.
+        """Build each rule's join plan and lay it out in `units`, one per rule in input order.
 
         Position i binds its edge's columns and, at slot n + i, the row id
-        that follows its projection; every position is a start.
+        that follows its projection; every position is a start.  A unit is
+        `(compiled rule, pair, ports)`: a two-edge rule's `pair` holds, per
+        edge, the reader of a pattern's edge projection, the map of each
+        projection met so far to its index entry, the reader of an entry's
+        key in the edge's one index, that index, and the probe from the edge
+        (the key reader into the other edge's index and the binding reader);
+        then the rule's callback.  A rule of three or more edges has `pair`
+        None and one port per position; a one-edge rule has neither.
         """
         n = len(self.work.scheme)
-        ports = []
+        units = []
         for cr, emit in zip(self.compiled, self.emits):
             plan = JoinPlan([cols + (n + i,) for i, cols in enumerate(cr.cols)], range(len(cr.cols)))
-            for pos, cols in enumerate(cr.cols):
-                ports.append((cr, getter(cols, False), set(), plan.inserts[pos], *plan.probes[pos], emit))
-        self.ports = tuple(ports)
+            pair, ports = None, ()
+            if len(cr.cols) == 2:
+                edges = []
+                for pos, cols in enumerate(cr.cols):
+                    ((key_of, index),) = plan.inserts[pos]
+                    ((_, probe),), read = plan.probes[pos]
+                    edges.append((getter(cols, False), {}, key_of, index, probe, read))
+                pair = (*edges, emit)
+            elif len(cr.cols) > 2:
+                ports = tuple([(getter(cols, False), set(), plan.inserts[pos], *plan.probes[pos], emit)
+                               for pos, cols in enumerate(cr.cols)])
+            units.append((cr, pair, ports))
+        self.units = tuple(units)
 
     def _index_row(self, rid: int) -> None:
         """Index each new edge projection of row `rid` and join it with those indexed before it.
 
-        One loop walks `ports`: at each, a new projection, followed by
-        `rid`, enters each of the position's indexes under the key read from
-        that entry, and is then joined from its position by the port's
-        probe.  The rule that produced the row is skipped: on each of its
-        edges the row carries the projection of a row already indexed there.
+        One loop walks `units`, rule by rule, skipping the rule that
+        produced the row: on each of its edges the row carries the
+        projection of a row already indexed there.  A rule's result from the
+        row's own projections, one per edge, is the row itself; a one-edge
+        rule has no other, so it only counts that duplicate.  A two-edge
+        rule reads both projections and looks each up in its map.  A new
+        one, followed by `rid`, enters the map and its edge's index and is
+        joined inline with the other edge's bucket on the separator.  At the
+        row's last new projection that bucket holds the row's own entry at
+        the other edge, which is skipped and counted as a duplicate.  At a
+        port of a longer rule a new projection enters each of the
+        position's indexes and is joined by the port's probe through
+        `tableau._extend`, which forms the row's own result too.
         """
         cells, source = self.work.patterns[rid], self.work.sources[rid]
         producer = source[0] if type(source) is tuple else None
-        for cr, project, seen, inserts, steps, read, emit in self.ports:
+        duplicates = self.duplicates
+        for cr, pair, ports in self.units:
             if cr is producer:
                 continue
-            proj = project(cells)
-            if proj not in seen:
-                seen.add(proj)
-                entry = proj + (rid,)
-                for key_of, index in inserts:
-                    index.setdefault(key_of(entry), []).append(entry)
-                if steps:
-                    _extend(steps, 0, entry, read, emit)
-                else:
-                    emit(read(entry))
+            if pair is not None:
+                (
+                    (project0, seen0, key_of0, index0, probe0, read0),
+                    (project1, seen1, key_of1, index1, probe1, read1),
+                    emit,
+                ) = pair
+                proj0, proj1 = project0(cells), project1(cells)
+                own0, own1 = seen0.get(proj0), seen1.get(proj1)
+                if own0 is None:
+                    own0 = seen0[proj0] = proj0 + (rid,)
+                    index0.setdefault(key_of0(own0), []).append(own0)
+                    if own1 is None:
+                        # The row's other projection is new too, so its bucket does not hold it yet.
+                        bucket = index1.get(probe0(own0))
+                        if bucket:
+                            for other in bucket:
+                                emit(read0(own0 + other))
+                    else:
+                        for other in index1[probe0(own0)]:
+                            if other is own1:
+                                duplicates[0] += 1
+                            else:
+                                emit(read0(own0 + other))
+                if own1 is None:
+                    own1 = seen1[proj1] = proj1 + (rid,)
+                    index1.setdefault(key_of1(own1), []).append(own1)
+                    for other in index0[probe1(own1)]:
+                        if other is own0:
+                            duplicates[0] += 1
+                        else:
+                            emit(read1(own1 + other))
+            elif ports:
+                for project, seen, inserts, steps, read, emit in ports:
+                    proj = project(cells)
+                    if proj not in seen:
+                        seen.add(proj)
+                        entry = proj + (rid,)
+                        for key_of, index in inserts:
+                            index.setdefault(key_of(entry), []).append(entry)
+                        _extend(steps, 0, entry, read, emit)
+            else:
+                duplicates[0] += 1
 
     def _consider(self, rule_idx: int, cr: _CompiledRule):
         """Rule `rule_idx`'s join callback: count a result that is already a row, queue any other.

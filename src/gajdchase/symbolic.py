@@ -111,7 +111,8 @@ class MarginalAtom(_AtomFields):
 
     @property
     def sort_key(self) -> tuple:
-        return (self.over.members, tuple([v.sort_key for v in self.pattern]))
+        # Each variable's `Variable.sort_key`, read from its fields in one comprehension.
+        return (self.over.members, tuple([(c, 0 if d else 1, i) for d, i, c in self.pattern]))
 
     @classmethod
     def from_cells(cls, over: AttributeSet, cells: Mapping[str, Variable]) -> "MarginalAtom":

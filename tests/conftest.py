@@ -209,3 +209,10 @@ def chain4():
     left = Gajd.from_edges(CHAIN4_LEFT_SPLIT)
     right = Gajd.from_edges(CHAIN4_RIGHT_SPLIT)
     return target, left, right
+
+
+def chain_positive(n):
+    """The chain {A1 A2}..{An-1 An} given every two-way split {A1..Ak}{Ak..An}, k = 2..n-1: implied."""
+    attrs = [f"A{i}" for i in range(1, n + 1)]
+    target = Gajd.from_edges([attrs[i : i + 2] for i in range(n - 1)])
+    return [Gajd.from_edges([attrs[:k], attrs[k - 1 :]]) for k in range(2, n)], target

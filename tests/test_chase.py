@@ -18,6 +18,7 @@ from gajdchase.prelation import DomainSpec, Gajd, relation_from_domains, satisfi
 from gajdchase.symbolic import MarginalAtom, RationalExpression, Variable, distinguished_for, evaluate, restrict_atom
 from gajdchase.tableau import Row, Tableau, build_tr, run
 from conftest import (
+    chain_positive,
     contains_distinguished_row,
     covering_hypertrees,
     hypertree_census,
@@ -240,6 +241,48 @@ class TestChase:
                 repeated = sum(1 for count in emitted.values() if count > 1)
                 assert repeated == 0, f"{repeated} results emitted more than once (order {k})"
         assert runs == 4 * len(draws)
+
+    def test_short_rules_never_form_the_row_being_indexed(self, monkeypatch):
+        # A rule's result from the indexed row's own projections, one per
+        # edge, is that row.  A one- or two-edge rule counts it as a
+        # duplicate without forming it; a longer rule still forms it, which
+        # shows that the watch below sees such results.
+        from test_census_golden import census_problems
+
+        indexed = [None]
+        formed, own = collections.Counter(), collections.Counter()  # by the rule's edge count
+        index_row, consider = chase_module._ChaseRun._index_row, chase_module._ChaseRun._consider
+
+        def watched_index_row(run, rid):
+            indexed[0] = run.work.patterns[rid]
+            index_row(run, rid)
+            indexed[0] = None
+
+        def watched_consider(run, rule_idx, cr):
+            emit = consider(run, rule_idx, cr)
+            n, edges = len(cr.scheme), len(cr.cols)
+
+            def watched(binding):
+                formed[edges] += 1
+                own[edges] += binding[:n] == indexed[0]
+                emit(binding)
+
+            return watched
+
+        monkeypatch.setattr(chase_module._ChaseRun, "_index_row", watched_index_row)
+        monkeypatch.setattr(chase_module._ChaseRun, "_consider", watched_consider)
+        cases = [(problem.rules_for(problem.queries[0]), problem.queries[0].target) for problem in census_problems()]
+        for n in range(4, 9):
+            constraints, target = chain_positive(n)
+            cases.append((constraints, target))
+            cases += [(constraints[:drop] + constraints[drop + 1 :], target) for drop in range(len(constraints))]
+        whole = Gajd.from_edges([["A1", "A2", "A3", "A4"]])  # one edge
+        cases.append(([whole, Gajd.from_edges([["A1", "A2"], ["A2", "A3", "A4"]])], chain_positive(4)[1]))
+        for constraints, target in cases:
+            implies(constraints, target)
+            chase(build_tr(target), constraints, rng=random.Random(1))
+        assert own[1] == own[2] == 0
+        assert formed[2] > 500 and own[3] + own[4] > 0
 
     def test_terminates_on_wider_scheme(self):
         attrs = ["A", "B", "C", "D", "E", "F"]
@@ -806,13 +849,6 @@ def reference_factorization(trace):
 
     expression = expr_for(final.row_id(final.distinguished_row()), scheme)
     return expression, tuple(rewrites), fallbacks[0]
-
-
-def chain_positive(n):
-    """The chain {A1 A2}..{An-1 An} given every two-way split {A1..Ak}{Ak..An}, k = 2..n-1: implied."""
-    attrs = [f"A{i}" for i in range(1, n + 1)]
-    target = Gajd.from_edges([attrs[i : i + 2] for i in range(n - 1)])
-    return [Gajd.from_edges([attrs[:k], attrs[k - 1 :]]) for k in range(2, n)], target
 
 
 class TestFactorizationExact:

@@ -72,6 +72,18 @@ def test_a_run_that_times_out_counts_as_a_kill(monkeypatch, capsys):
     assert capsys.readouterr().out == f"{mutant.name}: killed (timed out)\n"
 
 
+def pytest_runs_in_group(group):
+    """Whether a pytest process runs in process group `group`, as the process table under /proc shows."""
+    for entry in Path("/proc").iterdir():
+        if entry.name.isdigit():
+            try:
+                if os.getpgid(int(entry.name)) == group and b"pytest" in (entry / "cmdline").read_bytes():
+                    return True
+            except OSError:  # the process ended meanwhile
+                continue
+    return False
+
+
 def test_sigterm_kills_the_pytest_child_and_removes_the_copy(tmp_path):
     mutant = MUTANTS.MUTANTS[0]
     env = dict(os.environ, TMPDIR=str(tmp_path))
@@ -82,11 +94,11 @@ def test_sigterm_kills_the_pytest_child_and_removes_the_copy(tmp_path):
     )
     try:
         deadline = time.monotonic() + 60
-        # The mutant is applied right before its pytest child starts.
-        while not any(mutant.replacement in p.read_text() for p in tmp_path.glob("mutant-*/tree/src/gajdchase/*.py")):
+        # The signal goes as soon as the pytest child runs, which a fast child could outlast by a fixed wait.
+        while not pytest_runs_in_group(runner.pid):
             assert runner.poll() is None and time.monotonic() < deadline
             time.sleep(0.01)
-        time.sleep(0.5)
+        assert any(mutant.replacement in p.read_text() for p in tmp_path.glob("mutant-*/tree/src/gajdchase/*.py"))
         runner.send_signal(signal.SIGTERM)
         assert runner.wait(timeout=60) == 128 + signal.SIGTERM
         while True:

@@ -65,6 +65,18 @@ class TestMarginalAtom:
         assert atom(A1, A2) == PHI_A1A2
         assert atom(A1, B4) != atom(A1, A4)
 
+    def test_sort_key_reads_variables_in_their_own_order(self):
+        # The atom reads its variables' keys from their fields; `Variable.sort_key` defines them.
+        b1, b14 = Variable(False, 1, "A1"), Variable(False, 14, "A4")
+        atoms = [atom(*vs) for vs in itertools.product((A1, b1), (A4, B4, b14))] + [PHI_A2A3, atom(b14)]
+        for a in atoms:
+            key = a.sort_key
+            assert key == (a.over.members, tuple([v.sort_key for v in a.pattern]))
+            assert [type(part) for part in key[1][0]] == [str, int, int]
+        assert sorted(atoms, key=lambda a: a.sort_key) == sorted(
+            atoms, key=lambda a: (a.over.members, [v.sort_key for v in a.pattern])
+        )
+
 
 class TestRestrictAtom:
     def test_drops_fresh_variable_column(self):
