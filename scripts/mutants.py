@@ -142,6 +142,29 @@ MUTANTS = (
         ),
     ),
     Mutant(
+        "two-edge-row-ids-swapped",
+        "        layout = (*own, n + pos, *other, n + 1 - pos)\n",
+        "        layout = (*own, n + 1 - pos, *other, n + pos)\n",
+        (
+            "tests/test_chase.py::TestPairReaders::test_readers_equal_the_plans",
+            "tests/test_chase.py::TestJoinOrderPinned::test_seeded_chases[chain4-pinned1]",
+            "tests/test_chains_golden.py::test_chains_golden",
+            "tests/test_census_golden.py::test_census_traces_golden",
+            "tests/test_dump_outputs.py::test_full_digest",
+        ),
+    ),
+    Mutant(
+        "fold-counts-a-held-column-as-new",
+        "        held.update(cols)\n",
+        "        pass\n",
+        (
+            "tests/test_oracle.py::TestProjectOnto::test_folds_equal_the_name_based_ones",
+            "tests/test_acceptance.py::test_criterion_6_decomposition_census",
+            "tests/test_cli.py::TestCmdVerify::test_golden_mixed_verdicts",
+            "tests/test_dump_outputs.py::test_full_digest",
+        ),
+    ),
+    Mutant(
         "probe-key-read-at-own-components",
         "steps.append((index, getter([layout.index(comp[c]) for c in key], True)))",
         "steps.append((index, getter(key, True)))",

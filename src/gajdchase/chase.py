@@ -185,6 +185,31 @@ class ChaseTrace:
         return t
 
 
+def _pair_readers(cols: Sequence[Sequence[int]], n: int) -> tuple[tuple[Callable, Callable], ...]:
+    """Per edge of a two-edge rule over `n` columns: its key reader and its binding reader.
+
+    `cols` holds each edge's columns, ascending, as `Gajd.edge_columns`
+    gives them.  An index entry at an edge is its projection followed by a
+    row id.  The key reader reads the separator, the columns the two edges
+    share, in scheme order from an entry of the edge; so it both fills the
+    edge's index and probes the other edge's, which is keyed the same way.
+    The binding reader reads a pattern and its selection from the edge's
+    entry followed by the other edge's: each column at its first
+    occurrence, then the two row ids in edge order.  These are the readers
+    of `JoinPlan(slots, range(2))`, where `slots[i]` is edge i's columns
+    followed by `n + i`: edge i's insert reader and its probe's key and
+    binding readers.
+    """
+    first, second = cols
+    separator = [c for c in first if c in second]
+    readers = []
+    for pos, (own, other) in enumerate(((first, second), (second, first))):
+        layout = (*own, n + pos, *other, n + 1 - pos)
+        readers.append((getter([own.index(c) for c in separator], True),
+                        getter([layout.index(slot) for slot in range(n + 2)], False)))
+    return tuple(readers)
+
+
 def _as_rules(constraints: Iterable[Gajd | JRule]) -> tuple[JRule, ...]:
     return tuple([c if isinstance(c, JRule) else JRule(c.render(), c) for c in constraints])
 
@@ -192,13 +217,13 @@ def _as_rules(constraints: Iterable[Gajd | JRule]) -> tuple[JRule, ...]:
 class _CompiledRule:
     """A rule over one scheme: its edge columns in certificate order.
 
-    `cols` gives, per edge, the columns a run's join plan for the rule reads
-    (see `_ChaseRun`).  `reads` gives, per edge and then per interaction
-    set, the set, its names and the getter of its cells from a row's cells,
-    built on first read.  `expression` builds the weight of the rule's row
-    for a selection, for decoded rows and `ChaseTrace.replay`, and the
-    factorization reads coded atoms with the same getters.  A rule over
-    another scheme is a SchemeError.
+    `cols` is the dependency's `edge_columns`, per edge the columns a run's
+    join for the rule reads (see `_ChaseRun`).  `reads` gives, per edge and
+    then per interaction set, the set, its names and the getter of its
+    cells from a row's cells, built on first read.  `expression` builds the
+    weight of the rule's row for a selection, for decoded rows and
+    `ChaseTrace.replay`, and the factorization reads coded atoms with the
+    same getters.  A rule over another scheme is a SchemeError.
     """
 
     def __init__(self, rule: JRule, scheme: AttributeSet):
@@ -209,8 +234,7 @@ class _CompiledRule:
             )
         self.rule = rule
         self.scheme = scheme
-        column = {a: c for c, a in enumerate(scheme)}
-        self.cols = tuple(tuple([column[a] for a in edge]) for edge in rule.gajd.edges_in_order)
+        self.cols = rule.gajd.edge_columns
 
     @cached_property
     def reads(self) -> tuple[tuple[tuple[AttributeSet, tuple[str, ...], Callable], ...], ...]:
@@ -244,28 +268,30 @@ class _ChaseRun:
     `(compiled rule, selection)`, all the run keeps of it.  The run keeps
     one `work` for its whole life: the join callbacks hold its `row_of`.
 
-    Before its first join the run builds one `JoinPlan` per rule, whose
-    indexes hold projections of `work`'s coded patterns, each followed by
-    its first row id (a two-edge rule keeps one index per position, both on
-    the separator); a join result is the pattern followed by its least
-    selection.  `units` lays the plans out flat, one unit per rule in input
-    order, holding what indexing a row under the rule reads (see
-    `_compile`).  A two-edge rule is one unit: the row's two projections
+    Before its first join the run lays out each rule's join in `units`, one
+    unit per rule in input order, holding what indexing a row under the
+    rule reads (see `_compile`).  Its indexes hold projections of `work`'s
+    coded patterns, each followed by its first row id; a join result is the
+    pattern followed by its least selection.  A two-edge rule is one unit,
+    built from its separator with no `JoinPlan`: one index per edge on the
+    separator, and per edge one key reader that fills the edge's index and
+    probes the other's, and one binding reader.  The row's two projections
     are read together, and each new one is joined inline with the other
-    edge's bucket, with the plan's indexes, key readers and binding
-    readers.  A rule of three or more edges keeps one port per position,
-    each new projection joined from its own position, its probe handed
-    straight to `tableau._extend`, the recursion `join` runs.  A one-edge
-    rule's only result is the row itself, so it indexes nothing.  A run
-    that stops before its first join builds no plan, and nothing of the
-    plans outlives the run.
+    edge's bucket.  A rule of three or more edges builds its `JoinPlan` and
+    keeps one port per position, each new projection joined from its own
+    position, its probe handed straight to `tableau._extend`, the recursion
+    `join` runs.  A one-edge rule's only result is the row itself, so it
+    indexes nothing and builds nothing.  A run that stops before its first
+    join lays out no unit, and nothing of the units outlives the run.
 
-    `pending` is a heap of `(key, rule_index, selection, pattern)`, one
-    entry per (rule, pattern) found while the pattern was not a row: the
-    join emits each such pair once, through the rule's callback in `emits`
-    (see `_consider`), so no entry repeats and the heap order depends only
-    on the entries.  `max_dist` is counted from the applied patterns, never
-    from a key.
+    `pending` is a heap of `(key, rule_index, selection, pattern, dist)`,
+    one entry per (rule, pattern) found while the pattern was not a row:
+    the join emits each such pair once, through the rule's callback in
+    `emits` (see `_consider`), so no entry repeats and the heap order
+    depends only on the entries.  Each (rule, selection) is pushed once,
+    so entries never compare past the selection.  `dist` is the pattern's
+    count of distinguished cells, counted once when the entry is pushed.
+    `max_dist` is counted from the applied patterns, never from a key.
 
     The join is also the run's work budget: once `pending` holds more than
     `len(rules)` times the row cap entries, the callback that pushed the
@@ -284,37 +310,33 @@ class _ChaseRun:
         self.cap = [0]
         self.is_distinguished = [int(distinguished) for distinguished, _, _ in work.code_of]
         self.goal = work.goal()
-        self.pending: list[tuple[float, int, tuple[int, ...], tuple[int, ...]]] = []
+        self.pending: list[tuple[float, int, tuple[int, ...], tuple[int, ...], int]] = []
         self.emits = [self._consider(rule_idx, cr) for rule_idx, cr in enumerate(self.compiled)]
         self.max_dist = max((sum([self.is_distinguished[v] for v in p]) for p in work.patterns), default=0)
         self.indexed = 0
 
     def _compile(self) -> None:
-        """Build each rule's join plan and lay it out in `units`, one per rule in input order.
+        """Lay out each rule's join in `units`, one unit per rule in input order.
 
-        Position i binds its edge's columns and, at slot n + i, the row id
-        that follows its projection; every position is a start.  A unit is
-        `(compiled rule, pair, ports)`: a two-edge rule's `pair` holds, per
-        edge, the reader of a pattern's edge projection, the map of each
-        projection met so far to its index entry, the reader of an entry's
-        key in the edge's one index, that index, and the probe from the edge
-        (the key reader into the other edge's index and the binding reader);
-        then the rule's callback.  A rule of three or more edges has `pair`
-        None and one port per position; a one-edge rule has neither.
+        A unit is `(compiled rule, pair, ports)`.  A two-edge rule's `pair`
+        holds, per edge, the reader of a pattern's edge projection, the map
+        of each projection met so far to its index entry, the key reader,
+        the edge's index on the separator and the binding reader (see
+        `_pair_readers`); then the rule's callback.  A rule of three or more
+        edges has `pair` None and one port per position of its `JoinPlan`:
+        position i binds its edge's columns and, at slot n + i, the row id
+        that follows its projection, and every position is a start.  A
+        one-edge rule has neither.
         """
         n = len(self.work.scheme)
         units = []
         for cr, emit in zip(self.compiled, self.emits):
-            plan = JoinPlan([cols + (n + i,) for i, cols in enumerate(cr.cols)], range(len(cr.cols)))
             pair, ports = None, ()
             if len(cr.cols) == 2:
-                edges = []
-                for pos, cols in enumerate(cr.cols):
-                    ((key_of, index),) = plan.inserts[pos]
-                    ((_, probe),), read = plan.probes[pos]
-                    edges.append((getter(cols, False), {}, key_of, index, probe, read))
-                pair = (*edges, emit)
+                pair = (*[(getter(cols, False), {}, key, {}, read)
+                          for cols, (key, read) in zip(cr.cols, _pair_readers(cr.cols, n))], emit)
             elif len(cr.cols) > 2:
+                plan = JoinPlan([cols + (n + i,) for i, cols in enumerate(cr.cols)], range(len(cr.cols)))
                 ports = tuple([(getter(cols, False), set(), plan.inserts[pos], *plan.probes[pos], emit)
                                for pos, cols in enumerate(cr.cols)])
             units.append((cr, pair, ports))
@@ -329,10 +351,11 @@ class _ChaseRun:
         row's own projections, one per edge, is the row itself; a one-edge
         rule has no other, so it only counts that duplicate.  A two-edge
         rule reads both projections and looks each up in its map.  A new
-        one, followed by `rid`, enters the map and its edge's index and is
-        joined inline with the other edge's bucket on the separator.  At the
-        row's last new projection that bucket holds the row's own entry at
-        the other edge, which is skipped and counted as a duplicate.  At a
+        one, followed by `rid`, enters the map and its edge's index under
+        its separator key, and is joined inline with the other edge's bucket
+        under the same key.  At the row's last new projection that bucket
+        holds the row's own entry at the other edge, which is skipped and
+        counted as a duplicate.  At a
         port of a longer rule a new projection enters each of the
         position's indexes and is joined by the port's probe through
         `tableau._extend`, which forms the row's own result too.
@@ -344,32 +367,30 @@ class _ChaseRun:
             if cr is producer:
                 continue
             if pair is not None:
-                (
-                    (project0, seen0, key_of0, index0, probe0, read0),
-                    (project1, seen1, key_of1, index1, probe1, read1),
-                    emit,
-                ) = pair
+                (project0, seen0, key0, index0, read0), (project1, seen1, key1, index1, read1), emit = pair
                 proj0, proj1 = project0(cells), project1(cells)
                 own0, own1 = seen0.get(proj0), seen1.get(proj1)
                 if own0 is None:
                     own0 = seen0[proj0] = proj0 + (rid,)
-                    index0.setdefault(key_of0(own0), []).append(own0)
+                    key = key0(own0)
+                    index0.setdefault(key, []).append(own0)
                     if own1 is None:
                         # The row's other projection is new too, so its bucket does not hold it yet.
-                        bucket = index1.get(probe0(own0))
+                        bucket = index1.get(key)
                         if bucket:
                             for other in bucket:
                                 emit(read0(own0 + other))
                     else:
-                        for other in index1[probe0(own0)]:
+                        for other in index1[key]:
                             if other is own1:
                                 duplicates[0] += 1
                             else:
                                 emit(read0(own0 + other))
                 if own1 is None:
                     own1 = seen1[proj1] = proj1 + (rid,)
-                    index1.setdefault(key_of1(own1), []).append(own1)
-                    for other in index0[probe1(own1)]:
+                    key = key1(own1)
+                    index1.setdefault(key, []).append(own1)
+                    for other in index0[key]:
                         if other is own0:
                             duplicates[0] += 1
                         else:
@@ -392,8 +413,9 @@ class _ChaseRun:
         Queuing an entry past the work budget raises ChaseRowLimitError.
 
         The pending key is most distinguished variables first, or a seeded
-        random draw.  The callback holds the run's containers but not the run,
-        so the run and its `emits` form no reference cycle.
+        random draw; the entry carries the pattern's count of distinguished
+        cells either way.  The callback holds the run's containers but not
+        the run, so the run and its `emits` form no reference cycle.
         """
         row_of, pending, duplicates = self.work.row_of, self.pending, self.duplicates
         rng, is_distinguished, cap, rules = self.rng, self.is_distinguished, self.cap, len(self.compiled)
@@ -404,8 +426,8 @@ class _ChaseRun:
             if pattern in row_of:
                 duplicates[0] += 1
                 return
-            key = rng.random() if rng is not None else -sum([is_distinguished[v] for v in pattern])
-            heapq.heappush(pending, (key, rule_idx, binding[n:], pattern))
+            dist = sum([is_distinguished[v] for v in pattern])
+            heapq.heappush(pending, (rng.random() if rng is not None else -dist, rule_idx, binding[n:], pattern, dist))
             if len(pending) > rules * cap[0]:
                 raise ChaseRowLimitError(
                     f"chase stopped on work spent: more than {rules * cap[0]} pending applications, "
@@ -414,7 +436,7 @@ class _ChaseRun:
 
         return emit
 
-    def _next(self) -> tuple[float, int, tuple[int, ...], tuple[int, ...]] | None:
+    def _next(self) -> tuple[float, int, tuple[int, ...], tuple[int, ...], int] | None:
         """The pending entry at the top of the heap; stale entries are dropped."""
         pending, row_of = self.pending, self.work.row_of
         while pending:
@@ -426,7 +448,7 @@ class _ChaseRun:
 
     def run(self, stop_at_distinguished: bool, stop_when_no_gain: bool, max_rows: int) -> str:
         """Apply pending applications until a stop rule holds; returns the stop reason."""
-        work, is_distinguished = self.work, self.is_distinguished
+        work = self.work
         self.cap[0] = max_rows
         while True:
             if stop_at_distinguished and self.goal in work.row_of:
@@ -439,8 +461,7 @@ class _ChaseRun:
             entry = self._next()
             if entry is None:
                 return "fixpoint"
-            _, rule_idx, selection, pattern = entry
-            dist = sum([is_distinguished[v] for v in pattern])
+            _, rule_idx, selection, pattern, dist = entry
             if stop_when_no_gain and dist <= self.max_dist:
                 return "no_gain"
             heapq.heappop(self.pending)

@@ -101,18 +101,22 @@ def _outside(axis: dict[str, int], attrs: AttributeSet) -> tuple[int, ...]:
 
 
 def fold_axes(scheme: AttributeSet, g: Gajd) -> Fold:
-    """The axes `mpj_map` sums over for `g`, on joints with one axis per attribute of `scheme`."""
+    """The axes `mpj_map` sums over for `g`, on joints with one axis per attribute of `scheme`.
+
+    The joint's axes are the scheme's columns, so each edge's axes are its
+    `edge_columns`: it sums out the others, and its new axes are its
+    columns that no earlier edge holds.
+    """
     if g.scheme != scheme:
         raise SchemeError(
             f"joint scheme {scheme.render()} does not match constraint scheme {g.scheme.render()}"
         )
-    axis = {a: i for i, a in enumerate(scheme)}
-    # By the twig equation an edge meets the earlier ones in its interaction-set member.
+    axes = range(len(scheme))
+    held: set[int] = set()
     fold = []
-    for edge, shared in zip(g.edges_in_order, (AttributeSet(),) + g.interactions.members):
-        held = shared.members
-        new = tuple(axis[a] for a in edge if a not in held)
-        fold.append((_outside(axis, edge), new))
+    for cols in g.edge_columns:
+        fold.append((tuple([i for i in axes if i not in cols]), tuple([c for c in cols if c not in held])))
+        held.update(cols)
     return tuple(fold)
 
 
@@ -269,7 +273,11 @@ class CounterexampleReport:
         labels = [self.domains.domains[a] for a in scheme]
         # Tuples sort by their labels, so the sorted order takes each axis's labels sorted.
         orders = [sorted(range(len(ls)), key=ls.__getitem__) for ls in labels]
-        weights = self.joint[np.ix_(*orders)].ravel().tolist()
+        joint = self.joint
+        # Declared domains of up to 10 labels ("0".."9") are in sorted order already; the joint is read as it lies.
+        if any(order != sorted(order) for order in orders):
+            joint = joint[np.ix_(*orders)]
+        weights = joint.ravel().tolist()
         # One `%` call fills a template of row prefixes; "%.17g" formats as format(w, ".17g").
         # The template is built column by column, from the last axis's labels to the first's.
         columns = [[ls[i].replace("%", "%%") for i in order] for ls, order in zip(labels, orders)]

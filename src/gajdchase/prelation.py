@@ -220,6 +220,7 @@ class _GajdFields(NamedTuple):
     certificate: HypertreeCertificate
     edges_in_order: tuple[AttributeSet, ...]
     interactions: InteractionSet
+    edge_columns: tuple[tuple[int, ...], ...]
 
 
 class Gajd(_GajdFields):
@@ -228,10 +229,13 @@ class Gajd(_GajdFields):
     Built from the hypergraph and, optionally, a certificate.  A certificate
     passed in is validated at construction, and one found here is valid as
     built, so downstream code can rely on the ordering and branching without
-    re-checking.  The edges in certificate order and the interaction set
-    depend only on the certificate, so they are computed there too, once.
-    They follow from the first two fields, so comparing all four compares
-    the hypergraph and the certificate; the repr shows those two.
+    re-checking.  The edges in certificate order, the interaction set and
+    `edge_columns`, each edge's positions in `scheme` in certificate order
+    (ascending within an edge, since both are sorted), depend only on the
+    certificate, so they are computed there too, once; the chase's rules
+    and the oracle's folds read their columns from it.  They follow from the
+    first two fields, so comparing all five compares the hypergraph and the
+    certificate; the repr shows those two.
     """
 
     __slots__ = ()
@@ -249,7 +253,9 @@ class Gajd(_GajdFields):
         # interaction_set validates a certificate passed in; the hypergraph keeps a found one's overlaps.
         interactions = interaction_set(certificate, hypergraph)
         edges_in_order = tuple([hypergraph.edges[i] for i in certificate.ordering])
-        return tuple.__new__(cls, (hypergraph, certificate, edges_in_order, interactions))
+        column = {a: c for c, a in enumerate(hypergraph.nodes)}
+        edge_columns = tuple([tuple([column[a] for a in edge]) for edge in edges_in_order])
+        return tuple.__new__(cls, (hypergraph, certificate, edges_in_order, interactions, edge_columns))
 
     def __repr__(self) -> str:
         return f"Gajd(hypergraph={self.hypergraph!r}, certificate={self.certificate!r})"

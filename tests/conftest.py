@@ -1,6 +1,8 @@
+import importlib
 import itertools
 import os
 import random
+import sys
 from pathlib import Path
 
 import pytest
@@ -13,6 +15,16 @@ from gajdchase.symbolic import MarginalAtom, RationalExpression, distinguished_f
 from gajdchase.tableau import Row, Tableau
 
 GOLDEN_DIR = Path(__file__).parent / "golden"
+
+
+def benchmark_workload(name: str, seed: int):
+    """The benchmark's workload `name` at `seed`, from `perfbench/gen.py`."""
+    sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
+    try:
+        gen = importlib.import_module("gen")
+    finally:
+        del sys.path[0]
+    return gen.WORKLOADS[name](seed)
 
 
 def subprocess_env() -> dict:

@@ -1,10 +1,7 @@
 import collections
 import hashlib
-import importlib
 import itertools
 import random
-import sys
-from pathlib import Path
 
 import pytest
 
@@ -16,8 +13,9 @@ from gajdchase.hypergraph import AttributeSet
 from gajdchase.oracle import fold_axes, project_onto, random_positive
 from gajdchase.prelation import DomainSpec, Gajd, relation_from_domains, satisfies
 from gajdchase.symbolic import MarginalAtom, RationalExpression, Variable, distinguished_for, evaluate, restrict_atom
-from gajdchase.tableau import Row, Tableau, build_tr, run
+from gajdchase.tableau import JoinPlan, Row, Tableau, build_tr, run
 from conftest import (
+    benchmark_workload,
     chain_positive,
     contains_distinguished_row,
     covering_hypertrees,
@@ -354,8 +352,42 @@ class TestChase:
     def test_run_at_the_goal_compiles_no_plan_and_continues_like_a_fresh_chase(self, chain4, monkeypatch):
         # The target's tableau already holds the all-distinguished row, from its full edge.
         target = Gajd.from_edges([["A1"], ["A2"], ["A3", "A4"], ["A1", "A2", "A3", "A4"]])
-        _, left, right = chain4
-        rules = [JRule("C1", left), JRule("C2", right)]
+        chain, left, right = chain4
+        # The two-edge rules build no JoinPlan; the three-edge chain builds one for its ports.
+        rules = [JRule("C1", left), JRule("C2", right), JRule("T", chain)]
+        compiles, plans = [], []
+        compile_units = chase_module._ChaseRun._compile
+
+        def counting_compile(run):
+            compiles.append(run)
+            compile_units(run)
+
+        class CountingPlan(chase_module.JoinPlan):
+            def __init__(self, *args):
+                plans.append(self)
+                super().__init__(*args)
+
+        monkeypatch.setattr(chase_module._ChaseRun, "_compile", counting_compile)
+        monkeypatch.setattr(chase_module, "JoinPlan", CountingPlan)
+        prefix = chase(build_tr(target), rules, stop_at_distinguished=True)
+        assert (prefix.stop_reason, len(prefix.steps), compiles, plans) == ("distinguished", 0, [], [])
+        continued = chase(prefix, rules)
+        assert (len(compiles), len(plans)) == (1, 1)
+        fresh = chase(build_tr(target), rules)
+        assert len(continued.steps) > 0
+        assert continued.render_steps() == fresh.render_steps()
+        assert [r.cells for r in continued.final.rows] == [r.cells for r in fresh.final.rows]
+        assert continued.duplicates == fresh.duplicates
+
+    def test_pending_entries_carry_their_distinguished_count(self, chain4):
+        target, left, right = chain4
+        trace = chase(build_tr(target), [JRule("C1", left)], stop_when_no_gain=True)
+        run = trace._run
+        assert run.pending
+        for key, _, _, pattern, dist in run.pending:
+            assert dist == sum(run.is_distinguished[v] for v in pattern) == -key
+
+    def test_chain_queries_build_no_join_plan_and_longer_rules_build_theirs_per_run(self, monkeypatch):
         plans = []
 
         class CountingPlan(chase_module.JoinPlan):
@@ -364,21 +396,63 @@ class TestChase:
                 super().__init__(*args)
 
         monkeypatch.setattr(chase_module, "JoinPlan", CountingPlan)
-        prefix = chase(build_tr(target), rules, stop_at_distinguished=True)
-        assert (prefix.stop_reason, len(prefix.steps), plans) == ("distinguished", 0, [])
-        continued = chase(prefix, rules)
-        assert len(plans) == len(rules)
-        fresh = chase(build_tr(target), rules)
-        assert len(continued.steps) > 0
-        assert continued.render_steps() == fresh.render_steps()
-        assert [r.cells for r in continued.final.rows] == [r.cells for r in fresh.final.rows]
-        assert continued.duplicates == fresh.duplicates
+        for n in range(4, 8):
+            constraints, target = chain_positive(n)
+            assert implies(constraints, target).holds
+            assert not implies(constraints[1:], target).holds
+        assert plans == []
+        # The prefix stalls and the closure continues its run, so one query is one run; only
+        # {C}{AB}{BC} has three edges.
+        constraints, target = [Gajd.from_edges(c) for c in STUBBORN_CONSTRAINTS], Gajd.from_edges(STUBBORN_TARGET)
+        for runs in (1, 2):
+            assert implies(constraints, target).holds
+            assert len(plans) == runs
 
     def test_continue_requires_same_constraints(self, chain4):
         target, left, right = chain4
         prefix = chase(build_tr(target), [JRule("C1", left)], stop_when_no_gain=True)
         with pytest.raises(ValueError):
             chase(prefix, [JRule("C2", right)])
+
+
+class TestPairReaders:
+    """A two-edge rule's readers, built from its separator, read as the `JoinPlan` they replace."""
+
+    @staticmethod
+    def layouts(rng):
+        """Two-edge column layouts over 2-12 columns, each edge ascending, together covering every column.
+
+        Each column is in the first edge only, the second only, or both; the
+        separator is empty, one column or wider, and one edge may hold the other.
+        """
+        for shared in [0, 1, 2, 3] * 60:
+            n = rng.randint(max(2, shared + 1), 12)
+            both = set(rng.sample(range(n), shared))
+            rest = [c for c in range(n) if c not in both]
+            rng.shuffle(rest)
+            cut = rng.randint(0 if both else 1, len(rest) - (0 if both else 1))
+            first, second = sorted(both.union(rest[:cut])), sorted(both.union(rest[cut:]))
+            if first and second and first != second:
+                yield n, (tuple(first), tuple(second))
+
+    def test_readers_equal_the_plans(self):
+        rng = random.Random(30)
+        separators = collections.Counter()
+        for n, cols in self.layouts(rng):
+            separators[min(len(set(cols[0]) & set(cols[1])), 2)] += 1
+            plan = JoinPlan([cols[0] + (n,), cols[1] + (n + 1,)], range(2))
+            readers = chase_module._pair_readers(cols, n)
+            for pos, (key, read) in enumerate(readers):
+                ((insert_key, _),) = plan.inserts[pos]
+                ((_, probe_key),), probe_read = plan.probes[pos]
+                for _ in range(5):
+                    # Distinct row ids, so a binding with the two swapped differs.
+                    own_id, other_id = rng.sample(range(100, 200), 2)
+                    own = tuple(rng.randrange(3) for _ in cols[pos]) + (own_id,)
+                    other = tuple(rng.randrange(3) for _ in cols[1 - pos]) + (other_id,)
+                    assert key(own) == insert_key(own) == probe_key(own)
+                    assert read(own + other) == probe_read(own + other)
+        assert min(separators.values()) > 30 and sorted(separators) == [0, 1, 2]
 
 
 class TestJoinOrderPinned:
@@ -882,12 +956,7 @@ class TestFactorizationExact:
     @pytest.mark.parametrize("workload, positives", [("census", 39), ("chains", 9)])
     def test_benchmark_positives(self, workload, positives):
         # Every positive of the benchmark's workload at seed 1, under its disguised attribute names.
-        sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
-        try:
-            gen = importlib.import_module("gen")
-        finally:
-            del sys.path[0]
-        wl = gen.WORKLOADS[workload](1)
+        wl = benchmark_workload(workload, 1)
         parsed = [parse(text) for text in wl.problems]
         seen = []
         for op in wl.ops:

@@ -1,3 +1,4 @@
+import hashlib
 import math
 import random
 
@@ -19,8 +20,10 @@ from gajdchase.oracle import (
     satisfies,
     search_counterexample,
 )
+from gajdchase.cli import parse
+from gajdchase.hypergraph import AttributeSet
 from gajdchase.prelation import DomainSpec, Gajd, relation_from_domains
-from conftest import brute_marginal, random_hypertree
+from conftest import benchmark_workload, brute_marginal, random_hypertree
 
 DOM3 = DomainSpec.uniform(["A", "B", "C"])
 DOM4 = DomainSpec.uniform(["A1", "A2", "A3", "A4"])
@@ -105,6 +108,34 @@ class TestProjectOnto:
         target, _, _ = chain4
         with pytest.raises(SchemeError):
             fold_axes(DOM3.scheme, target)
+
+    @staticmethod
+    def fold_by_name(scheme, g):
+        """The folds from attribute names: by the twig equation an edge meets the earlier ones in its interaction."""
+        axis = {a: i for i, a in enumerate(scheme)}
+        fold = []
+        for edge, shared in zip(g.edges_in_order, (AttributeSet(),) + g.interactions.members):
+            inside = {axis[a] for a in edge}
+            outside = tuple(i for i in range(len(axis)) if i not in inside)
+            fold.append((outside, tuple(axis[a] for a in edge if a not in shared)))
+        return tuple(fold)
+
+    def test_folds_equal_the_name_based_ones(self):
+        rng = random.Random(32)
+        dependencies = []
+        for _ in range(300):
+            attrs = [f"A{i}" for i in range(1, rng.randint(3, 10) + 1)]  # A10 sorts before A2
+            dependencies.append(random_hypertree(attrs, 5, rng))
+        for workload in ("census", "chains", "verify"):
+            for text in benchmark_workload(workload, 1).problems:
+                problem = parse(text)
+                dependencies += [*problem.constraints.values(), *(q.target for q in problem.queries)]
+        held_twice = 0
+        for g in dependencies:
+            fold = fold_axes(g.scheme, g)
+            assert fold == self.fold_by_name(g.scheme, g)
+            held_twice += sum(len(cols) > len(new) for cols, (_, new) in zip(g.edge_columns, fold))
+        assert held_twice > 300
 
     def test_equals_the_loop_that_recomputed_every_map(self, monkeypatch, chain4):
         def reference(p, folds, sweeps, stop_tol):
@@ -264,6 +295,19 @@ class TestSearchCounterexample:
         assert found.render() == header + found.distribution.to_text().rstrip("\n")
         if max(sizes.values()) > 10:
             assert list(dom.tuples()) != sorted(dom.tuples())
+
+    def test_render_of_eleven_labels_puts_10_before_2(self):
+        # Eleven labels are out of sorted order, so the table is gathered; its text is pinned.
+        dom = DomainSpec.with_sizes(["A", "B"], {"A": 11})
+        report = CounterexampleReport(np.arange(1.0, 23.0).reshape(11, 2) / 253.0, dom, (), 0.5, 3, 1)
+        text = report.render()
+        rows = text.split("\n")[2:]
+        assert [row.split()[0] for row in rows[::2]] == sorted(str(i) for i in range(11))
+        assert rows[4:7] == ["10 0 0.083003952569169967", "10 1 0.086956521739130432", "2 0 0.019762845849802372"]
+        assert hashlib.sha256(text.encode()).hexdigest() == (
+            "05694791ac423d06d787a3a2dccba2420ea9d973985091ab1d574dd580a67014"
+        )
+        assert text.split("\n", 1)[1] == report.distribution.to_text().rstrip("\n")
 
     def test_render_keeps_percent_signs_in_labels(self):
         # Rows are filled in by one `%` call, so a label's own `%` must come through as written.

@@ -18,7 +18,16 @@ from gajdchase.prelation import (
     product_join,
     satisfies,
 )
-from conftest import brute_marginal, is_normalized, positive_relation, random_certificate, relation_from_text
+from gajdchase.cli import parse
+from conftest import (
+    benchmark_workload,
+    brute_marginal,
+    is_normalized,
+    positive_relation,
+    random_certificate,
+    random_hypertree,
+    relation_from_text,
+)
 
 AB = AttributeSet(["A", "B"])
 A = AttributeSet(["A"])
@@ -299,6 +308,33 @@ class TestSatisfies:
         result = satisfies(perturbed, g, tol=1e-12)
         assert not result.holds
         assert result.residual > 1e-6
+
+
+def columns_by_name(g: Gajd) -> tuple[tuple[int, ...], ...]:
+    """Each edge's positions in the scheme, in certificate order, looked up by attribute name."""
+    return tuple(tuple(g.scheme.index(a) for a in edge) for edge in g.edges_in_order)
+
+
+class TestEdgeColumns:
+    def test_random_hypertrees_under_found_and_scrambled_certificates(self):
+        rng = random.Random(31)
+        for _ in range(300):
+            attrs = [f"A{i}" for i in range(1, rng.randint(3, 10) + 1)]  # A10 sorts before A2
+            g = random_hypertree(attrs, 5, rng)
+            scrambled = Gajd(g.hypergraph, random_certificate(g, rng))
+            for h in (g, scrambled):
+                assert h.edge_columns == columns_by_name(h)
+
+    @pytest.mark.parametrize("workload", ["census", "chains"])
+    def test_benchmark_dependencies(self, workload):
+        # Under the workload's disguised attribute names, so scheme order is not edge-list order.
+        checked = 0
+        for text in benchmark_workload(workload, 1).problems:
+            problem = parse(text)
+            for g in [*problem.constraints.values(), *(q.target for q in problem.queries)]:
+                assert g.edge_columns == columns_by_name(g)
+                checked += 1
+        assert checked > 100
 
 
 class TestCiResidual:

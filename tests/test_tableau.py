@@ -297,7 +297,7 @@ class TestJoin:
         ]
 
     def test_two_edge_rule_keeps_one_index_per_position_on_the_separator(self):
-        # The chase's plan for edges {A B} {B C}: columns 0-2, then each position's row id slot.
+        # The plan `chase._pair_readers` reads as, for edges {A B} {B C}: columns 0-2, then each row id slot.
         plan = JoinPlan([(0, 1, 3), (1, 2, 4)], range(2))
         assert plan.keyed == ((1, (0,)), (0, (1,)))
         assert len(plan.indexes) == 2 and [len(inserts) for inserts in plan.inserts] == [1, 1]
