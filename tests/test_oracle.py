@@ -6,7 +6,9 @@ import numpy as np
 import pytest
 
 from gajdchase import oracle, prelation
+from gajdchase.cli import parse
 from gajdchase.errors import DomainTooLargeError, SchemeError
+from gajdchase.hypergraph import AttributeSet
 from gajdchase.oracle import (
     CounterexampleReport,
     NotFound,
@@ -20,8 +22,6 @@ from gajdchase.oracle import (
     satisfies,
     search_counterexample,
 )
-from gajdchase.cli import parse
-from gajdchase.hypergraph import AttributeSet
 from gajdchase.prelation import DomainSpec, Gajd, relation_from_domains
 from conftest import benchmark_workload, brute_marginal, random_hypertree
 

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from gajdchase.cli import parse
 from gajdchase.errors import SchemeError
 from gajdchase.hypergraph import AttributeSet
 from gajdchase.prelation import (
@@ -18,7 +19,6 @@ from gajdchase.prelation import (
     product_join,
     satisfies,
 )
-from gajdchase.cli import parse
 from conftest import (
     benchmark_workload,
     brute_marginal,
